@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from .errors import (
     DegenerateCovariance,
@@ -47,8 +48,8 @@ CLASSIFIER_NAMES = (
 class Standardizer:
     """Per-feature training mean and population stddev (zero-variance -> 1)."""
 
-    mean: np.ndarray
-    std: np.ndarray
+    mean: npt.NDArray[np.float64]
+    std: npt.NDArray[np.float64]
 
     def __post_init__(self):
         for name in ("mean", "std"):
@@ -143,9 +144,9 @@ class OvoSvmModel(MulticlassModel):
 @dataclass(frozen=True)
 class LdaModel(MulticlassModel):
     classes: tuple[int, ...] = ()
-    means: np.ndarray = None
-    precision: np.ndarray = None  # pooled inverse covariance
-    log_priors: np.ndarray = None
+    means: npt.NDArray[np.float64] = None
+    precision: npt.NDArray[np.float64] = None  # pooled inverse covariance
+    log_priors: npt.NDArray[np.float64] = None
 
     kind: ClassVar[str] = "lda"
 
@@ -153,24 +154,24 @@ class LdaModel(MulticlassModel):
 @dataclass(frozen=True)
 class QdaModel(MulticlassModel):
     classes: tuple[int, ...] = ()
-    means: np.ndarray = None
-    precisions: np.ndarray = None  # per-class inverse covariances
-    log_dets: np.ndarray = None  # of the regularized covariances
-    log_priors: np.ndarray = None
+    means: npt.NDArray[np.float64] = None
+    precisions: npt.NDArray[np.float64] = None  # per-class inverse covariances
+    log_dets: npt.NDArray[np.float64] = None  # of the regularized covariances
+    log_priors: npt.NDArray[np.float64] = None
 
     kind: ClassVar[str] = "qda"
 
 
 @dataclass(frozen=True)
 class Knn1Model(MulticlassModel):
-    points: np.ndarray = None  # standardized training set
-    labels: np.ndarray = None
+    points: npt.NDArray[np.float64] = None  # standardized training set
+    labels: npt.NDArray[np.int64] = None
 
     kind: ClassVar[str] = "knn1"
 
 
-def _as_standardized(model: MulticlassModel, x) -> np.ndarray:
-    """Validate a prediction input and standardize it."""
+def _feature_row(model: MulticlassModel, x) -> np.ndarray:
+    """Validate a single prediction input; return it as a (1, d) matrix."""
     if isinstance(x, FeatureVector):
         if x.fingerprint != model.fingerprint:
             raise FingerprintMismatch(
@@ -181,7 +182,7 @@ def _as_standardized(model: MulticlassModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionMismatch("expected a single feature vector")
-    return model.standardizer.transform(x)
+    return x[None, :]
 
 
 def _class_counts(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,18 +249,20 @@ def ovo_train(
     )
 
 
-def ovo_decision_values(model: OvoSvmModel, Xs: np.ndarray) -> np.ndarray:
-    """(n_machines, n_samples) signed decisions for standardized rows."""
-    return np.vstack([decision_function(m, Xs) for m in model.machines])
+def _ovo_votes(
+    model: OvoSvmModel, Xs: np.ndarray
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """vote_from_decisions of every standardized row."""
+    # tolist() keeps the per-row voting loop on Python floats.
+    decisions = [decision_function(m, Xs).tolist() for m in model.machines]
+    return [vote_from_decisions(model.pairs, row) for row in zip(*decisions)]
 
 
 def ovo_predict(model: OvoSvmModel, x) -> tuple[PostureLabel, dict[PostureLabel, int]]:
     """Majority vote over the pairwise machines for one feature vector."""
-    xs = _as_standardized(model, x)
-    decisions = [float(decision_function(m, xs[None, :])[0]) for m in model.machines]
-    winner, votes, _ = vote_from_decisions(model.pairs, decisions)
-    table = {label: int(votes[label]) for label in PostureLabel}
-    return PostureLabel(winner), table
+    xs = model.standardizer.transform(_feature_row(model, x))
+    winner, votes, _ = _ovo_votes(model, xs)[0]
+    return PostureLabel(winner), {label: int(votes[label]) for label in PostureLabel}
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +285,12 @@ def _chol_logdet(cov: np.ndarray, what: str) -> float:
     return float(2.0 * np.sum(np.log(np.diag(chol))))
 
 
-def lda_train(
-    X: np.ndarray, y: np.ndarray, fingerprint: str = "", seed: int = 0
-) -> LdaModel:
-    """Gaussian discriminant with one pooled covariance across classes."""
+def _gaussian_fit(X: np.ndarray, y: np.ndarray):
+    """Shared part of LDA and QDA training.
+
+    Returns the standardizer, the class indices, the class means, each
+    class's standardized rows centered on its mean, and the log priors.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     classes, counts = _class_counts(y)
@@ -296,25 +301,31 @@ def lda_train(
         raise SingleClass(f"class {small} has fewer than 2 samples")
     standardizer = fit_standardizer(X)
     Xs = standardizer.transform(X)
-
-    n, d = Xs.shape
     means = np.vstack([Xs[y == k].mean(axis=0) for k in classes])
+    centered = [Xs[y == k] - mean_k for mean_k, k in zip(means, classes)]
+    log_priors = np.log(counts / Xs.shape[0])
+    return standardizer, tuple(int(k) for k in classes), means, centered, log_priors
+
+
+def lda_train(
+    X: np.ndarray, y: np.ndarray, fingerprint: str = "", seed: int = 0
+) -> LdaModel:
+    """Gaussian discriminant with one pooled covariance across classes."""
+    standardizer, classes, means, centered, log_priors = _gaussian_fit(X, y)
+    d = means.shape[1]
     pooled = np.zeros((d, d))
-    for mean_k, k in zip(means, classes):
-        centered = Xs[y == k] - mean_k
-        pooled += centered.T @ centered
-    pooled /= n - classes.size
+    for rows in centered:
+        pooled += rows.T @ rows
+    pooled /= sum(len(rows) for rows in centered) - len(classes)
     pooled = _regularized(pooled)
     _chol_logdet(pooled, "pooled")
-    precision = np.linalg.inv(pooled)
-    log_priors = np.log(counts / n)
     return LdaModel(
         standardizer=standardizer,
         fingerprint=fingerprint,
         seed=seed,
-        classes=tuple(int(k) for k in classes),
+        classes=classes,
         means=means,
-        precision=precision,
+        precision=np.linalg.inv(pooled),
         log_priors=log_priors,
     )
 
@@ -323,37 +334,16 @@ def qda_train(
     X: np.ndarray, y: np.ndarray, fingerprint: str = "", seed: int = 0
 ) -> QdaModel:
     """Gaussian discriminant with one covariance per class."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    classes, counts = _class_counts(y)
-    if classes.size < 2:
-        raise SingleClass("discriminant training needs at least two classes")
-    if counts.min() < 2:
-        small = int(classes[counts.argmin()])
-        raise SingleClass(f"class {small} has fewer than 2 samples")
-    standardizer = fit_standardizer(X)
-    Xs = standardizer.transform(X)
-
-    n, d = Xs.shape
-    means = []
-    precisions = []
-    log_dets = []
-    for k in classes:
-        rows = Xs[y == k]
-        mean_k = rows.mean(axis=0)
-        centered = rows - mean_k
-        cov = _regularized(centered.T @ centered / (rows.shape[0] - 1))
-        log_dets.append(_chol_logdet(cov, f"class {int(k)}"))
-        precisions.append(np.linalg.inv(cov))
-        means.append(mean_k)
-    log_priors = np.log(counts / n)
+    standardizer, classes, means, centered, log_priors = _gaussian_fit(X, y)
+    covs = [_regularized(rows.T @ rows / (rows.shape[0] - 1)) for rows in centered]
+    log_dets = [_chol_logdet(cov, f"class {k}") for cov, k in zip(covs, classes)]
     return QdaModel(
         standardizer=standardizer,
         fingerprint=fingerprint,
         seed=seed,
-        classes=tuple(int(k) for k in classes),
-        means=np.vstack(means),
-        precisions=np.stack(precisions),
+        classes=classes,
+        means=means,
+        precisions=np.stack([np.linalg.inv(cov) for cov in covs]),
         log_dets=np.array(log_dets),
         log_priors=log_priors,
     )
@@ -374,13 +364,6 @@ def _qda_scores(model: QdaModel, Xs: np.ndarray) -> np.ndarray:
             -0.5 * model.log_dets[idx] - 0.5 * maha + model.log_priors[idx]
         )
     return scores
-
-
-def discriminant_predict(model: LdaModel | QdaModel, x) -> PostureLabel:
-    """argmax of the class discriminant scores; ties to the lowest class index."""
-    xs = _as_standardized(model, x)[None, :]
-    scores = _lda_scores(model, xs) if isinstance(model, LdaModel) else _qda_scores(model, xs)
-    return PostureLabel(model.classes[int(np.argmax(scores[0]))])
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +388,8 @@ def knn1_train(
 
 
 def knn1_predict(model: Knn1Model, x) -> PostureLabel:
-    """Label of the Euclidean-nearest standardized training point.
-
-    Exact distance ties resolve to the lowest training-record index
-    (np.argmin returns the first minimum).
-    """
-    xs = _as_standardized(model, x)
-    d2 = ((model.points - xs) ** 2).sum(axis=1)
-    return PostureLabel(int(model.labels[int(np.argmin(d2))]))
+    """Label of the Euclidean-nearest standardized training point."""
+    return predict_label(model, x)
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +456,8 @@ def train_classifier(
 
 
 def predict_label(model: MulticlassModel, x) -> PostureLabel:
-    if isinstance(model, OvoSvmModel):
-        return ovo_predict(model, x)[0]
-    if isinstance(model, (LdaModel, QdaModel)):
-        return discriminant_predict(model, x)
-    if isinstance(model, Knn1Model):
-        return knn1_predict(model, x)
-    raise TypeError(f"not a multiclass model: {type(model)!r}")
+    """Label of one feature vector: predict_batch on a one-row matrix."""
+    return PostureLabel(int(predict_batch(model, _feature_row(model, x))[0]))
 
 
 def predict_batch(model: MulticlassModel, X: np.ndarray) -> np.ndarray:
@@ -495,21 +467,20 @@ def predict_batch(model: MulticlassModel, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("expected an (n, d) matrix")
     Xs = model.standardizer.transform(X)
     if isinstance(model, OvoSvmModel):
-        decisions = ovo_decision_values(model, Xs)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for i in range(X.shape[0]):
-            out[i] = vote_from_decisions(model.pairs, decisions[:, i])[0]
-        return out
-    if isinstance(model, LdaModel):
-        scores = _lda_scores(model, Xs)
-        return np.asarray(model.classes)[np.argmax(scores, axis=1)]
-    if isinstance(model, QdaModel):
-        scores = _qda_scores(model, Xs)
-        return np.asarray(model.classes)[np.argmax(scores, axis=1)]
+        return np.array([w for w, _, _ in _ovo_votes(model, Xs)], dtype=np.int64)
     if isinstance(model, Knn1Model):
+        # np.argmin returns the first minimum, so exact distance ties resolve
+        # to the lowest training-record index.
         out = np.empty(X.shape[0], dtype=np.int64)
         for i in range(X.shape[0]):
             d2 = ((model.points - Xs[i]) ** 2).sum(axis=1)
             out[i] = model.labels[int(np.argmin(d2))]
         return out
-    raise TypeError(f"not a multiclass model: {type(model)!r}")
+    if isinstance(model, LdaModel):
+        scores = _lda_scores(model, Xs)
+    elif isinstance(model, QdaModel):
+        scores = _qda_scores(model, Xs)
+    else:
+        raise TypeError(f"not a multiclass model: {type(model)!r}")
+    # argmax ties go to the lowest class index.
+    return np.asarray(model.classes)[np.argmax(scores, axis=1)]

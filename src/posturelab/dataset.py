@@ -9,11 +9,13 @@ full round-trip precision, so a loaded model predicts identically.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .classifiers import (
     MulticlassModel,
     OvoSvmModel,
     QdaModel,
-    Standardizer,
 )
 from .errors import (
     CorruptModel,
@@ -33,7 +34,6 @@ from .errors import (
     VersionMismatch,
 )
 from .features import FeatureConfig
-from .kernels import KernelSpec
 from .poses import POSE_TEMPLATES, rotation_about_y
 from .skeleton import (
     JOINT_NAMES,
@@ -44,7 +44,6 @@ from .skeleton import (
     label_from_name,
     validate_skeleton,
 )
-from .svm import BinarySvmModel
 
 DATASET_FORMAT = "posturelab-dataset"
 MODEL_FORMAT = "posturelab-model"
@@ -265,118 +264,68 @@ class ModelFile:
     dataset_fingerprint: str = ""
 
 
-def _machine_to_dict(m: BinarySvmModel) -> dict:
-    return {
-        "support_vectors": m.support_vectors.tolist(),
-        "dual_coef": m.dual_coef.tolist(),
-        "bias": float(m.bias),
-        "kernel": m.kernel.to_dict(),
-        "c": float(m.c),
-        "converged": bool(m.converged),
-        "n_passes": int(m.n_passes),
-        "kkt_violations": int(m.kkt_violations),
-    }
+_MODEL_KINDS = {cls.kind: cls for cls in (OvoSvmModel, LdaModel, QdaModel, Knn1Model)}
+# The fields every model shares sit at the top level of the file, the others
+# under "params": model field name -> top-level key.
+_TOP_LEVEL_FIELDS = {
+    "standardizer": "standardizer",
+    "fingerprint": "feature_fingerprint",
+    "seed": "seed",
+}
+_UNSAVED_FIELDS = ("objective_trace",)  # solver instrumentation, not a parameter
 
 
-def _machine_from_dict(d: dict) -> BinarySvmModel:
-    return BinarySvmModel(
-        support_vectors=np.asarray(d["support_vectors"], dtype=np.float64).reshape(
-            len(d["dual_coef"]), -1
-        )
-        if d["dual_coef"]
-        else np.empty((0, 0)),
-        dual_coef=np.asarray(d["dual_coef"], dtype=np.float64),
-        bias=float(d["bias"]),
-        kernel=KernelSpec.from_dict(d["kernel"]),
-        c=float(d["c"]),
-        converged=bool(d["converged"]),
-        n_passes=int(d["n_passes"]),
-        kkt_violations=int(d["kkt_violations"]),
+@functools.cache  # get_type_hints re-evaluates string annotations per call
+def _saved_fields(cls) -> tuple[tuple[str, object], ...]:
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name]) for f in fields(cls) if f.name not in _UNSAVED_FIELDS
     )
 
 
-def _params_to_dict(model: MulticlassModel) -> dict:
-    if isinstance(model, OvoSvmModel):
-        return {
-            "pairs": [list(p) for p in model.pairs],
-            "machines": [_machine_to_dict(m) for m in model.machines],
-        }
-    if isinstance(model, LdaModel):
-        return {
-            "classes": list(model.classes),
-            "means": model.means.tolist(),
-            "precision": model.precision.tolist(),
-            "log_priors": model.log_priors.tolist(),
-        }
-    if isinstance(model, QdaModel):
-        return {
-            "classes": list(model.classes),
-            "means": model.means.tolist(),
-            "precisions": model.precisions.tolist(),
-            "log_dets": model.log_dets.tolist(),
-            "log_priors": model.log_priors.tolist(),
-        }
-    if isinstance(model, Knn1Model):
-        return {
-            "points": model.points.tolist(),
-            "labels": model.labels.tolist(),
-        }
-    raise TypeError(f"not a multiclass model: {type(model)!r}")
+def _item_types(tp, items) -> tuple:
+    """Element types of tuple[T, ...] or tuple[T1, T2, ...] for these items."""
+    args = get_args(tp)
+    return (args[0],) * len(items) if args[-1] is Ellipsis else args
 
 
-def _model_from_parts(kind: str, base: dict, params: dict) -> MulticlassModel:
-    if kind == OvoSvmModel.kind:
-        return OvoSvmModel(
-            **base,
-            pairs=tuple((int(a), int(b)) for a, b in params["pairs"]),
-            machines=tuple(_machine_from_dict(m) for m in params["machines"]),
-        )
-    if kind == LdaModel.kind:
-        return LdaModel(
-            **base,
-            classes=tuple(int(k) for k in params["classes"]),
-            means=np.asarray(params["means"], dtype=np.float64),
-            precision=np.asarray(params["precision"], dtype=np.float64),
-            log_priors=np.asarray(params["log_priors"], dtype=np.float64),
-        )
-    if kind == QdaModel.kind:
-        return QdaModel(
-            **base,
-            classes=tuple(int(k) for k in params["classes"]),
-            means=np.asarray(params["means"], dtype=np.float64),
-            precisions=np.asarray(params["precisions"], dtype=np.float64),
-            log_dets=np.asarray(params["log_dets"], dtype=np.float64),
-            log_priors=np.asarray(params["log_priors"], dtype=np.float64),
-        )
-    if kind == Knn1Model.kind:
-        return Knn1Model(
-            **base,
-            points=np.asarray(params["points"], dtype=np.float64),
-            labels=np.asarray(params["labels"], dtype=np.int64),
-        )
-    raise CorruptModel(f"unknown model kind {kind!r}")
+def _encode(tp, value):
+    """JSON form of a value of annotated type ``tp``: dataclasses as objects
+    of their fields, arrays and tuples as lists."""
+    if is_dataclass(tp):
+        return {name: _encode(t, getattr(value, name)) for name, t in _saved_fields(tp)}
+    if get_origin(tp) is np.ndarray:
+        return value.tolist()
+    if get_origin(tp) is tuple:
+        return [_encode(t, v) for t, v in zip(_item_types(tp, value), value)]
+    return tp(value)
+
+
+def _decode(tp, doc):
+    """Inverse of _encode; array dtypes come from the annotation."""
+    if is_dataclass(tp):
+        return tp(**{name: _decode(t, doc[name]) for name, t in _saved_fields(tp)})
+    if get_origin(tp) is np.ndarray:
+        (dtype,) = get_args(get_args(tp)[1])
+        return np.asarray(doc, dtype=dtype)
+    if get_origin(tp) is tuple:
+        types = _item_types(tp, doc)
+        return tuple(_decode(t, v) for t, v in zip(types, doc, strict=True))
+    return tp(doc)
 
 
 def model_file_to_dict(mf: ModelFile) -> dict:
-    cfg = mf.feature_config
-    return {
+    params = _encode(type(mf.model), mf.model)
+    doc = {
         "format": MODEL_FORMAT,
         "version": FILE_VERSION,
         "kind": type(mf.model).kind,
-        "feature_config": {
-            "use_distances": cfg.use_distances,
-            "use_angles": cfg.use_angles,
-            "angle_mode": cfg.angle_mode.value,
-        },
-        "feature_fingerprint": mf.model.fingerprint,
-        "seed": int(mf.model.seed),
+        "feature_config": _encode(FeatureConfig, mf.feature_config),
         "dataset_fingerprint": mf.dataset_fingerprint,
-        "standardizer": {
-            "mean": mf.model.standardizer.mean.tolist(),
-            "std": mf.model.standardizer.std.tolist(),
-        },
-        "params": _params_to_dict(mf.model),
     }
+    doc.update({key: params.pop(name) for name, key in _TOP_LEVEL_FIELDS.items()})
+    doc["params"] = params
+    return doc
 
 
 def model_file_from_dict(doc: dict) -> ModelFile:
@@ -385,21 +334,12 @@ def model_file_from_dict(doc: dict) -> ModelFile:
     if doc.get("version") != FILE_VERSION:
         raise VersionMismatch(doc.get("version"), FILE_VERSION)
     try:
-        cfg = FeatureConfig(
-            use_distances=bool(doc["feature_config"]["use_distances"]),
-            use_angles=bool(doc["feature_config"]["use_angles"]),
-            angle_mode=doc["feature_config"]["angle_mode"],
-        )
-        standardizer = Standardizer(
-            np.asarray(doc["standardizer"]["mean"], dtype=np.float64),
-            np.asarray(doc["standardizer"]["std"], dtype=np.float64),
-        )
-        base = {
-            "standardizer": standardizer,
-            "fingerprint": str(doc["feature_fingerprint"]),
-            "seed": int(doc["seed"]),
-        }
-        model = _model_from_parts(str(doc["kind"]), base, doc["params"])
+        cfg = _decode(FeatureConfig, doc["feature_config"])
+        cls = _MODEL_KINDS.get(str(doc["kind"]))
+        if cls is None:
+            raise CorruptModel(f"unknown model kind {doc['kind']!r}")
+        shared = {name: doc[key] for name, key in _TOP_LEVEL_FIELDS.items()}
+        model = _decode(cls, {**doc["params"], **shared})
         return ModelFile(model, cfg, str(doc.get("dataset_fingerprint", "")))
     except (KeyError, TypeError, ValueError) as e:
         raise CorruptModel(f"malformed model file: {e}") from None

@@ -154,16 +154,13 @@ def joint_angle(a, b, c) -> float:
 
     Raises ZeroLengthSegment if either ray is shorter than 1e-9.
     """
-    u = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    v = np.asarray(c, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu <= SEGMENT_FLOOR or nv <= SEGMENT_FLOOR:
+    pos = np.array([a, b, c], dtype=np.float64)
+    angles, degenerate = _angles_at(pos, [0], [1], [2])
+    if degenerate:
         raise ZeroLengthSegment(
-            f"segment lengths {nu:.3e}, {nv:.3e} at angle vertex"
+            f"a ray at the angle vertex is not longer than {SEGMENT_FLOOR}"
         )
-    cosine = float(np.dot(u, v)) / (nu * nv)
-    return float(np.arccos(np.clip(cosine, -1.0, 1.0)))
+    return float(angles[0])
 
 
 def _angles_at(pos: np.ndarray, ia, iv, ib) -> tuple[np.ndarray, int]:
@@ -199,8 +196,8 @@ def angle_features(
     return _angles_at(pos, _TRIPLES[:, 0], _TRIPLES[:, 1], _TRIPLES[:, 2])
 
 
-def extract(skel: Skeleton, cfg: FeatureConfig) -> FeatureVector:
-    """Feature vector for one skeleton under ``cfg``: distances, then angles."""
+def _values(skel: Skeleton, cfg: FeatureConfig) -> tuple[np.ndarray, int]:
+    """Feature values of one skeleton and its count of degenerate angles."""
     parts = []
     degenerate = 0
     if cfg.use_distances:
@@ -209,6 +206,12 @@ def extract(skel: Skeleton, cfg: FeatureConfig) -> FeatureVector:
         angles, degenerate = angle_features(skel, cfg.angle_mode)
         parts.append(angles)
     values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return values, degenerate
+
+
+def extract(skel: Skeleton, cfg: FeatureConfig) -> FeatureVector:
+    """Feature vector for one skeleton under ``cfg``: distances, then angles."""
+    values, degenerate = _values(skel, cfg)
     return FeatureVector(values, config_fingerprint(cfg), degenerate)
 
 
@@ -217,5 +220,4 @@ def extract_matrix(skeletons, cfg: FeatureConfig) -> tuple[np.ndarray, str]:
     fingerprint = config_fingerprint(cfg)
     if not skeletons:
         return np.empty((0, cfg.length)), fingerprint
-    rows = [extract(s, cfg).values for s in skeletons]
-    return np.vstack(rows), fingerprint
+    return np.vstack([_values(s, cfg)[0] for s in skeletons]), fingerprint

@@ -4,7 +4,8 @@ Linear: K(x, y) = x . y
 Polynomial: K(x, y) = (1 + x . y / scale^2) ** degree
 
 "Quadratic" and "cubic" SVMs are the polynomial kernel at degrees 2 and 3,
-applied to standardized features with scale 1 by default.
+applied to standardized features. KernelSpec's own scale defaults to 1, but
+ClassifierSpec resolves an unset scale to 4 * sqrt(n_features).
 """
 from __future__ import annotations
 
@@ -38,13 +39,6 @@ class KernelSpec:
         if self.kind == LINEAR:
             return dots
         return (1.0 + dots / (self.scale * self.scale)) ** self.degree
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "degree": int(self.degree), "scale": float(self.scale)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "KernelSpec":
-        return KernelSpec(str(d["kind"]), int(d["degree"]), float(d["scale"]))
 
 
 def linear_kernel() -> KernelSpec:

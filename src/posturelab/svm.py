@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.typing as npt
 
-from .errors import DimensionMismatch, SingleClass
+from .errors import DimensionMismatch, NumericError, SingleClass
 from .kernels import KernelSpec
 
 # Smallest relative change of alpha_j counted as progress; snapping distance
@@ -35,8 +36,8 @@ _BOUND_EPS = 1e-11
 class BinarySvmModel:
     """Fitted binary SVM: support vectors with dual coefficients alpha_i * y_i."""
 
-    support_vectors: np.ndarray
-    dual_coef: np.ndarray
+    support_vectors: npt.NDArray[np.float64]
+    dual_coef: npt.NDArray[np.float64]
     bias: float
     kernel: KernelSpec
     c: float
@@ -44,6 +45,15 @@ class BinarySvmModel:
     n_passes: int = 0
     kkt_violations: int = 0
     objective_trace: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        # A model file keeps support vectors as nested lists, so a machine
+        # without any loads back as [] and needs its 2-D shape restored.
+        if self.support_vectors.ndim == 1:
+            empty = self.support_vectors.reshape(0, 0)
+            object.__setattr__(self, "support_vectors", empty)
+        if self.support_vectors.shape[0] != self.dual_coef.shape[0]:
+            raise ValueError("expected one dual coefficient per support vector")
 
     @property
     def dim(self) -> int:
@@ -66,8 +76,6 @@ def svm_decision(model: BinarySvmModel, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionMismatch("expected a single feature vector")
-    if model.support_vectors.shape[0] > 0 and x.shape[0] != model.dim:
-        raise DimensionMismatch(f"expected {model.dim} features, got {x.shape[0]}")
     return float(decision_function(model, x[None, :])[0])
 
 
@@ -189,8 +197,10 @@ def smo_train(
         f += yi * d_i * K[:, i] + yj * d_j * K[:, j] + (new_bias - bias)
         bias = new_bias
         if trace is not None:
-            assert np.all(alpha >= 0.0) and np.all(alpha <= c)
-            assert abs(float(alpha @ y)) <= 1e-8
+            if not (np.all(alpha >= 0.0) and np.all(alpha <= c)):
+                raise NumericError("SMO step violated the box constraint 0 <= alpha <= C")
+            if abs(float(alpha @ y)) > 1e-8:
+                raise NumericError("SMO step violated the constraint sum(alpha * y) = 0")
             trace.append(objective())
         return True
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from posturelab.classifiers import (
+    CLASSIFIER_NAMES,
     ClassifierSpec,
     fit_standardizer,
     knn1_predict,
@@ -269,6 +270,41 @@ class TestFingerprints:
         model = knn1_train(X, y, fingerprint="aaa")
         fv = FeatureVector(X[0], fingerprint="aaa")
         assert int(knn1_predict(model, fv)) == y[0]
+
+
+class TestPredictionPaths:
+    @pytest.fixture
+    def noisy_blobs(self, rng):
+        # overlapping classes, so the single-row and batch paths must agree on
+        # hard rows too
+        return gaussian_blobs(rng, np.eye(5) * 2.0, 12, spread=1.0)
+
+    @pytest.mark.parametrize("name", CLASSIFIER_NAMES)
+    def test_predict_label_matches_predict_batch(self, rng, noisy_blobs, name):
+        X, y = noisy_blobs
+        model = train_classifier(X, y, ClassifierSpec(name, seed=3), "fp")
+        queries = X + rng.normal(scale=0.5, size=X.shape)
+        batch = predict_batch(model, queries)
+        for row, expected in zip(queries, batch):
+            label = predict_label(model, FeatureVector(row, fingerprint="fp"))
+            assert isinstance(label, PostureLabel)
+            assert int(label) == expected
+
+    @pytest.mark.parametrize("name", CLASSIFIER_NAMES)
+    def test_fingerprint_mismatch_for_every_kind(self, noisy_blobs, name):
+        X, y = noisy_blobs
+        model = train_classifier(X, y, ClassifierSpec(name, seed=3), "aaa")
+        with pytest.raises(FingerprintMismatch):
+            predict_label(model, FeatureVector(X[0], fingerprint="bbb"))
+
+    @pytest.mark.parametrize("name", CLASSIFIER_NAMES)
+    def test_single_row_shape_checked_for_every_kind(self, noisy_blobs, name):
+        X, y = noisy_blobs
+        model = train_classifier(X, y, ClassifierSpec(name, seed=3))
+        with pytest.raises(DimensionMismatch):
+            predict_label(model, X[:2])
+        with pytest.raises(DimensionMismatch):
+            predict_label(model, X[0, :-1])
 
 
 class TestTrainDispatch:

@@ -1,9 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from posturelab.classifiers import ClassifierSpec, predict_batch, train_classifier
+from posturelab.classifiers import (
+    CLASSIFIER_NAMES,
+    ClassifierSpec,
+    predict_batch,
+    train_classifier,
+)
 from posturelab.dataset import (
     ModelFile,
     SynthSpec,
@@ -195,12 +201,64 @@ class TestModelFile:
             predict_batch(model, queries), predict_batch(loaded.model, queries)
         )
 
-    def test_round_trip_is_byte_stable(self, tmp_path):
-        ds, cfg, X, model = self.fitted_model("lda")
+    @pytest.mark.parametrize("name", CLASSIFIER_NAMES)
+    def test_round_trip_is_byte_stable(self, tmp_path, name):
+        ds, cfg, X, model = self.fitted_model(name)
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
         save_model(ModelFile(model, cfg, ds.fingerprint), p1)
         save_model(ModelFile(load_model(p1).model, cfg, ds.fingerprint), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_machine_without_support_vectors_round_trips(self, tmp_path):
+        ds, cfg, X, model = self.fitted_model("svm_quadratic")
+        first = model.machines[0]
+        empty = dataclasses.replace(
+            first, support_vectors=np.empty((0, X.shape[1])), dual_coef=np.empty(0)
+        )
+        model = dataclasses.replace(model, machines=(empty,) + model.machines[1:])
+        p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
+        save_model(ModelFile(model, cfg, ds.fingerprint), p1)
+        loaded = load_model(p1).model
+        assert loaded.machines[0].support_vectors.shape == (0, 0)
+        assert loaded.machines[0].bias == first.bias
+        assert np.array_equal(predict_batch(model, X), predict_batch(loaded, X))
+        save_model(ModelFile(loaded, cfg, ds.fingerprint), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("lda", lambda p: p.update(means="not a matrix")),
+            ("lda", lambda p: p.update(classes=5)),
+            ("knn1", lambda p: p.update(labels={"a": 1})),
+            ("svm_quadratic", lambda p: p.update(pairs=[[0, 1, 2]])),
+            ("svm_quadratic", lambda p: p["machines"][0].update(bias=[1.0])),
+            ("svm_quadratic", lambda p: p["machines"][0].update(kernel="poly")),
+            ("svm_quadratic", lambda p: p["machines"][0].update(dual_coef=[])),
+            ("svm_quadratic", lambda p: p["machines"][0].pop("dual_coef")),
+            ("svm_quadratic", lambda p: p["machines"][0]["kernel"].pop("scale")),
+        ],
+        ids=[
+            "array-as-string",
+            "tuple-as-int",
+            "array-as-object",
+            "pair-of-three",
+            "float-as-list",
+            "kernel-as-string",
+            "support-vectors-without-coefficients",
+            "missing-machine-key",
+            "missing-kernel-key",
+        ],
+    )
+    def test_malformed_params_are_corrupt(self, tmp_path, name, corrupt):
+        ds, cfg, X, model = self.fitted_model(name)
+        path = tmp_path / "model.json"
+        save_model(ModelFile(model, cfg, ""), path)
+        doc = json.loads(path.read_text())
+        corrupt(doc["params"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModel):
+            load_model(path)
 
     def test_version_mismatch(self, tmp_path):
         ds, cfg, X, model = self.fitted_model("knn1")

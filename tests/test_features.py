@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rotation, random_skeleton
+from posturelab import features
 from posturelab.errors import DegenerateNormalizer, ZeroLengthSegment
 from posturelab.features import (
     AngleMode,
@@ -11,6 +12,7 @@ from posturelab.features import (
     angle_features,
     config_fingerprint,
     extract,
+    extract_matrix,
     joint_angle,
     normalizer,
     pairwise_distances,
@@ -115,6 +117,15 @@ class TestJointAngle:
             assert 0 <= angle <= math.pi
 
 
+    def test_agrees_bitwise_with_angle_features(self, rng):
+        for _ in range(20):
+            s = random_skeleton(rng)
+            vals, _ = angle_features(s)
+            pos = s.positions
+            for (a, v, b), expected in zip(ADJACENT_ANGLE_TRIPLES, vals):
+                assert joint_angle(pos[a], pos[v], pos[b]) == expected
+
+
 class TestAngleFeatures:
     def test_adjacent_length(self, rng):
         vals, bad = angle_features(random_skeleton(rng), AngleMode.ADJACENT)
@@ -190,6 +201,22 @@ class TestExtract:
         cfg = FeatureConfig(True, True, AngleMode.ALL_TRIPLES)
         assert extract(s, cfg).values.shape == (2600,)
         assert cfg.length == 2600
+
+    def test_matrix_rows_equal_extract_with_one_fingerprint(self, rng, monkeypatch):
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return config_fingerprint(cfg)
+
+        monkeypatch.setattr(features, "config_fingerprint", counting)
+        skeletons = [random_skeleton(rng) for _ in range(6)]
+        cfg = FeatureConfig(True, True, AngleMode.ALL_TRIPLES)
+        X, fp = extract_matrix(skeletons, cfg)
+        assert len(calls) == 1
+        assert fp == config_fingerprint(cfg)
+        for row, s in zip(X, skeletons):
+            assert np.array_equal(row, extract(s, cfg).values)
 
     def test_config_requires_a_family(self):
         with pytest.raises(ValueError):
