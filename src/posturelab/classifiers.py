@@ -207,8 +207,8 @@ def ovo_train(
     """One binary SVM per unordered pair of classes present in y.
 
     The positive label of the (a, b) machine is class a (the lower index), so
-    positive decision values vote for a. Each machine trains on a seed derived
-    from (seed, a, b), which makes the ten subproblems order-independent.
+    positive decision values vote for a. The solver is deterministic: seed is
+    only recorded in the model, and max_passes is ignored like smo_train's.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -225,20 +225,7 @@ def ovo_train(
             a, b = int(classes[ia]), int(classes[ib])
             mask = (y == a) | (y == b)
             y_bin = np.where(y[mask] == a, 1.0, -1.0)
-            pair_seed = int(
-                np.random.SeedSequence((seed, a, b)).generate_state(1, np.uint64)[0]
-            )
-            machines.append(
-                smo_train(
-                    Xs[mask],
-                    y_bin,
-                    kernel,
-                    c=c,
-                    tol=tol,
-                    max_passes=max_passes,
-                    seed=pair_seed,
-                )
-            )
+            machines.append(smo_train(Xs[mask], y_bin, kernel, c=c, tol=tol))
             pairs.append((a, b))
     return OvoSvmModel(
         standardizer=standardizer,
@@ -415,6 +402,10 @@ class ClassifierSpec:
         if self.name not in CLASSIFIER_NAMES:
             raise ValueError(
                 f"unknown classifier {self.name!r}; choose from {CLASSIFIER_NAMES}"
+            )
+        if not (self.c > 0.0 and self.tol > 0.0):
+            raise ValueError(
+                f"c and tol must be positive, got c={self.c!r}, tol={self.tol!r}"
             )
 
     def resolve_scale(self, n_features: int) -> float:

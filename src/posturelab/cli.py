@@ -77,7 +77,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--kernel-scale", type=float, default=None,
                        help="polynomial kernel scale (default: 4*sqrt(n_features))")
         p.add_argument("--max-passes", type=int, default=None,
-                       help="SMO clean-pass budget")
+                       help="recorded in reports; ignored by the SMO solver")
 
     def add_split(p):
         p.add_argument("--train-fraction", type=float, default=None,
@@ -199,23 +199,29 @@ def _feature_config(r: _Resolver) -> FeatureConfig:
 
 def _classifier_spec(r: _Resolver) -> ClassifierSpec:
     scale = r.get("kernel-scale", None)
-    return ClassifierSpec(
-        name=r.get("classifier", "svm_quadratic"),
-        c=float(r.get("c", 1.0)),
-        tol=float(r.get("tol", 1e-3)),
-        kernel_scale=None if scale is None else float(scale),
-        max_passes=int(r.get("max-passes", 10)),
-        seed=r.seed(),
-    )
+    try:
+        return ClassifierSpec(
+            name=r.get("classifier", "svm_quadratic"),
+            c=float(r.get("c", 1.0)),
+            tol=float(r.get("tol", 1e-3)),
+            kernel_scale=None if scale is None else float(scale),
+            max_passes=int(r.get("max-passes", 10)),
+            seed=r.seed(),
+        )
+    except ValueError as e:  # out-of-range flag or config value
+        raise UsageError(str(e)) from None
 
 
 def _split_spec(r: _Resolver) -> SplitSpec:
-    return SplitSpec(
-        train_fraction=float(r.get("train-fraction", 0.8)),
-        seed=r.seed(),
-        stratify_by=r.get("stratify", "label"),
-        resubstitution=bool(getattr(r.args, "resubstitution", False)),
-    )
+    try:
+        return SplitSpec(
+            train_fraction=float(r.get("train-fraction", 0.8)),
+            seed=r.seed(),
+            stratify_by=r.get("stratify", "label"),
+            resubstitution=bool(getattr(r.args, "resubstitution", False)),
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _load_data(path: str) -> LabeledDataset:

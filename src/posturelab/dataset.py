@@ -29,6 +29,7 @@ from .classifiers import (
 from .errors import (
     CorruptModel,
     DataError,
+    DimensionMismatch,
     ParseError,
     UnknownLabel,
     VersionMismatch,
@@ -341,7 +342,7 @@ def model_file_from_dict(doc: dict) -> ModelFile:
         shared = {name: doc[key] for name, key in _TOP_LEVEL_FIELDS.items()}
         model = _decode(cls, {**doc["params"], **shared})
         return ModelFile(model, cfg, str(doc.get("dataset_fingerprint", "")))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as e:
         raise CorruptModel(f"malformed model file: {e}") from None
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .classifiers import (
     ClassifierSpec,
     MulticlassModel,
+    OvoSvmModel,
     predict_batch,
     train_classifier,
 )
@@ -194,6 +195,13 @@ class EvaluationReport:
     def accuracy(self) -> float:
         return self.confusion.overall_accuracy
 
+    @property
+    def nonconverged_machines(self) -> int | None:
+        """Binary SVMs of the model left with KKT violations; None if not an SVM."""
+        if not isinstance(self.model, OvoSvmModel):
+            return None
+        return sum(not m.converged for m in self.model.machines)
+
     def classifier_dict(self) -> dict:
         c = self.classifier
         return {
@@ -235,6 +243,8 @@ class EvaluationReport:
             "accuracy": self.accuracy,
             "per_class": per_class,
         }
+        if self.nonconverged_machines is not None:
+            doc["nonconverged_machines"] = self.nonconverged_machines
         if include_timings:
             doc["timings_ms"] = {k: float(v) for k, v in self.timings_ms.items()}
         return doc
@@ -245,14 +255,20 @@ def evaluate(
     cfg: FeatureConfig,
     classifier: ClassifierSpec,
     split: SplitSpec,
+    extracted: tuple[np.ndarray, str] | None = None,
 ) -> EvaluationReport:
     """Extract features, fit on the train partition only, score the test one.
+
+    extracted, if given, is extract_matrix(ds.skeletons(), cfg) computed by
+    the caller, which then skips the extraction.
 
     No test observation influences any fitted parameter: the standardizer
     inside the model is fitted on the training rows alone.
     """
     t0 = time.perf_counter()
-    X, fingerprint = extract_matrix(ds.skeletons(), cfg)
+    if extracted is None:
+        extracted = extract_matrix(ds.skeletons(), cfg)
+    X, fingerprint = extracted
     y = ds.label_indices()
     t_extract = time.perf_counter()
 
@@ -316,6 +332,12 @@ def render_text(report: EvaluationReport) -> str:
     )
     lines.append(f"dataset: {report.dataset_fingerprint}")
     lines.append(f"overall accuracy: {_format_pct(100.0 * report.accuracy)}")
+    bad = report.nonconverged_machines
+    if bad:
+        lines.append(
+            f"warning: {bad} of {len(report.model.machines)} binary SVMs did not "
+            "converge (KKT violations left); the accuracy is of that model"
+        )
     lines.append("")
     lines.append("rows: true class, columns: predicted class")
     header = " " * width + "".join(f"{name:>{width}}" for name in LABEL_NAMES)
@@ -347,6 +369,8 @@ def render_csv(report: EvaluationReport, include_timings: bool = True) -> str:
             meta(f"{key}.{sub}", value)
     meta("dataset_fingerprint", doc["dataset_fingerprint"])
     meta("accuracy", doc["accuracy"])
+    if "nonconverged_machines" in doc:
+        meta("nonconverged_machines", doc["nonconverged_machines"])
     if include_timings:
         for sub, value in doc["timings_ms"].items():
             meta(f"timings_ms.{sub}", value)
@@ -416,20 +440,28 @@ def evaluate_grid(
 ) -> list[EvaluationReport]:
     """Evaluate every (classifier, feature set) cell.
 
-    Cells are mutually independent; this runs them sequentially so that the
-    whole grid is one deterministic pass.
+    Each feature set is extracted once and shared by its cells, so a cell's
+    timings_ms["extract"] is about 0. Cells are mutually independent; this
+    runs them sequentially so that the whole grid is one deterministic pass.
     """
+    configs = {f: FeatureConfig.from_name(f, angle_mode) for f in feature_sets}
+    skeletons = ds.skeletons()
+    extracted = {f: extract_matrix(skeletons, cfg) for f, cfg in configs.items()}
     reports = []
     for name in classifiers:
         spec = replace(base_classifier, name=name)
         for features in feature_sets:
-            cfg = FeatureConfig.from_name(features, angle_mode)
-            reports.append(evaluate(ds, cfg, spec, split))
+            reports.append(
+                evaluate(ds, configs[features], spec, split, extracted[features])
+            )
     return reports
 
 
 def render_grid(reports: list[EvaluationReport]) -> str:
-    """Accuracy grid, classifiers down the rows and feature sets across."""
+    """Accuracy grid, classifiers down the rows and feature sets across.
+
+    A cell whose model holds a non-converged binary SVM is marked with *.
+    """
     feature_names = []
     classifier_names = []
     cells = {}
@@ -440,17 +472,17 @@ def render_grid(reports: list[EvaluationReport]) -> str:
             feature_names.append(fname)
         if cname not in classifier_names:
             classifier_names.append(cname)
-        cells[(cname, fname)] = r.accuracy
+        mark = "*" if r.nonconverged_machines else ""
+        cells[(cname, fname)] = _format_pct(100.0 * r.accuracy) + mark
     width = 12
     lines = [
         f"{'classifier':<16}" + "".join(f"{name:>{width}}" for name in feature_names)
     ]
     for cname in classifier_names:
         row = "".join(
-            f"{_format_pct(100.0 * cells[(cname, fname)]):>{width}}"
-            if (cname, fname) in cells
-            else f"{'-':>{width}}"
-            for fname in feature_names
+            f"{cells.get((cname, fname), '-'):>{width}}" for fname in feature_names
         )
         lines.append(f"{cname:<16}{row}")
+    if any(cell.endswith("*") for cell in cells.values()):
+        lines.append("* binary SVMs did not converge (KKT violations left)")
     return "\n".join(lines) + "\n"

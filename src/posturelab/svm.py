@@ -1,18 +1,35 @@
 """Soft-margin binary SVM trained by sequential minimal optimization.
 
-The solver follows Platt's working-set scheme: after a full sweep it iterates
-non-bound candidates first, and the second index of each pairwise update is
-drawn in seeded-random order (non-bound candidates before bound ones).
-Each accepted update moves one (alpha_i, alpha_j) pair along the equality
-constraint, so dual feasibility (0 <= alpha <= C, sum alpha_i y_i = 0) holds
-at every iteration by construction.
+The solver is the decomposition method of LIBSVM (Chang & Lin, 2011) with
+the second-order working-set selection of Fan, Chen & Lin (JMLR 6, 2005).
+It minimizes P(alpha) = 1/2 alpha'Q alpha - e'alpha, the negated dual
+objective, subject to 0 <= alpha <= C and y'alpha = 0, where Q = K * yy',
+and keeps the gradient G = Q alpha - e as a vector. With F_t = -y_t G_t,
 
-Convergence means zero KKT violations at the requested tolerance:
+    I_up  = {t : y_t = +1, alpha_t < C} | {t : y_t = -1, alpha_t > 0}
+    I_low = {t : y_t = +1, alpha_t > 0} | {t : y_t = -1, alpha_t < C}
+    m(alpha) = max of F over I_up,  M(alpha) = min of F over I_low.
+
+Working set: i is the argmax of F over I_up; j is, among t in I_low with
+F_t < m, the one with the largest second-order gain b^2 / a, where
+b = m - F_t and a = K_ii + K_tt - 2 K_it. The two-variable subproblem is
+solved exactly and clipped to the box, so the pair moves along the equality
+constraint and the dual objective never decreases; G is then updated with
+two columns of Q. The solver stops when the gap m - M <= tol and sets the
+bias to (m + M) / 2, so that every KKT condition below holds with at least
+tol / 2 to spare. The returned model counts its pair updates in n_passes.
+
+Convergence means zero KKT violations at the requested tolerance, audited
+from exactly recomputed decision values:
     alpha_i = 0      =>  y_i f(x_i) >= 1 - tol
     0 < alpha_i < C  =>  |y_i f(x_i) - 1| <= tol
     alpha_i = C      =>  y_i f(x_i) <= 1 + tol
-A model that exhausts its pass budget with violations left is still returned,
-flagged with converged=False.
+A model that exhausts its update budget with violations left is still
+returned, flagged with converged=False.
+
+smo_train keeps two arguments of an earlier randomized solver, seed and
+max_passes; both are accepted and ignored, since the working-set rule is
+deterministic and the gap alone decides when to stop.
 """
 from __future__ import annotations
 
@@ -24,12 +41,10 @@ import numpy.typing as npt
 from .errors import DimensionMismatch, NumericError, SingleClass
 from .kernels import KernelSpec
 
-# Smallest relative change of alpha_j counted as progress; snapping distance
-# to the 0/C bounds for the driven alpha; bound classification tolerance for
-# the constraint-derived alpha (floats can land within one ulp of a bound).
-_STEP_EPS = 1e-8
-_BOUND_SNAP = 1e-8
+# Bound classification tolerance of the KKT audit and of support-vector
+# selection; floor of the pair curvature K_ii + K_jj - 2 K_ij.
 _BOUND_EPS = 1e-11
+_TAU = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,7 +57,7 @@ class BinarySvmModel:
     kernel: KernelSpec
     c: float
     converged: bool
-    n_passes: int = 0
+    n_passes: int = 0  # pair updates made by the solver
     kkt_violations: int = 0
     objective_trace: tuple[float, ...] | None = None
 
@@ -107,13 +122,12 @@ def smo_train(
 ) -> BinarySvmModel:
     """Solve the SVM dual for labels y in {-1, +1}.
 
-    max_passes is the number of consecutive full sweeps without any alpha
-    change required before the solver stops and checks the KKT conditions;
-    max_total_passes bounds the overall work.
+    At most max_total_passes * n pair updates are made. max_passes and seed
+    are ignored (see the module docstring).
 
     With record_objective=True the dual objective is recomputed from scratch
-    after every accepted update and stored on the returned model
-    (objective_trace), for instrumented runs.
+    after every update and stored on the returned model (objective_trace),
+    for instrumented runs.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -123,14 +137,24 @@ def smo_train(
         raise ValueError("labels must be +1 or -1")
     if np.all(y == y[0]):
         raise SingleClass("training labels contain a single class")
+    c = float(c)
+    if not (c > 0.0 and tol > 0.0):
+        raise ValueError("c and tol must be positive")
 
     n = X.shape[0]
-    c = float(c)
     K = kernel.gram(X, X)
+    Q = K * np.outer(y, y)
+    diag = np.diag(K)
+    # a_ij = K_ii + K_jj - 2 K_ij, the curvature along a pair's line
+    curv = K * -2.0
+    curv += diag[:, None]
+    curv += diag
+    np.maximum(curv, _TAU, out=curv)
     alpha = np.zeros(n)
-    bias = 0.0
-    f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij + bias
-    rng = np.random.default_rng(seed)
+    G = np.full(n, -1.0)  # Q alpha - e at alpha = 0
+    neg_y = -y
+    up = y > 0.0  # I_up and I_low as masks, at alpha = 0
+    low = y < 0.0
 
     trace: list[float] | None = None
     if record_objective:
@@ -140,114 +164,47 @@ def smo_train(
         ay = alpha * y
         return float(alpha.sum() - 0.5 * (ay @ (K @ ay)))
 
-    def take_step(i: int, j: int) -> bool:
-        nonlocal bias, f
-        if i == j:
-            return False
+    max_updates = max_total_passes * n
+    updates = 0
+    while True:
+        F = neg_y * G
+        F_up = np.where(up, F, -np.inf)
+        i = int(F_up.argmax())
+        m_up = F_up[i]
+        F_low = np.where(low, F, np.inf)
+        m_low = F_low.min()
+        if m_up - m_low <= tol or updates >= max_updates:
+            break
+        b = np.maximum(m_up - F_low, 0.0)
+        j = int((b * b / curv[i]).argmax())
+
+        # Move t >= 0 along alpha_i += y_i t, alpha_j -= y_j t: P falls by
+        # b t - a t^2 / 2 up to t = b / a, unless a bound comes first.
         ai, aj = alpha[i], alpha[j]
-        yi, yj = y[i], y[j]
-        s = yi * yj
-        if s < 0:
-            lo, hi = max(0.0, aj - ai), min(c, c + aj - ai)
+        room_i = c - ai if y[i] > 0.0 else ai
+        room_j = aj if y[j] > 0.0 else c - aj
+        t = min(b[j] / curv[i, j], room_i, room_j)
+        if t == room_i:
+            alpha[i] = c if y[i] > 0.0 else 0.0
         else:
-            lo, hi = max(0.0, ai + aj - c), min(c, ai + aj)
-        if lo >= hi:
-            return False
-        ei = f[i] - yi
-        ej = f[j] - yj
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        slope = yj * (ei - ej)  # dW/d(alpha_j) along the constraint line
-        if eta > 0.0:
-            aj_new = aj + slope / eta
-            aj_new = min(max(aj_new, lo), hi)
-        elif slope > 0.0:
-            aj_new = hi
-        elif slope < 0.0:
-            aj_new = lo
+            alpha[i] = min(max(ai + y[i] * t, 0.0), c)
+        if t == room_j:
+            alpha[j] = 0.0 if y[j] > 0.0 else c
         else:
-            return False
-        if aj_new < _BOUND_SNAP:
-            aj_new = 0.0
-        elif aj_new > c - _BOUND_SNAP:
-            aj_new = c
-        if abs(aj_new - aj) < _STEP_EPS * (aj_new + aj + _STEP_EPS):
-            return False
-        ai_new = ai + s * (aj - aj_new)
-        # The constraint-derived alpha can land within float dust of a bound;
-        # snap it so the bound is recognized (constraint slip <= _BOUND_EPS).
-        if abs(ai_new) <= _BOUND_EPS:
-            ai_new = 0.0
-        elif abs(ai_new - c) <= _BOUND_EPS:
-            ai_new = c
-        ai_new = min(max(ai_new, 0.0), c)
-
-        d_i = ai_new - ai
-        d_j = aj_new - aj
-        b1 = bias - ei - yi * d_i * K[i, i] - yj * d_j * K[i, j]
-        b2 = bias - ej - yi * d_i * K[i, j] - yj * d_j * K[j, j]
-        if 0.0 < ai_new < c:
-            new_bias = b1
-        elif 0.0 < aj_new < c:
-            new_bias = b2
-        else:
-            new_bias = 0.5 * (b1 + b2)
-
-        alpha[i] = ai_new
-        alpha[j] = aj_new
-        f += yi * d_i * K[:, i] + yj * d_j * K[:, j] + (new_bias - bias)
-        bias = new_bias
+            alpha[j] = min(max(aj - y[j] * t, 0.0), c)
+        G += Q[i] * (alpha[i] - ai) + Q[j] * (alpha[j] - aj)
+        for k in (i, j):
+            up[k] = alpha[k] < c if y[k] > 0.0 else alpha[k] > 0.0
+            low[k] = alpha[k] > 0.0 if y[k] > 0.0 else alpha[k] < c
+        updates += 1
         if trace is not None:
             if not (np.all(alpha >= 0.0) and np.all(alpha <= c)):
                 raise NumericError("SMO step violated the box constraint 0 <= alpha <= C")
             if abs(float(alpha @ y)) > 1e-8:
                 raise NumericError("SMO step violated the constraint sum(alpha * y) = 0")
             trace.append(objective())
-        return True
 
-    def examine(i: int) -> bool:
-        r = (f[i] - y[i]) * y[i]
-        movable_up = alpha[i] < c - _BOUND_EPS
-        movable_down = alpha[i] > _BOUND_EPS
-        if not ((r < -tol and movable_up) or (r > tol and movable_down)):
-            return False
-        nonbound = np.flatnonzero((alpha > _BOUND_EPS) & (alpha < c - _BOUND_EPS))
-        rng.shuffle(nonbound)
-        for j in nonbound:
-            if take_step(i, int(j)):
-                return True
-        rest = np.setdiff1d(np.arange(n), nonbound, assume_unique=False)
-        rng.shuffle(rest)
-        for j in rest:
-            if take_step(i, int(j)):
-                return True
-        return False
-
-    clean_full_passes = 0
-    examine_all = True
-    total_passes = 0
-    while clean_full_passes < max_passes and total_passes < max_total_passes:
-        if examine_all:
-            # Refresh the cached decision values: incremental updates drift
-            # over hundreds of passes, which would blind the KKT test.
-            f = K @ (alpha * y) + bias
-            candidates = range(n)
-        else:
-            candidates = np.flatnonzero(
-                (alpha > _BOUND_EPS) & (alpha < c - _BOUND_EPS)
-            )
-        changed = sum(examine(int(i)) for i in candidates)
-        total_passes += 1
-        if examine_all:
-            if changed == 0:
-                clean_full_passes += 1
-            else:
-                clean_full_passes = 0
-                examine_all = False
-        elif changed == 0:
-            examine_all = True
-
-    # Exact KKT audit from recomputed decision values (the cached f may carry
-    # accumulated rounding).
+    bias = 0.5 * (m_up + m_low)
     violations = kkt_violation_count(K, y, alpha, bias, c, tol)
 
     support = alpha > _BOUND_EPS
@@ -258,7 +215,7 @@ def smo_train(
         kernel=kernel,
         c=c,
         converged=violations == 0,
-        n_passes=total_passes,
+        n_passes=updates,
         kkt_violations=violations,
         objective_trace=tuple(trace) if trace is not None else None,
     )

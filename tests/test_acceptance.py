@@ -89,6 +89,25 @@ def test_synthetic_benchmark_quadratic_svm(benchmark_dataset):
         assert elapsed <= 60.0, f"evaluation took {elapsed:.1f}s > 60s"
 
 
+def test_linear_svm_on_angles_converges(benchmark_dataset):
+    """Every one-vs-one machine of svm_linear on angle features converges."""
+    with criterion("solver: svm_linear + angles, 10 machines, 0 KKT violations"):
+        report = evaluate(
+            benchmark_dataset,
+            FeatureConfig.from_name("angles", "adjacent"),
+            ClassifierSpec("svm_linear", seed=BENCH_SEED),
+            SplitSpec(train_fraction=0.8, seed=BENCH_SEED),
+        )
+        machines = report.model.machines
+        assert len(machines) == 10
+        for pair, machine in zip(report.model.pairs, machines):
+            assert machine.converged and machine.kkt_violations == 0, (
+                f"pair {pair}: {machine.kkt_violations} KKT violations after "
+                f"{machine.n_passes} updates"
+            )
+        assert report.nonconverged_machines == 0
+
+
 def test_trend_check_against_noisier_data(noisy_dataset):
     """At 6 cm joint noise the classifier and feature-set ordering holds."""
     with criterion("trend check: quad>=LDA (combined); combined >= distances-2pp"):

@@ -260,6 +260,16 @@ class TestModelFile:
         with pytest.raises(CorruptModel):
             load_model(path)
 
+    def test_standardizer_length_mismatch_is_corrupt(self, tmp_path):
+        ds, cfg, X, model = self.fitted_model("lda")
+        path = tmp_path / "model.json"
+        save_model(ModelFile(model, cfg, ""), path)
+        doc = json.loads(path.read_text())
+        doc["standardizer"]["std"] = doc["standardizer"]["std"][:-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModel):
+            load_model(path)
+
     def test_version_mismatch(self, tmp_path):
         ds, cfg, X, model = self.fitted_model("knn1")
         path = tmp_path / "model.json"

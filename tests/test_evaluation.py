@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -249,3 +250,81 @@ class TestGrid:
         assert "angles" in lines[0] and "distances" in lines[0] and "combined" in lines[0]
         for name in ("lda", "knn1", "svm_linear", "svm_quadratic", "svm_cubic"):
             assert any(line.startswith(name) for line in lines[1:])
+
+
+class TestNonConvergedReports:
+    @pytest.fixture
+    def reports(self):
+        ds = small_dataset(per_class=8)
+        report = evaluate(
+            ds, FeatureConfig(), ClassifierSpec("svm_linear", seed=3), SplitSpec(seed=3)
+        )
+        first = report.model.machines[0]
+        model = dataclasses.replace(
+            report.model,
+            machines=(dataclasses.replace(first, converged=False),)
+            + report.model.machines[1:],
+        )
+        return report, dataclasses.replace(report, model=model)
+
+    def test_count_in_json_and_csv(self, reports):
+        converged, flagged = reports
+        assert json.loads(render_report(converged, "json"))["nonconverged_machines"] == 0
+        assert json.loads(render_report(flagged, "json"))["nonconverged_machines"] == 1
+        parsed = parse_csv_report(render_report(flagged, "csv"))
+        assert parsed["meta"]["nonconverged_machines"] == "1"
+
+    def test_text_report_warns(self, reports):
+        converged, flagged = reports
+        assert "warning" not in render_report(converged, "text")
+        assert "warning: 1 of 10 binary SVMs did not converge" in render_report(
+            flagged, "text"
+        )
+
+    def test_grid_cell_is_marked(self, reports):
+        converged, flagged = reports
+        assert "*" not in render_grid([converged])
+        lines = render_grid([flagged]).strip().splitlines()
+        assert lines[1].split()[-1] == f"{round_half_up(100 * flagged.accuracy):.1f}%*"
+        assert lines[-1].startswith("* ")
+
+    def test_count_absent_for_other_classifiers(self):
+        ds = small_dataset(per_class=8)
+        for name in ("lda", "knn1"):
+            report = evaluate(
+                ds, FeatureConfig(), ClassifierSpec(name, seed=3), SplitSpec(seed=3)
+            )
+            assert report.nonconverged_machines is None
+            assert "nonconverged_machines" not in report.to_dict()
+            assert "nonconverged_machines" not in render_report(report, "csv")
+
+
+class TestGridExtraction:
+    def test_one_extraction_per_feature_set(self, monkeypatch):
+        import posturelab.evaluation as ev
+
+        calls = []
+
+        def counting(skeletons, cfg):
+            calls.append(cfg.name)
+            return extract_matrix(skeletons, cfg)
+
+        monkeypatch.setattr(ev, "extract_matrix", counting)
+        ds = small_dataset(per_class=8)
+        reports = evaluate_grid(
+            ds, ClassifierSpec(seed=0), SplitSpec(seed=0), classifiers=("lda", "knn1")
+        )
+        assert len(reports) == 6
+        assert sorted(calls) == ["angles", "combined", "distances"]
+
+    def test_grid_cells_equal_single_evaluations(self):
+        ds = small_dataset(per_class=8)
+        split = SplitSpec(seed=4)
+        reports = evaluate_grid(
+            ds, ClassifierSpec(seed=4), split, classifiers=("lda", "svm_linear")
+        )
+        for report in reports:
+            alone = evaluate(ds, report.features, report.classifier, split)
+            assert report.to_dict(include_timings=False) == alone.to_dict(
+                include_timings=False
+            )

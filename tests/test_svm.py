@@ -90,6 +90,11 @@ class TestSmoContract:
         with pytest.raises(SingleClass):
             smo_train(np.zeros((3, 2)), np.ones(3), linear_kernel())
 
+    @pytest.mark.parametrize("c, tol", [(0.0, 1e-3), (1.0, 0.0)])
+    def test_nonpositive_c_or_tol_rejected(self, c, tol):
+        with pytest.raises(ValueError):
+            smo_train(XOR_X, XOR_Y, linear_kernel(), c=c, tol=tol)
+
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
             smo_train(np.zeros((2, 1)), np.array([1.0, 0.0]), linear_kernel())
@@ -145,3 +150,39 @@ class TestSmoContract:
         K = kern.gram(X, X)
         violations = kkt_violation_count(K, y, alpha, m.bias, 1.0, 1e-3)
         assert (violations == 0) == m.converged
+
+
+class TestSolverBudgetAndAccuracy:
+    def test_update_budget_exhausted_is_flagged(self):
+        rng = np.random.default_rng(7)
+        y = np.where(rng.random(100) < 0.5, 1.0, -1.0)
+        X = rng.normal(size=(100, 5)) + 0.3 * y[:, None]
+        kern = linear_kernel()
+        m = smo_train(X, y, kern, c=1.0, tol=1e-3, max_total_passes=1,
+                      record_objective=True)
+        assert m.n_passes == 100
+        assert not m.converged
+        assert m.kkt_violations > 0
+        alphas = np.abs(m.dual_coef)
+        assert np.all(alphas > 0) and np.all(alphas <= 1.0)
+        assert abs(m.dual_coef.sum()) <= 1e-8
+
+    def test_objective_at_default_tol_is_near_optimal(self, rng):
+        kernels = [linear_kernel(), polynomial_kernel(2, 4.0), polynomial_kernel(3, 4.0)]
+        for trial in range(12):
+            X, y = random_binary_problem(rng, n_max=120)
+            kern = kernels[trial % 3]
+            c = float(rng.choice([0.5, 1.0, 5.0]))
+            K = kern.gram(X, X)
+
+            def dual(model):
+                ay = np.zeros(len(y))
+                rows = [int(np.flatnonzero((X == sv).all(axis=1))[0])
+                        for sv in model.support_vectors]
+                ay[rows] = model.dual_coef
+                return float(np.abs(ay).sum() - 0.5 * ay @ K @ ay)
+
+            loose = smo_train(X, y, kern, c=c, tol=1e-3)
+            tight = smo_train(X, y, kern, c=c, tol=1e-8)
+            assert loose.converged and tight.converged
+            assert abs(dual(loose) - dual(tight)) <= 1e-3 * abs(dual(tight))
