@@ -137,8 +137,13 @@ class OvoSvmModel(MulticlassModel):
     kind: ClassVar[str] = "ovo_svm"
 
     @property
+    def nonconverged(self) -> int:
+        """Binary SVMs left with KKT violations."""
+        return sum(not m.converged for m in self.machines)
+
+    @property
     def converged(self) -> bool:
-        return all(m.converged for m in self.machines)
+        return self.nonconverged == 0
 
 
 @dataclass(frozen=True)
@@ -201,14 +206,13 @@ def ovo_train(
     c: float = 1.0,
     tol: float = 1e-3,
     seed: int = 0,
-    max_passes: int = 10,
     fingerprint: str = "",
 ) -> OvoSvmModel:
     """One binary SVM per unordered pair of classes present in y.
 
     The positive label of the (a, b) machine is class a (the lower index), so
     positive decision values vote for a. The solver is deterministic: seed is
-    only recorded in the model, and max_passes is ignored like smo_train's.
+    only recorded in the model.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -395,7 +399,6 @@ class ClassifierSpec:
     c: float = 1.0
     tol: float = 1e-3
     kernel_scale: float | None = None
-    max_passes: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -403,7 +406,7 @@ class ClassifierSpec:
             raise ValueError(
                 f"unknown classifier {self.name!r}; choose from {CLASSIFIER_NAMES}"
             )
-        if not (self.c > 0.0 and self.tol > 0.0):
+        if self.name.startswith("svm_") and not (self.c > 0.0 and self.tol > 0.0):
             raise ValueError(
                 f"c and tol must be positive, got c={self.c!r}, tol={self.tol!r}"
             )
@@ -436,7 +439,6 @@ def train_classifier(
             c=spec.c,
             tol=spec.tol,
             seed=spec.seed,
-            max_passes=spec.max_passes,
             fingerprint=fingerprint,
         )
     if spec.name == "lda":

@@ -76,8 +76,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--tol", type=float, default=None, help="SMO KKT tolerance")
         p.add_argument("--kernel-scale", type=float, default=None,
                        help="polynomial kernel scale (default: 4*sqrt(n_features))")
-        p.add_argument("--max-passes", type=int, default=None,
-                       help="recorded in reports; ignored by the SMO solver")
 
     def add_split(p):
         p.add_argument("--train-fraction", type=float, default=None,
@@ -205,23 +203,19 @@ def _classifier_spec(r: _Resolver) -> ClassifierSpec:
             c=float(r.get("c", 1.0)),
             tol=float(r.get("tol", 1e-3)),
             kernel_scale=None if scale is None else float(scale),
-            max_passes=int(r.get("max-passes", 10)),
             seed=r.seed(),
         )
-    except ValueError as e:  # out-of-range flag or config value
+    except ValueError as e:  # e.g. an SVM's c or tol <= 0
         raise UsageError(str(e)) from None
 
 
 def _split_spec(r: _Resolver) -> SplitSpec:
-    try:
-        return SplitSpec(
-            train_fraction=float(r.get("train-fraction", 0.8)),
-            seed=r.seed(),
-            stratify_by=r.get("stratify", "label"),
-            resubstitution=bool(getattr(r.args, "resubstitution", False)),
-        )
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    return SplitSpec(
+        train_fraction=float(r.get("train-fraction", 0.8)),
+        seed=r.seed(),
+        stratify_by=r.get("stratify", "label"),
+        resubstitution=bool(getattr(r.args, "resubstitution", False)),
+    )
 
 
 def _load_data(path: str) -> LabeledDataset:
@@ -273,7 +267,7 @@ def _cmd_train(r: _Resolver) -> int:
     X, fingerprint = extract_matrix(ds.skeletons(), cfg)
     model = train_classifier(X, ds.label_indices(), spec, fingerprint)
     if isinstance(model, OvoSvmModel) and not model.converged:
-        bad = sum(1 for m in model.machines if not m.converged)
+        bad = model.nonconverged
         if not r.args.allow_nonconverged:
             raise NonConvergence(
                 f"{bad} of {len(model.machines)} binary SVMs left KKT violations; "

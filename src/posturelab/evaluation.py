@@ -200,7 +200,7 @@ class EvaluationReport:
         """Binary SVMs of the model left with KKT violations; None if not an SVM."""
         if not isinstance(self.model, OvoSvmModel):
             return None
-        return sum(not m.converged for m in self.model.machines)
+        return self.model.nonconverged
 
     def classifier_dict(self) -> dict:
         c = self.classifier
@@ -209,7 +209,6 @@ class EvaluationReport:
             "c": float(c.c),
             "tol": float(c.tol),
             "kernel_scale": None if c.kernel_scale is None else float(c.kernel_scale),
-            "max_passes": int(c.max_passes),
             "seed": int(c.seed),
         }
 

@@ -27,9 +27,8 @@ from exactly recomputed decision values:
 A model that exhausts its update budget with violations left is still
 returned, flagged with converged=False.
 
-smo_train keeps two arguments of an earlier randomized solver, seed and
-max_passes; both are accepted and ignored, since the working-set rule is
-deterministic and the gap alone decides when to stop.
+smo_train keeps the seed argument of an earlier randomized solver; it is
+accepted and ignored, since the working-set rule is deterministic.
 """
 from __future__ import annotations
 
@@ -115,15 +114,14 @@ def smo_train(
     kernel: KernelSpec,
     c: float = 1.0,
     tol: float = 1e-3,
-    max_passes: int = 10,
     seed: int = 0,
     record_objective: bool = False,
     max_total_passes: int = 2000,
 ) -> BinarySvmModel:
     """Solve the SVM dual for labels y in {-1, +1}.
 
-    At most max_total_passes * n pair updates are made. max_passes and seed
-    are ignored (see the module docstring).
+    At most max_total_passes * n pair updates are made. seed is ignored (see
+    the module docstring).
 
     With record_objective=True the dual objective is recomputed from scratch
     after every update and stored on the returned model (objective_trace),

@@ -56,19 +56,14 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         assert run(["synth"]) == 1
 
-    @pytest.mark.parametrize(
-        "flags",
-        [["--c", "0"], ["--tol", "0"], ["--train-fraction", "1.5"]],
-        ids=["c", "tol", "fraction"],
-    )
-    def test_out_of_range_value_is_usage_error(self, dataset_path, capsys, flags):
-        assert run(["evaluate", "--data", str(dataset_path), *flags]) == 1
+    @pytest.mark.parametrize("flag", ["--c", "--tol"])
+    def test_nonpositive_svm_hyperparameter_is_usage_error(self, dataset_path, capsys, flag):
+        assert run(["evaluate", "--data", str(dataset_path), flag, "0"]) == 1
         assert "usage error" in capsys.readouterr().err
 
-    def test_unknown_classifier_in_config_is_usage_error(self, tmp_path, dataset_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"classifier": "rbf_svm"}))
-        assert run(["--config", str(config), "evaluate", "--data", str(dataset_path)]) == 1
+    def test_svm_hyperparameters_do_not_constrain_lda(self, dataset_path):
+        args = ["evaluate", "--data", str(dataset_path), "--classifier", "lda"]
+        assert run([*args, "--c", "0", "--tol", "0"]) == 0
 
     def test_help_exits_zero_and_lists_commands(self, capsys):
         assert run(["--help"]) == 0
