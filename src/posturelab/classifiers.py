@@ -406,10 +406,11 @@ class ClassifierSpec:
             raise ValueError(
                 f"unknown classifier {self.name!r}; choose from {CLASSIFIER_NAMES}"
             )
-        if self.name.startswith("svm_") and not (self.c > 0.0 and self.tol > 0.0):
-            raise ValueError(
-                f"c and tol must be positive, got c={self.c!r}, tol={self.tol!r}"
-            )
+        if self.name.startswith("svm_"):
+            for key in ("c", "tol", "kernel_scale"):
+                value = getattr(self, key)
+                if value is not None and not value > 0.0:
+                    raise ValueError(f"{key} must be positive, got {value!r}")
 
     def resolve_scale(self, n_features: int) -> float:
         if self.kernel_scale is not None:

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .classifiers import (
@@ -39,7 +40,7 @@ from .evaluation import (
     render_grid,
     render_report,
 )
-from .features import FeatureConfig, extract_matrix
+from .features import AngleMode, FeatureConfig, extract_matrix
 from .skeleton import PostureLabel
 
 SEED_ENV_VAR = "POSTURELAB_SEED"
@@ -169,8 +170,11 @@ class _Resolver:
         return default
 
     def seed(self) -> int:
-        env = os.environ.get(SEED_ENV_VAR)
-        return int(self.get("seed", int(env) if env else 0))
+        value = self.get("seed", os.environ.get(SEED_ENV_VAR) or 0)
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"seed must be an integer, got {value!r}") from None
 
 
 def _write_out(path: str, text: str) -> None:
@@ -183,32 +187,42 @@ def _write_out(path: str, text: str) -> None:
 def _parse_number_list(raw) -> tuple[float, ...]:
     if isinstance(raw, (list, tuple)):
         return tuple(float(v) for v in raw)
-    try:
-        return tuple(float(v) for v in str(raw).split(",") if v.strip())
-    except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {raw!r}") from None
+    return tuple(float(v) for v in str(raw).split(",") if v.strip())
 
 
+def _usage_errors(build):
+    """Decorates a spec builder: a value it rejects (ValueError) is a usage error."""
+    def wrapper(r: _Resolver):
+        try:
+            return build(r)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
+    return wrapper
+
+
+@_usage_errors
+def _angle_mode(r: _Resolver) -> AngleMode:
+    return AngleMode(r.get("angle-mode", "adjacent"))
+
+
+@_usage_errors
 def _feature_config(r: _Resolver) -> FeatureConfig:
-    return FeatureConfig.from_name(
-        r.get("features", "combined"), r.get("angle-mode", "adjacent")
+    return FeatureConfig.from_name(r.get("features", "combined"), _angle_mode(r))
+
+
+@_usage_errors
+def _classifier_spec(r: _Resolver) -> ClassifierSpec:
+    scale = r.get("kernel-scale", None)
+    return ClassifierSpec(
+        name=r.get("classifier", "svm_quadratic"),
+        c=float(r.get("c", 1.0)),
+        tol=float(r.get("tol", 1e-3)),
+        kernel_scale=None if scale is None else float(scale),
+        seed=r.seed(),
     )
 
 
-def _classifier_spec(r: _Resolver) -> ClassifierSpec:
-    scale = r.get("kernel-scale", None)
-    try:
-        return ClassifierSpec(
-            name=r.get("classifier", "svm_quadratic"),
-            c=float(r.get("c", 1.0)),
-            tol=float(r.get("tol", 1e-3)),
-            kernel_scale=None if scale is None else float(scale),
-            seed=r.seed(),
-        )
-    except ValueError as e:  # e.g. an SVM's c or tol <= 0
-        raise UsageError(str(e)) from None
-
-
+@_usage_errors
 def _split_spec(r: _Resolver) -> SplitSpec:
     return SplitSpec(
         train_fraction=float(r.get("train-fraction", 0.8)),
@@ -224,8 +238,9 @@ def _load_data(path: str) -> LabeledDataset:
     return load_dataset(path)
 
 
-def _cmd_synth(r: _Resolver) -> int:
-    spec = SynthSpec(
+@_usage_errors
+def _synth_spec(r: _Resolver) -> SynthSpec:
+    return SynthSpec(
         seed=r.seed(),
         per_class=int(r.get("per-class", 208)),
         orientations_deg=_parse_number_list(r.get("orientations", "0,90,180,270")),
@@ -234,6 +249,10 @@ def _cmd_synth(r: _Resolver) -> int:
         scale_range=(float(r.get("scale-min", 0.85)), float(r.get("scale-max", 1.15))),
         participants=int(r.get("participants", 13)),
     )
+
+
+def _cmd_synth(r: _Resolver) -> int:
+    spec = _synth_spec(r)
     ds = synth_generate(spec)
     save_dataset(ds, r.args.out, generator=spec.to_dict())
     print(
@@ -308,23 +327,24 @@ def _cmd_evaluate(r: _Resolver) -> int:
     return 0
 
 
+@_usage_errors
+def _grid_classifiers(r: _Resolver) -> tuple[str, ...]:
+    names = r.get("classifiers", None) or ",".join(GRID_CLASSIFIERS)
+    classifiers = tuple(n.strip() for n in names.split(",") if n.strip())
+    base = _classifier_spec(r)
+    for name in classifiers:  # each cell's spec: a known name, valid SVM values
+        replace(base, name=name)
+    return classifiers
+
+
 def _cmd_grid(r: _Resolver) -> int:
     ds = _load_data(r.args.data)
-    names = r.get("classifiers", None)
-    classifiers = (
-        tuple(n.strip() for n in names.split(",") if n.strip())
-        if names
-        else GRID_CLASSIFIERS
-    )
-    for name in classifiers:
-        if name not in CLASSIFIER_NAMES:
-            raise UsageError(f"unknown classifier {name!r}")
     reports = evaluate_grid(
         ds,
         _classifier_spec(r),
         _split_spec(r),
-        classifiers=classifiers,
-        angle_mode=r.get("angle-mode", "adjacent"),
+        classifiers=_grid_classifiers(r),
+        angle_mode=_angle_mode(r),
     )
     if r.get("format", "text") == "json":
         docs = [rep.to_dict() for rep in reports]

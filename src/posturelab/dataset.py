@@ -13,7 +13,9 @@ import functools
 import hashlib
 import json
 import math
+import types
 from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -159,13 +161,16 @@ def load_dataset(path) -> LabeledDataset:
                 raise UnknownLabel(str(name), lineno)
             label = label_from_name(name, lineno)
         skeleton = validate_skeleton(rec["joints"], line=lineno)
+        camera = rec.get("orientation_deg", 0.0), rec.get("distance_m", 0.0)
+        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in camera):
+            raise ParseError(lineno, f"orientation_deg/distance_m must be finite numbers: {camera}")
         observations.append(
             Observation(
                 skeleton=skeleton,
                 label=label,
                 participant_id=str(rec.get("participant", "")),
-                orientation_deg=float(rec.get("orientation_deg", 0.0)),
-                distance_m=float(rec.get("distance_m", 0.0)),
+                orientation_deg=float(camera[0]),
+                distance_m=float(camera[1]),
             )
         )
         record_lines.append(line)
@@ -194,29 +199,20 @@ class SynthSpec:
     participants: int = 13
 
     def __post_init__(self):
-        if self.per_class <= 0:
-            raise ValueError("per_class must be positive")
-        if self.noise_std_m < 0:
-            raise ValueError("noise stddev must be >= 0")
-        if min(self.scale_range) <= 0:
-            raise ValueError("scales must be positive")
-        object.__setattr__(
-            self, "orientations_deg", tuple(sorted(float(v) for v in self.orientations_deg))
-        )
-        object.__setattr__(
-            self, "distances_m", tuple(sorted(float(v) for v in self.distances_m))
-        )
+        if min(self.per_class, self.participants) < 1:
+            raise ValueError("per_class and participants must be positive")
+        if not (math.isfinite(self.noise_std_m) and self.noise_std_m >= 0):
+            raise ValueError("noise stddev must be a finite number >= 0")
+        if not 0 < self.scale_range[0] <= self.scale_range[1]:
+            raise ValueError("scale range must satisfy 0 < min <= max")
+        for name in ("orientations_deg", "distances_m"):
+            values = tuple(sorted(float(v) for v in getattr(self, name)))
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            object.__setattr__(self, name, values)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "per_class": int(self.per_class),
-            "orientations_deg": list(self.orientations_deg),
-            "distances_m": list(self.distances_m),
-            "noise_std_m": float(self.noise_std_m),
-            "scale_range": list(self.scale_range),
-            "participants": int(self.participants),
-        }
+        return encode(SynthSpec, self)
 
 
 def _synth_record(spec: SynthSpec, label: PostureLabel, counter: int) -> Observation:
@@ -290,20 +286,26 @@ def _item_types(tp, items) -> tuple:
     return (args[0],) * len(items) if args[-1] is Ellipsis else args
 
 
-def _encode(tp, value):
+def encode(tp, value):
     """JSON form of a value of annotated type ``tp``: dataclasses as objects
-    of their fields, arrays and tuples as lists."""
+    of their fields in field order, arrays and tuples as lists, enums as
+    their values, None as None; ``T | None`` encodes a value as a T."""
+    if value is None:
+        return None
     if is_dataclass(tp):
-        return {name: _encode(t, getattr(value, name)) for name, t in _saved_fields(tp)}
+        return {name: encode(t, getattr(value, name)) for name, t in _saved_fields(tp)}
     if get_origin(tp) is np.ndarray:
         return value.tolist()
     if get_origin(tp) is tuple:
-        return [_encode(t, v) for t, v in zip(_item_types(tp, value), value)]
-    return tp(value)
+        return [encode(t, v) for t, v in zip(_item_types(tp, value), value)]
+    if get_origin(tp) is types.UnionType:  # T | None
+        return encode(get_args(tp)[0], value)
+    value = tp(value)
+    return value.value if isinstance(value, Enum) else value
 
 
 def _decode(tp, doc):
-    """Inverse of _encode; array dtypes come from the annotation."""
+    """Inverse of encode; array dtypes come from the annotation."""
     if is_dataclass(tp):
         return tp(**{name: _decode(t, doc[name]) for name, t in _saved_fields(tp)})
     if get_origin(tp) is np.ndarray:
@@ -316,12 +318,12 @@ def _decode(tp, doc):
 
 
 def model_file_to_dict(mf: ModelFile) -> dict:
-    params = _encode(type(mf.model), mf.model)
+    params = encode(type(mf.model), mf.model)
     doc = {
         "format": MODEL_FORMAT,
         "version": FILE_VERSION,
         "kind": type(mf.model).kind,
-        "feature_config": _encode(FeatureConfig, mf.feature_config),
+        "feature_config": encode(FeatureConfig, mf.feature_config),
         "dataset_fingerprint": mf.dataset_fingerprint,
     }
     doc.update({key: params.pop(name) for name, key in _TOP_LEVEL_FIELDS.items()})

@@ -20,7 +20,7 @@ from .classifiers import (
     predict_batch,
     train_classifier,
 )
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, encode
 from .errors import ClassTooSmall, EmptyInput, LengthMismatch
 from .features import FeatureConfig, extract_matrix
 from .skeleton import LABEL_NAMES, NUM_CLASSES, PostureLabel
@@ -58,14 +58,6 @@ class SplitSpec:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.stratify_by not in STRATIFY_MODES:
             raise ValueError(f"stratify_by must be one of {STRATIFY_MODES}")
-
-    def to_dict(self) -> dict:
-        return {
-            "train_fraction": float(self.train_fraction),
-            "seed": int(self.seed),
-            "stratify_by": self.stratify_by,
-            "resubstitution": bool(self.resubstitution),
-        }
 
 
 def stratified_split(
@@ -202,31 +194,6 @@ class EvaluationReport:
             return None
         return self.model.nonconverged
 
-    def classifier_dict(self) -> dict:
-        c = self.classifier
-        return {
-            "name": c.name,
-            "c": float(c.c),
-            "tol": float(c.tol),
-            "kernel_scale": None if c.kernel_scale is None else float(c.kernel_scale),
-            "seed": int(c.seed),
-        }
-
-    def features_dict(self) -> dict:
-        return {
-            "set": self.features.name,
-            "use_distances": self.features.use_distances,
-            "use_angles": self.features.use_angles,
-            "angle_mode": self.features.angle_mode.value,
-            "fingerprint": self.feature_fingerprint,
-        }
-
-    def split_dict(self) -> dict:
-        d = self.split.to_dict()
-        d["n_train"] = int(self.n_train)
-        d["n_test"] = int(self.n_test)
-        return d
-
     def to_dict(self, include_timings: bool = True) -> dict:
         per_class = [
             None if math.isnan(v) else float(v)
@@ -234,9 +201,17 @@ class EvaluationReport:
         ]
         doc = {
             "version": REPORT_VERSION,
-            "classifier": self.classifier_dict(),
-            "features": self.features_dict(),
-            "split": self.split_dict(),
+            "classifier": encode(ClassifierSpec, self.classifier),
+            "features": {
+                "set": self.features.name,
+                **encode(FeatureConfig, self.features),
+                "fingerprint": self.feature_fingerprint,
+            },
+            "split": {
+                **encode(SplitSpec, self.split),
+                "n_train": self.n_train,
+                "n_test": self.n_test,
+            },
             "dataset_fingerprint": self.dataset_fingerprint,
             "counts": self.confusion.counts.tolist(),
             "accuracy": self.accuracy,

@@ -14,6 +14,33 @@ def dataset_path(tmp_path):
     return path
 
 
+# Spec values each command must reject as a usage error:
+# id -> (arguments before --out/--data, config file contents, $POSTURELAB_SEED)
+REJECTED_SPEC_VALUES = {
+    "synth-per-class-0": (["synth", "--per-class", "0"], None, None),
+    "synth-noise-negative": (["synth", "--noise", "-1"], None, None),
+    "synth-noise-nan": (["synth", "--noise", "nan"], None, None),
+    "synth-participants-0": (["synth", "--participants", "0"], None, None),
+    "synth-no-orientations": (["synth", "--orientations", ""], None, None),
+    "synth-no-distances": (["synth", "--distances", ","], None, None),
+    "synth-orientations-not-numbers": (["synth", "--orientations", "0,x"], None, None),
+    "synth-scale-min-above-max": (["synth", "--scale-min", "1.2", "--scale-max", "1"], None, None),
+    "synth-seed-env": (["synth"], None, "abc"),
+    "evaluate-seed-env": (["evaluate"], None, "abc"),
+    "config-features": (["evaluate"], {"features": "bogus"}, None),
+    "config-angle-mode-featurize": (["featurize"], {"angle-mode": "bogus"}, None),
+    "config-angle-mode-grid": (["grid", "--classifiers", "lda"], {"angle-mode": "bogus"}, None),
+    "grid-unknown-classifier": (["grid", "--classifiers", "lda,svm_rbf"], None, None),
+    "grid-svm-cell-c-0": (
+        ["grid", "--classifier", "lda", "--c", "0", "--classifiers", "lda,svm_linear"], None, None
+    ),
+    "kernel-scale-0": (["evaluate", "--kernel-scale", "0"], None, None),
+    "train-fraction-flag": (["evaluate", "--train-fraction", "1.5"], None, None),
+    "config-train-fraction": (["evaluate"], {"train-fraction": 1.5}, None),
+    "config-stratify": (["evaluate"], {"stratify": "bogus"}, None),
+}
+
+
 class TestSynthCommand:
     def test_writes_expected_record_count(self, tmp_path):
         out = tmp_path / "ds.jsonl"
@@ -61,6 +88,27 @@ class TestUsageErrors:
         assert run(["evaluate", "--data", str(dataset_path), flag, "0"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, config, seed_env", REJECTED_SPEC_VALUES.values(), ids=REJECTED_SPEC_VALUES
+    )
+    def test_rejected_spec_value_is_usage_error(
+        self, tmp_path, dataset_path, capsys, monkeypatch, argv, config, seed_env
+    ):
+        if seed_env is not None:
+            monkeypatch.setenv("POSTURELAB_SEED", seed_env)
+        prefix = []
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            prefix = ["--config", str(tmp_path / "config.json")]
+        out = tmp_path / "out.jsonl"
+        files = ["--out", str(out)] if argv[0] == "synth" else ["--data", str(dataset_path)]
+        capsys.readouterr()
+        assert run([*prefix, *argv, *files]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_svm_hyperparameters_do_not_constrain_lda(self, dataset_path):
         args = ["evaluate", "--data", str(dataset_path), "--classifier", "lda"]
         assert run([*args, "--c", "0", "--tol", "0"]) == 0
@@ -88,6 +136,16 @@ class TestDataErrors:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not a header\n")
         assert run(["featurize", "--data", str(bad), "--out", "-"]) == 2
+
+    @pytest.mark.parametrize("key", ["orientation_deg", "distance_m"])
+    def test_bad_metadata_is_exit_2_with_line(self, dataset_path, capsys, key):
+        lines = dataset_path.read_text().splitlines()
+        rec = json.loads(lines[4])
+        rec[key] = "north"
+        lines[4] = json.dumps(rec)
+        dataset_path.write_text("\n".join(lines) + "\n")
+        assert run(["featurize", "--data", str(dataset_path), "--out", "-"]) == 2
+        assert capsys.readouterr().err.startswith("data error: line 5:")
 
     def test_degenerate_skeleton_is_exit_3(self, tmp_path):
         # all joints coincident: the distance normalizer cannot be formed

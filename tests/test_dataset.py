@@ -84,6 +84,20 @@ class TestDatasetFile:
             load_dataset(path)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("key", ["orientation_deg", "distance_m"])
+    @pytest.mark.parametrize("value", ["north", None, float("nan"), float("inf")])
+    def test_non_finite_metadata_carries_line(self, tmp_path, key, value):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec[key] = value
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert exc.value.line == 3
+        assert key in str(exc.value)
+
     def test_bad_json_is_a_parse_error(self, tmp_path):
         ds, path = write_dataset(tmp_path, seed=3, per_class=2)
         text = path.read_text().splitlines()
@@ -178,6 +192,34 @@ class TestSynthGenerate:
             SynthSpec(noise_std_m=-0.1)
         with pytest.raises(ValueError):
             SynthSpec(scale_range=(0.0, 1.0))
+        with pytest.raises(ValueError):
+            SynthSpec(scale_range=(1.2, 1.0))
+        with pytest.raises(ValueError):
+            SynthSpec(participants=0)
+        with pytest.raises(ValueError):
+            SynthSpec(orientations_deg=())
+        with pytest.raises(ValueError):
+            SynthSpec(distances_m=())
+        with pytest.raises(ValueError):
+            SynthSpec(noise_std_m=float("nan"))
+        with pytest.raises(ValueError):
+            SynthSpec(noise_std_m=float("inf"))
+        with pytest.raises(ValueError):
+            ClassifierSpec("svm_cubic", kernel_scale=0.0)
+        with pytest.raises(ValueError):
+            ClassifierSpec("svm_quadratic", kernel_scale=float("nan"))
+
+    def test_header_generator_layout(self, tmp_path):
+        _, path = write_dataset(
+            tmp_path, seed=5, per_class=1, orientations_deg=(90, 0), distances_m=(2.5,),
+            noise_std_m=0, scale_range=(0.9, 1.1), participants=4,
+        )
+        header = path.read_text().splitlines()[0]
+        assert (
+            '"generator":{"distances_m":[2.5],"noise_std_m":0.0,'
+            '"orientations_deg":[0.0,90.0],"participants":4,"per_class":1,'
+            '"scale_range":[0.9,1.1],"seed":5}'
+        ) in header
 
 
 class TestModelFile:

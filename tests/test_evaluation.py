@@ -227,6 +227,35 @@ class TestRenderFormats:
         assert all(len(row) == 5 for row in doc["counts"])
         assert len(doc["per_class"]) == 5
 
+    def test_json_section_keys(self, report):
+        doc = report.to_dict()
+        assert list(doc["classifier"]) == ["name", "c", "tol", "kernel_scale", "seed"]
+        assert list(doc["features"]) == [
+            "set", "use_distances", "use_angles", "angle_mode", "fingerprint",
+        ]
+        assert list(doc["split"]) == [
+            "train_fraction", "seed", "stratify_by", "resubstitution", "n_train", "n_test",
+        ]
+        assert doc["classifier"]["kernel_scale"] is None
+        assert doc["features"]["angle_mode"] == "adjacent"
+
+    def test_csv_meta_row_order(self, report):
+        text = render_report(report, "csv")
+        meta = [line.split(",")[1:3] for line in text.splitlines() if line.startswith("meta,")]
+        assert [name for name, _ in meta] == [
+            "version",
+            "classifier.name", "classifier.c", "classifier.tol",
+            "classifier.kernel_scale", "classifier.seed",
+            "features.set", "features.use_distances", "features.use_angles",
+            "features.angle_mode", "features.fingerprint",
+            "split.train_fraction", "split.seed", "split.stratify_by",
+            "split.resubstitution", "split.n_train", "split.n_test",
+            "dataset_fingerprint", "accuracy",
+            "timings_ms.extract", "timings_ms.train", "timings_ms.predict",
+            "timings_ms.total",
+        ]
+        assert dict(meta)["features.angle_mode"] == "adjacent"
+
     def test_json_csv_json_round_trip_preserves_counts(self, report):
         doc = json.loads(render_report(report, "json"))
         parsed = parse_csv_report(render_report(report, "csv"))
