@@ -44,6 +44,7 @@ from .features import AngleMode, FeatureConfig, extract_matrix
 from .skeleton import PostureLabel
 
 SEED_ENV_VAR = "POSTURELAB_SEED"
+_FORMATS = {"evaluate": ("text", "csv", "json"), "grid": ("text", "json")}
 
 
 class UsageError(Exception):
@@ -124,7 +125,7 @@ def _build_parser() -> _Parser:
     add_classifier(p)
     add_split(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=("text", "csv", "json"), default=None)
+    p.add_argument("--format", choices=_FORMATS["evaluate"], default=None)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("grid", help="classifier-by-featureset accuracy grid")
@@ -134,7 +135,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--angle-mode", choices=("adjacent", "all_triples"), default=None)
     p.add_argument("--classifiers", default=None,
                    help=f"comma-separated subset of {','.join(CLASSIFIER_NAMES)}")
-    p.add_argument("--format", choices=("text", "json"), default=None)
+    p.add_argument("--format", choices=_FORMATS["grid"], default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="-")
     return parser
@@ -173,7 +174,7 @@ class _Resolver:
         value = self.get("seed", os.environ.get(SEED_ENV_VAR) or 0)
         try:
             return int(value)
-        except ValueError:
+        except (TypeError, ValueError):
             raise ValueError(f"seed must be an integer, got {value!r}") from None
 
 
@@ -184,20 +185,30 @@ def _write_out(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _parse_number_list(raw) -> tuple[float, ...]:
+def _parse_list(raw, cast) -> tuple:
+    """cast of each item of a JSON list, or of a comma-separated string."""
     if isinstance(raw, (list, tuple)):
-        return tuple(float(v) for v in raw)
-    return tuple(float(v) for v in str(raw).split(",") if v.strip())
+        return tuple(cast(v) for v in raw)
+    return tuple(cast(v.strip()) for v in str(raw).split(",") if v.strip())
 
 
 def _usage_errors(build):
-    """Decorates a spec builder: a value it rejects (ValueError) is a usage error."""
+    """Decorates a spec builder: a rejected or wrong-typed value is a usage error."""
     def wrapper(r: _Resolver):
         try:
             return build(r)
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise UsageError(str(e)) from None
     return wrapper
+
+
+@_usage_errors
+def _format(r: _Resolver) -> str:
+    fmt = r.get("format", "text")
+    choices = _FORMATS[r.args.command]
+    if fmt not in choices:
+        raise ValueError(f"unknown format {fmt!r}; choose from {choices}")
+    return fmt
 
 
 @_usage_errors
@@ -243,8 +254,8 @@ def _synth_spec(r: _Resolver) -> SynthSpec:
     return SynthSpec(
         seed=r.seed(),
         per_class=int(r.get("per-class", 208)),
-        orientations_deg=_parse_number_list(r.get("orientations", "0,90,180,270")),
-        distances_m=_parse_number_list(r.get("distances", "1,2,3,4")),
+        orientations_deg=_parse_list(r.get("orientations", "0,90,180,270"), float),
+        distances_m=_parse_list(r.get("distances", "1,2,3,4"), float),
         noise_std_m=float(r.get("noise", 0.02)),
         scale_range=(float(r.get("scale-min", 0.85)), float(r.get("scale-max", 1.15))),
         participants=int(r.get("participants", 13)),
@@ -321,16 +332,16 @@ def _cmd_predict(r: _Resolver) -> int:
 
 
 def _cmd_evaluate(r: _Resolver) -> int:
+    fmt = _format(r)
     ds = _load_data(r.args.data)
     report = evaluate(ds, _feature_config(r), _classifier_spec(r), _split_spec(r))
-    _write_out(r.args.out, render_report(report, r.get("format", "text")))
+    _write_out(r.args.out, render_report(report, fmt))
     return 0
 
 
 @_usage_errors
 def _grid_classifiers(r: _Resolver) -> tuple[str, ...]:
-    names = r.get("classifiers", None) or ",".join(GRID_CLASSIFIERS)
-    classifiers = tuple(n.strip() for n in names.split(",") if n.strip())
+    classifiers = _parse_list(r.get("classifiers", None) or GRID_CLASSIFIERS, str)
     base = _classifier_spec(r)
     for name in classifiers:  # each cell's spec: a known name, valid SVM values
         replace(base, name=name)
@@ -338,6 +349,7 @@ def _grid_classifiers(r: _Resolver) -> tuple[str, ...]:
 
 
 def _cmd_grid(r: _Resolver) -> int:
+    fmt = _format(r)
     ds = _load_data(r.args.data)
     reports = evaluate_grid(
         ds,
@@ -346,7 +358,7 @@ def _cmd_grid(r: _Resolver) -> int:
         classifiers=_grid_classifiers(r),
         angle_mode=_angle_mode(r),
     )
-    if r.get("format", "text") == "json":
+    if fmt == "json":
         docs = [rep.to_dict() for rep in reports]
         _write_out(r.args.out, json.dumps(docs, sort_keys=True) + "\n")
     else:

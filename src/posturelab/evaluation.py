@@ -323,10 +323,6 @@ def render_text(report: EvaluationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(report: EvaluationReport, include_timings: bool = True) -> str:
-    return json.dumps(report.to_dict(include_timings), sort_keys=True) + "\n"
-
-
 def render_csv(report: EvaluationReport, include_timings: bool = True) -> str:
     """Lossless CSV: fixed seven fields per record (RFC 4180)."""
     doc = report.to_dict(include_timings)
@@ -394,7 +390,7 @@ def render_report(report: EvaluationReport, fmt: str = "text", include_timings: 
     if fmt == "text":
         return render_text(report)
     if fmt == "json":
-        return render_json(report, include_timings)
+        return json.dumps(report.to_dict(include_timings), sort_keys=True) + "\n"
     if fmt == "csv":
         return render_csv(report, include_timings)
     raise ValueError(f"unknown report format {fmt!r}")
@@ -409,7 +405,6 @@ def evaluate_grid(
     base_classifier: ClassifierSpec,
     split: SplitSpec,
     classifiers=GRID_CLASSIFIERS,
-    feature_sets=GRID_FEATURE_SETS,
     angle_mode: str = "adjacent",
 ) -> list[EvaluationReport]:
     """Evaluate every (classifier, feature set) cell.
@@ -418,16 +413,14 @@ def evaluate_grid(
     timings_ms["extract"] is about 0. Cells are mutually independent; this
     runs them sequentially so that the whole grid is one deterministic pass.
     """
-    configs = {f: FeatureConfig.from_name(f, angle_mode) for f in feature_sets}
+    configs = [FeatureConfig.from_name(f, angle_mode) for f in GRID_FEATURE_SETS]
     skeletons = ds.skeletons()
-    extracted = {f: extract_matrix(skeletons, cfg) for f, cfg in configs.items()}
+    extracted = [extract_matrix(skeletons, cfg) for cfg in configs]
     reports = []
     for name in classifiers:
         spec = replace(base_classifier, name=name)
-        for features in feature_sets:
-            reports.append(
-                evaluate(ds, configs[features], spec, split, extracted[features])
-            )
+        for cfg, X in zip(configs, extracted):
+            reports.append(evaluate(ds, cfg, spec, split, X))
     return reports
 
 

@@ -28,23 +28,22 @@ NORMALIZER_FLOOR_M = 1e-6  # below sensor resolution; treat as a data error
 SEGMENT_FLOOR = 1e-9
 
 NUM_DISTANCE_FEATURES = NUM_JOINTS * (NUM_JOINTS - 1) // 2  # 300
-NUM_ADJACENT_ANGLES = len(ADJACENT_ANGLE_TRIPLES)  # 29
-NUM_TRIPLE_ANGLES = NUM_JOINTS * (NUM_JOINTS - 1) * (NUM_JOINTS - 2) // 6  # 2300
+_BLOCK = 64  # records per extract_matrix step: ~4 MB per all_triples temporary
 
 # Lexicographic (i, j) pairs with i < j; row order of the distance features.
 _PAIR_I, _PAIR_J = np.triu_indices(NUM_JOINTS, k=1)
-
-# Lexicographic {i < j < k} triples, vertex fixed at the middle index j.
-_TRIPLES = np.array(list(combinations(range(NUM_JOINTS), 3)), dtype=np.intp)
-
-_ADJ_A = np.array([int(a) for a, _, _ in ADJACENT_ANGLE_TRIPLES], dtype=np.intp)
-_ADJ_V = np.array([int(v) for _, v, _ in ADJACENT_ANGLE_TRIPLES], dtype=np.intp)
-_ADJ_B = np.array([int(b) for _, _, b in ADJACENT_ANGLE_TRIPLES], dtype=np.intp)
 
 
 class AngleMode(str, Enum):
     ADJACENT = "adjacent"
     ALL_TRIPLES = "all_triples"
+
+
+# (endpoint, vertex, endpoint) joint rows per mode; a triple i < j < k has vertex j.
+_ANGLE_TRIPLES = {
+    AngleMode.ADJACENT: np.array(ADJACENT_ANGLE_TRIPLES).T,
+    AngleMode.ALL_TRIPLES: np.array(list(combinations(range(NUM_JOINTS), 3))).T,
+}
 
 
 @dataclass(frozen=True)
@@ -64,11 +63,7 @@ class FeatureConfig:
     def length(self) -> int:
         n = NUM_DISTANCE_FEATURES if self.use_distances else 0
         if self.use_angles:
-            n += (
-                NUM_ADJACENT_ANGLES
-                if self.angle_mode is AngleMode.ADJACENT
-                else NUM_TRIPLE_ANGLES
-            )
+            n += _ANGLE_TRIPLES[self.angle_mode].shape[1]
         return n
 
     @property
@@ -107,15 +102,10 @@ def config_fingerprint(cfg: FeatureConfig) -> str:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """A fixed-length feature vector plus the fingerprint of its layout.
-
-    degenerate_angles counts angle entries that fell back to 0 because a
-    segment of the triple had (near-)zero length.
-    """
+    """A fixed-length feature vector plus the fingerprint of its layout."""
 
     values: np.ndarray
     fingerprint: str
-    degenerate_angles: int = 0
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -123,19 +113,60 @@ class FeatureVector:
         object.__setattr__(self, "values", vals)
 
 
+def _spine_lengths(pos: np.ndarray) -> np.ndarray:
+    """SpineShoulder-SpineMid lengths; DegenerateNormalizer below 1e-6 m.
+
+    For a stack, the error names the first degenerate record's index. The
+    length is a matmul: norm(axis=-1) and einsum differ from the norm of one
+    3-vector in the last bit.
+    """
+    d = pos[..., JointId.SpineShoulder, :] - pos[..., JointId.SpineMid, :]
+    length = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
+    bad = np.flatnonzero(length < NORMALIZER_FLOOR_M)
+    if bad.size:
+        record = f"record {bad[0]}: " if length.ndim else ""
+        raise DegenerateNormalizer(
+            f"{record}spine segment length {length.flat[bad[0]]:.3e} m "
+            f"is below {NORMALIZER_FLOOR_M} m"
+        )
+    return length
+
+
+def _angles_at(pos: np.ndarray, ia, iv, ib) -> tuple[np.ndarray, int]:
+    """Angles at vertex joints iv toward endpoint joints ia and ib.
+
+    Degenerate entries (a ray at or below the segment floor) yield 0 and are
+    counted instead of raising, so one bad joint cannot discard a whole vector.
+    """
+    u = pos[..., ia, :] - pos[..., iv, :]
+    v = pos[..., ib, :] - pos[..., iv, :]
+    nu = np.linalg.norm(u, axis=-1)
+    nv = np.linalg.norm(v, axis=-1)
+    ok = (nu > SEGMENT_FLOOR) & (nv > SEGMENT_FLOOR)
+    denom = np.where(ok, nu * nv, 1.0)
+    cosine = np.clip(np.einsum("...ij,...ij->...i", u, v) / denom, -1.0, 1.0)
+    angles = np.where(ok, np.arccos(cosine), 0.0)
+    return angles, int(np.count_nonzero(~ok))
+
+
+def _values(pos: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+    """Feature values of positions (..., 25, 3), one skeleton or a stack, with
+    the same bits for a record either way: distances, then angles."""
+    parts = []
+    if cfg.use_distances:
+        diffs = pos[..., _PAIR_I, :] - pos[..., _PAIR_J, :]
+        parts.append(np.linalg.norm(diffs, axis=-1) / _spine_lengths(pos)[..., None])
+    if cfg.use_angles:
+        parts.append(_angles_at(pos, *_ANGLE_TRIPLES[cfg.angle_mode])[0])
+    return np.concatenate(parts, axis=-1)
+
+
 def normalizer(skel: Skeleton) -> float:
     """Length of the SpineShoulder-SpineMid segment (the scale reference).
 
     Raises DegenerateNormalizer when shorter than 1e-6 m.
     """
-    d = float(
-        np.linalg.norm(skel[JointId.SpineShoulder] - skel[JointId.SpineMid])
-    )
-    if d < NORMALIZER_FLOOR_M:
-        raise DegenerateNormalizer(
-            f"spine segment length {d:.3e} m is below {NORMALIZER_FLOOR_M} m"
-        )
-    return d
+    return float(_spine_lengths(skel.positions))
 
 
 def pairwise_distances(skel: Skeleton) -> np.ndarray:
@@ -143,10 +174,7 @@ def pairwise_distances(skel: Skeleton) -> np.ndarray:
 
     Entry order is the lexicographic order of index pairs (i, j), i < j.
     """
-    scale = normalizer(skel)
-    pos = skel.positions
-    diffs = pos[_PAIR_I] - pos[_PAIR_J]
-    return np.linalg.norm(diffs, axis=1) / scale
+    return _values(skel.positions, FeatureConfig(True, False))
 
 
 def joint_angle(a, b, c) -> float:
@@ -163,23 +191,6 @@ def joint_angle(a, b, c) -> float:
     return float(angles[0])
 
 
-def _angles_at(pos: np.ndarray, ia, iv, ib) -> tuple[np.ndarray, int]:
-    """Vectorized angles for vertex rows iv toward endpoint rows ia and ib.
-
-    Degenerate entries (a ray at or below the segment floor) yield 0 and are
-    counted instead of raising, so one bad joint cannot discard a whole vector.
-    """
-    u = pos[ia] - pos[iv]
-    v = pos[ib] - pos[iv]
-    nu = np.linalg.norm(u, axis=1)
-    nv = np.linalg.norm(v, axis=1)
-    ok = (nu > SEGMENT_FLOOR) & (nv > SEGMENT_FLOOR)
-    denom = np.where(ok, nu * nv, 1.0)
-    cosine = np.clip(np.einsum("ij,ij->i", u, v) / denom, -1.0, 1.0)
-    angles = np.where(ok, np.arccos(cosine), 0.0)
-    return angles, int(np.count_nonzero(~ok))
-
-
 def angle_features(
     skel: Skeleton, mode: AngleMode = AngleMode.ADJACENT
 ) -> tuple[np.ndarray, int]:
@@ -189,35 +200,24 @@ def angle_features(
     ALL_TRIPLES: one angle per joint triple {i < j < k}, vertex at j; 2300
     entries in lexicographic triple order.
     """
-    mode = AngleMode(mode)
-    pos = skel.positions
-    if mode is AngleMode.ADJACENT:
-        return _angles_at(pos, _ADJ_A, _ADJ_V, _ADJ_B)
-    return _angles_at(pos, _TRIPLES[:, 0], _TRIPLES[:, 1], _TRIPLES[:, 2])
-
-
-def _values(skel: Skeleton, cfg: FeatureConfig) -> tuple[np.ndarray, int]:
-    """Feature values of one skeleton and its count of degenerate angles."""
-    parts = []
-    degenerate = 0
-    if cfg.use_distances:
-        parts.append(pairwise_distances(skel))
-    if cfg.use_angles:
-        angles, degenerate = angle_features(skel, cfg.angle_mode)
-        parts.append(angles)
-    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return values, degenerate
+    return _angles_at(skel.positions, *_ANGLE_TRIPLES[AngleMode(mode)])
 
 
 def extract(skel: Skeleton, cfg: FeatureConfig) -> FeatureVector:
     """Feature vector for one skeleton under ``cfg``: distances, then angles."""
-    values, degenerate = _values(skel, cfg)
-    return FeatureVector(values, config_fingerprint(cfg), degenerate)
+    return FeatureVector(_values(skel.positions, cfg), config_fingerprint(cfg))
 
 
 def extract_matrix(skeletons, cfg: FeatureConfig) -> tuple[np.ndarray, str]:
-    """Stack feature vectors for many skeletons into an (n, d) matrix."""
+    """(n, d) matrix whose row i equals extract(skeletons[i], cfg).values.
+
+    The matrix is C-ordered: the standardizer's column sums depend on it.
+    """
     fingerprint = config_fingerprint(cfg)
-    if not skeletons:
-        return np.empty((0, cfg.length)), fingerprint
-    return np.vstack([_values(s, cfg)[0] for s in skeletons]), fingerprint
+    pos = np.array([s.positions for s in skeletons]).reshape(-1, NUM_JOINTS, 3)
+    if cfg.use_distances:
+        _spine_lengths(pos)  # names a degenerate record by its stack index
+    X = np.empty((len(pos), cfg.length))
+    for lo in range(0, len(pos), _BLOCK):
+        X[lo : lo + _BLOCK] = _values(pos[lo : lo + _BLOCK], cfg)
+    return X, fingerprint

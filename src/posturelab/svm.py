@@ -26,9 +26,6 @@ from exactly recomputed decision values:
     alpha_i = C      =>  y_i f(x_i) <= 1 + tol
 A model that exhausts its update budget with violations left is still
 returned, flagged with converged=False.
-
-smo_train keeps the seed argument of an earlier randomized solver; it is
-accepted and ignored, since the working-set rule is deterministic.
 """
 from __future__ import annotations
 
@@ -114,14 +111,12 @@ def smo_train(
     kernel: KernelSpec,
     c: float = 1.0,
     tol: float = 1e-3,
-    seed: int = 0,
     record_objective: bool = False,
     max_total_passes: int = 2000,
 ) -> BinarySvmModel:
     """Solve the SVM dual for labels y in {-1, +1}.
 
-    At most max_total_passes * n pair updates are made. seed is ignored (see
-    the module docstring).
+    At most max_total_passes * n pair updates are made.
 
     With record_objective=True the dual objective is recomputed from scratch
     after every update and stored on the returned model (objective_trace),

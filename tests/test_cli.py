@@ -38,6 +38,14 @@ REJECTED_SPEC_VALUES = {
     "train-fraction-flag": (["evaluate", "--train-fraction", "1.5"], None, None),
     "config-train-fraction": (["evaluate"], {"train-fraction": 1.5}, None),
     "config-stratify": (["evaluate"], {"stratify": "bogus"}, None),
+    "config-per-class-null": (["synth"], {"per-class": None}, None),
+    "config-noise-object": (["synth"], {"noise": {"a": 1}}, None),
+    "config-seed-null": (["synth"], {"seed": None}, None),
+    "config-train-fraction-list": (["evaluate"], {"train-fraction": [0.5]}, None),
+    "config-seed-list": (["evaluate"], {"seed": [1]}, None),
+    "config-format-evaluate": (["evaluate"], {"format": "xml"}, None),
+    "config-format-grid": (["grid"], {"format": "csv"}, None),
+    "config-classifiers-number": (["grid"], {"classifiers": 3}, None),
 }
 
 
@@ -147,7 +155,7 @@ class TestDataErrors:
         assert run(["featurize", "--data", str(dataset_path), "--out", "-"]) == 2
         assert capsys.readouterr().err.startswith("data error: line 5:")
 
-    def test_degenerate_skeleton_is_exit_3(self, tmp_path):
+    def test_degenerate_skeleton_is_exit_3(self, tmp_path, capsys):
         # all joints coincident: the distance normalizer cannot be formed
         ds = synth_generate(SynthSpec(seed=1, per_class=2))
         path = tmp_path / "degenerate.jsonl"
@@ -159,6 +167,7 @@ class TestDataErrors:
         lines[1] = json.dumps(rec)
         path.write_text("\n".join(lines) + "\n")
         assert run(["featurize", "--data", str(path), "--out", "-"]) == 3
+        assert "record 0:" in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -235,6 +244,17 @@ class TestPipeline:
         assert len(docs) == 6  # 2 classifiers x 3 feature sets
         assert {d["classifier"]["name"] for d in docs} == {"lda", "knn1"}
         assert {d["features"]["set"] for d in docs} == {"angles", "distances", "combined"}
+
+    def test_grid_classifiers_from_config_list(self, tmp_path, dataset_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"classifiers": ["lda", "knn1"]}))
+        code = run([
+            "--config", str(config), "grid", "--data", str(dataset_path),
+            "--seed", "2", "--format", "json", "--out", "-",
+        ])
+        assert code == 0
+        docs = json.loads(capsys.readouterr().out)
+        assert [d["classifier"]["name"] for d in docs] == ["lda"] * 3 + ["knn1"] * 3
 
     def test_config_file_supplies_defaults(self, tmp_path, dataset_path, capsys):
         config = tmp_path / "config.json"

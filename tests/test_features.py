@@ -202,7 +202,11 @@ class TestExtract:
         assert extract(s, cfg).values.shape == (2600,)
         assert cfg.length == 2600
 
-    def test_matrix_rows_equal_extract_with_one_fingerprint(self, rng, monkeypatch):
+    @pytest.mark.parametrize("features_set", ["distances", "angles", "combined"])
+    @pytest.mark.parametrize("mode", ["adjacent", "all_triples"])
+    def test_matrix_rows_equal_extract_with_one_fingerprint(
+        self, rng, monkeypatch, features_set, mode
+    ):
         calls = []
 
         def counting(cfg):
@@ -210,13 +214,40 @@ class TestExtract:
             return config_fingerprint(cfg)
 
         monkeypatch.setattr(features, "config_fingerprint", counting)
+        # Head == Neck zeroes their distance and the angles on that ray, in row 3
         skeletons = [random_skeleton(rng) for _ in range(6)]
-        cfg = FeatureConfig(True, True, AngleMode.ALL_TRIPLES)
+        pos = skeletons[3].positions.copy()
+        pos[JointId.Head] = pos[JointId.Neck]
+        skeletons[3] = Skeleton(pos)
+        cfg = FeatureConfig.from_name(features_set, mode)
         X, fp = extract_matrix(skeletons, cfg)
         assert len(calls) == 1
         assert fp == config_fingerprint(cfg)
         for row, s in zip(X, skeletons):
             assert np.array_equal(row, extract(s, cfg).values)
+        assert np.flatnonzero((X == 0.0).any(axis=1)).tolist() == [3]
+
+    @pytest.mark.parametrize("features_set", ["distances", "angles", "combined"])
+    @pytest.mark.parametrize("mode", ["adjacent", "all_triples"])
+    def test_matrix_of_no_skeletons(self, features_set, mode):
+        cfg = FeatureConfig.from_name(features_set, mode)
+        X, _ = extract_matrix([], cfg)
+        assert X.shape == (0, cfg.length)
+
+    def test_matrix_is_c_ordered(self, rng):
+        cfg = FeatureConfig()
+        X, _ = extract_matrix([random_skeleton(rng) for _ in range(70)], cfg)
+        assert X.flags.c_contiguous
+
+    def test_degenerate_spine_in_stack_names_record(self, rng):
+        skeletons = [random_skeleton(rng) for _ in range(80)]
+        pos = skeletons[70].positions.copy()
+        pos[JointId.SpineShoulder] = pos[JointId.SpineMid]
+        skeletons[70] = Skeleton(pos)
+        with pytest.raises(DegenerateNormalizer, match=r"^record 70: spine segment"):
+            extract_matrix(skeletons, FeatureConfig())
+        # angles alone need no spine length
+        extract_matrix(skeletons, FeatureConfig(False, True))
 
     def test_config_requires_a_family(self):
         with pytest.raises(ValueError):

@@ -55,7 +55,7 @@ class TestAnalyticTwoPoint:
     def model(self):
         return smo_train(
             np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]), linear_kernel(),
-            c=1.0, seed=0,
+            c=1.0,
         )
 
     def test_alphas_and_bias(self, model):
@@ -74,13 +74,13 @@ class TestAnalyticTwoPoint:
 
 class TestXor:
     def test_quadratic_kernel_separates(self):
-        m = smo_train(XOR_X, XOR_Y, polynomial_kernel(2, 1.0), c=10.0, seed=0)
+        m = smo_train(XOR_X, XOR_Y, polynomial_kernel(2, 1.0), c=10.0)
         preds = np.sign(decision_function(m, XOR_X))
         assert np.array_equal(preds, XOR_Y)
         assert m.converged
 
     def test_linear_kernel_cannot_separate(self):
-        m = smo_train(XOR_X, XOR_Y, linear_kernel(), c=10.0, seed=0)
+        m = smo_train(XOR_X, XOR_Y, linear_kernel(), c=10.0)
         preds = np.sign(decision_function(m, XOR_X))
         assert not np.array_equal(preds, XOR_Y)
 
@@ -113,8 +113,8 @@ class TestSmoContract:
     def test_determinism(self, rng):
         X, y = random_binary_problem(rng)
         kern = polynomial_kernel(2, 4.0)
-        a = smo_train(X, y, kern, seed=9)
-        b = smo_train(X, y, kern, seed=9)
+        a = smo_train(X, y, kern)
+        b = smo_train(X, y, kern)
         assert np.array_equal(a.dual_coef, b.dual_coef)
         assert np.array_equal(a.support_vectors, b.support_vectors)
         assert a.bias == b.bias
@@ -125,7 +125,7 @@ class TestSmoContract:
             X, y = random_binary_problem(rng, n_max=120)
             kern = kernels[trial % 3]
             c = float(rng.choice([0.5, 1.0, 5.0]))
-            m = smo_train(X, y, kern, c=c, tol=1e-3, seed=trial, record_objective=True)
+            m = smo_train(X, y, kern, c=c, tol=1e-3, record_objective=True)
             alphas = np.abs(m.dual_coef)
             assert np.all(alphas > 0)
             assert np.all(alphas <= c + 1e-12)
@@ -138,7 +138,7 @@ class TestSmoContract:
     def test_kkt_audit_matches_model_flag(self, rng):
         X, y = random_binary_problem(rng, n_max=80)
         kern = linear_kernel()
-        m = smo_train(X, y, kern, c=1.0, seed=4)
+        m = smo_train(X, y, kern, c=1.0)
         # reconstruct alpha over the training order for the audit
         alpha = np.zeros(len(y))
         used = set()
