@@ -30,7 +30,6 @@ from .dataset import (
     LabeledDataset,
     ModelFile,
     SynthSpec,
-    dataset_from_observations,
     load_dataset,
     load_model,
     save_dataset,

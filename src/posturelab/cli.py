@@ -41,7 +41,7 @@ from .evaluation import (
     render_report,
 )
 from .features import AngleMode, FeatureConfig, extract_matrix
-from .skeleton import PostureLabel
+from .skeleton import LABEL_NAMES, PostureLabel
 
 SEED_ENV_VAR = "POSTURELAB_SEED"
 _FORMATS = {"evaluate": ("text", "csv", "json"), "grid": ("text", "json")}
@@ -162,20 +162,26 @@ class _Resolver:
         self.args = args
         self.config = config
 
-    def get(self, key: str, default):
+    def get(self, key: str, default, cast=lambda value: value):
+        """cast of the value; a value cast rejects is a usage error naming
+        the key. Where the default is None, a null value is unset."""
         value = getattr(self.args, key.replace("-", "_"), None)
-        if value is not None:
-            return value
-        if key in self.config:
-            return self.config[key]
-        return default
+        if value is None:
+            value = self.config.get(key, default)
+        try:
+            return None if value is None and default is None else cast(value)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise UsageError(f"{key}: {e}") from None
 
     def seed(self) -> int:
-        value = self.get("seed", os.environ.get(SEED_ENV_VAR) or 0)
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"seed must be an integer, got {value!r}") from None
+        return self.get("seed", os.environ.get(SEED_ENV_VAR) or 0, _integer)
+
+
+def _integer(value) -> int:
+    """int of an integral number or numeral; 2.9, inf and null are rejected."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def _write_out(path: str, text: str) -> None:
@@ -185,7 +191,7 @@ def _write_out(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _parse_list(raw, cast) -> tuple:
+def _parse_list(raw, cast=float) -> tuple:
     """cast of each item of a JSON list, or of a comma-separated string."""
     if isinstance(raw, (list, tuple)):
         return tuple(cast(v) for v in raw)
@@ -213,7 +219,7 @@ def _format(r: _Resolver) -> str:
 
 @_usage_errors
 def _angle_mode(r: _Resolver) -> AngleMode:
-    return AngleMode(r.get("angle-mode", "adjacent"))
+    return r.get("angle-mode", "adjacent", AngleMode)
 
 
 @_usage_errors
@@ -223,12 +229,11 @@ def _feature_config(r: _Resolver) -> FeatureConfig:
 
 @_usage_errors
 def _classifier_spec(r: _Resolver) -> ClassifierSpec:
-    scale = r.get("kernel-scale", None)
     return ClassifierSpec(
         name=r.get("classifier", "svm_quadratic"),
-        c=float(r.get("c", 1.0)),
-        tol=float(r.get("tol", 1e-3)),
-        kernel_scale=None if scale is None else float(scale),
+        c=r.get("c", 1.0, float),
+        tol=r.get("tol", 1e-3, float),
+        kernel_scale=r.get("kernel-scale", None, float),
         seed=r.seed(),
     )
 
@@ -236,7 +241,7 @@ def _classifier_spec(r: _Resolver) -> ClassifierSpec:
 @_usage_errors
 def _split_spec(r: _Resolver) -> SplitSpec:
     return SplitSpec(
-        train_fraction=float(r.get("train-fraction", 0.8)),
+        train_fraction=r.get("train-fraction", 0.8, float),
         seed=r.seed(),
         stratify_by=r.get("stratify", "label"),
         resubstitution=bool(getattr(r.args, "resubstitution", False)),
@@ -253,12 +258,12 @@ def _load_data(path: str) -> LabeledDataset:
 def _synth_spec(r: _Resolver) -> SynthSpec:
     return SynthSpec(
         seed=r.seed(),
-        per_class=int(r.get("per-class", 208)),
-        orientations_deg=_parse_list(r.get("orientations", "0,90,180,270"), float),
-        distances_m=_parse_list(r.get("distances", "1,2,3,4"), float),
-        noise_std_m=float(r.get("noise", 0.02)),
-        scale_range=(float(r.get("scale-min", 0.85)), float(r.get("scale-max", 1.15))),
-        participants=int(r.get("participants", 13)),
+        per_class=r.get("per-class", 208, _integer),
+        orientations_deg=r.get("orientations", "0,90,180,270", _parse_list),
+        distances_m=r.get("distances", "1,2,3,4", _parse_list),
+        noise_std_m=r.get("noise", 0.02, float),
+        scale_range=(r.get("scale-min", 0.85, float), r.get("scale-max", 1.15, float)),
+        participants=r.get("participants", 13, _integer),
     )
 
 
@@ -278,14 +283,12 @@ def _cmd_featurize(r: _Resolver) -> int:
     ds = _load_data(r.args.data)
     cfg = _feature_config(r)
     X, fingerprint = extract_matrix(ds.skeletons(), cfg)
-    lines = []
-    for i, obs in enumerate(ds.observations):
-        lines.append(json.dumps({
-            "index": i,
-            "label": obs.label.name if obs.label is not None else None,
-            "fingerprint": fingerprint,
-            "values": [float(v) for v in X[i]],
-        }, sort_keys=True))
+    names = [*LABEL_NAMES, None]  # label -1 (unlabeled) reads the last
+    lines = [
+        json.dumps({"index": i, "label": names[y], "fingerprint": fingerprint,
+                    "values": row}, sort_keys=True)
+        for i, (y, row) in enumerate(zip(ds.labels.tolist(), X.tolist()))
+    ]
     _write_out(r.args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import types
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -40,10 +40,11 @@ from .features import FeatureConfig
 from .poses import POSE_TEMPLATES, rotation_about_y
 from .skeleton import (
     JOINT_NAMES,
-    JointId,
+    NUM_JOINTS,
     Observation,
     PostureLabel,
     Skeleton,
+    finite_real,
     label_from_name,
     validate_skeleton,
 )
@@ -57,27 +58,42 @@ _JOINT_CHECKSUM = hashlib.sha256(",".join(JOINT_NAMES).encode()).hexdigest()[:16
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """An ordered sequence of observations plus a content fingerprint.
+    """Records held once as read-only columns, plus a content fingerprint.
 
-    Record order is part of the identity: split determinism depends on it.
+    positions is the C-ordered (n, 25, 3) joint stack; labels holds
+    PostureLabel indices, -1 for an unlabeled record; participants (str),
+    orientations_deg and distances_m carry the capture metadata. Record order
+    is part of the identity: split determinism depends on it.
     """
 
-    observations: tuple[Observation, ...]
+    positions: np.ndarray
+    labels: np.ndarray
+    participants: np.ndarray
+    orientations_deg: np.ndarray
+    distances_m: np.ndarray
     fingerprint: str
 
+    def __post_init__(self):
+        for f in fields(self)[:-1]:  # every field but the fingerprint is a column
+            getattr(self, f.name).setflags(write=False)
+
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.labels)
 
     def skeletons(self) -> list[Skeleton]:
-        return [o.skeleton for o in self.observations]
+        """One Skeleton per record, each a view of its row of positions."""
+        return [Skeleton(p) for p in self.positions]
+
+    @property
+    def observations(self) -> tuple[Observation, ...]:
+        labels = [None if y < 0 else PostureLabel(y) for y in self.labels.tolist()]
+        return tuple(map(Observation, self.skeletons(), labels, self.participants,
+                         self.orientations_deg.tolist(), self.distances_m.tolist()))
 
     def label_indices(self) -> np.ndarray:
-        out = np.empty(len(self.observations), dtype=np.int64)
-        for i, obs in enumerate(self.observations):
-            if obs.label is None:
-                raise DataError(f"record {i} has no label")
-            out[i] = int(obs.label)
-        return out
+        if self.labels.min(initial=0) < 0:  # argmin: the first -1
+            raise DataError(f"record {self.labels.argmin()} has no label")
+        return self.labels
 
 
 def _dumps(obj) -> str:
@@ -86,10 +102,7 @@ def _dumps(obj) -> str:
 
 def record_line(obs: Observation) -> str:
     """Canonical one-line serialization of an observation."""
-    joints = {
-        name: [float(v) for v in obs.skeleton.positions[int(j)]]
-        for name, j in zip(JOINT_NAMES, JointId)
-    }
+    joints = dict(zip(JOINT_NAMES, obs.skeleton.positions.tolist()))
     rec = {
         "participant": obs.participant_id,
         "label": obs.label.name if obs.label is not None else None,
@@ -100,17 +113,12 @@ def record_line(obs: Observation) -> str:
     return _dumps(rec)
 
 
-def _fingerprint_lines(lines: list[str]) -> str:
+def _fingerprint_lines(lines) -> str:
     h = hashlib.sha256()
     for line in lines:
         h.update(line.encode())
         h.update(b"\n")
     return h.hexdigest()[:16]
-
-
-def dataset_from_observations(observations) -> LabeledDataset:
-    obs = tuple(observations)
-    return LabeledDataset(obs, _fingerprint_lines([record_line(o) for o in obs]))
 
 
 def save_dataset(ds: LabeledDataset, path, generator: dict | None = None) -> None:
@@ -143,8 +151,7 @@ def load_dataset(path) -> LabeledDataset:
     if header.get("joint_checksum") != _JOINT_CHECKSUM:
         raise ParseError(1, "joint-order checksum mismatch")
 
-    observations = []
-    record_lines = []
+    positions, labels, metadata, record_lines = [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -152,29 +159,33 @@ def load_dataset(path) -> LabeledDataset:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise ParseError(lineno, f"bad record: {e.msg}") from None
-        if not isinstance(rec, dict) or "joints" not in rec:
+        if not isinstance(rec, dict) or not isinstance(rec.get("joints"), dict):
             raise ParseError(lineno, "record must be an object with a 'joints' map")
-        label = None
-        if rec.get("label") is not None:
-            name = rec["label"]
-            if not isinstance(name, str):
-                raise UnknownLabel(str(name), lineno)
-            label = label_from_name(name, lineno)
-        skeleton = validate_skeleton(rec["joints"], line=lineno)
+        label = rec.get("label")
+        if label is not None and not isinstance(label, str):
+            raise UnknownLabel(str(label), lineno)
+        labels.append(-1 if label is None else label_from_name(label, lineno))
+        try:  # one conversion; a malformed record goes through validate_skeleton
+            pos = np.array([rec["joints"][name] for name in JOINT_NAMES])
+            ok = pos.shape == (NUM_JOINTS, 3) and pos.dtype.kind in "iuf"
+            ok = ok and np.isfinite(pos).all()
+        except (KeyError, TypeError, ValueError):
+            ok = False
+        positions.append(pos if ok else validate_skeleton(rec["joints"], line=lineno).positions)
         camera = rec.get("orientation_deg", 0.0), rec.get("distance_m", 0.0)
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in camera):
+        if not all(map(finite_real, camera)):
             raise ParseError(lineno, f"orientation_deg/distance_m must be finite numbers: {camera}")
-        observations.append(
-            Observation(
-                skeleton=skeleton,
-                label=label,
-                participant_id=str(rec.get("participant", "")),
-                orientation_deg=float(camera[0]),
-                distance_m=float(camera[1]),
-            )
-        )
+        metadata.append((str(rec.get("participant", "")), *camera))
         record_lines.append(line)
-    return LabeledDataset(tuple(observations), _fingerprint_lines(record_lines))
+    participants, orientations, distances = np.array(metadata, dtype=object).reshape(-1, 3).T
+    return LabeledDataset(
+        np.array(positions, dtype=np.float64).reshape(-1, NUM_JOINTS, 3),
+        np.array(labels, dtype=np.int64),
+        participants,
+        orientations.astype(np.float64),
+        distances.astype(np.float64),
+        _fingerprint_lines(record_lines),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,37 +226,26 @@ class SynthSpec:
         return encode(SynthSpec, self)
 
 
-def _synth_record(spec: SynthSpec, label: PostureLabel, counter: int) -> Observation:
-    # Counter-based per-record seeding: parallel and sequential generation agree.
-    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, counter)))
-    orientation = float(rng.choice(spec.orientations_deg))
-    distance = float(rng.choice(spec.distances_m))
-    scale = float(rng.uniform(*spec.scale_range))
-    participant = int(rng.integers(spec.participants))
-
-    pos = POSE_TEMPLATES[label] * scale
-    pos = pos @ rotation_about_y(math.radians(orientation)).T
-    pos = pos + np.array([0.0, 0.0, distance])
-    if spec.noise_std_m > 0:
-        pos = pos + rng.normal(0.0, spec.noise_std_m, pos.shape)
-    return Observation(
-        skeleton=Skeleton(pos),
-        label=label,
-        participant_id=f"p{participant:02d}",
-        orientation_deg=orientation,
-        distance_m=distance,
-    )
-
-
 def synth_generate(spec: SynthSpec) -> LabeledDataset:
     """Seeded synthetic dataset mirroring the acquisition protocol's shape."""
-    observations = []
-    counter = 0
-    for label in PostureLabel:
-        for _ in range(spec.per_class):
-            observations.append(_synth_record(spec, label, counter))
-            counter += 1
-    return dataset_from_observations(observations)
+    labels = np.repeat(np.arange(len(PostureLabel)), spec.per_class)
+    # Counter-based per-record seeding: parallel and sequential generation
+    # agree. Each record's generator yields its draws in the order below.
+    rngs = [np.random.default_rng((spec.seed, c)) for c in range(len(labels))]
+    orientations = np.array([r.choice(spec.orientations_deg) for r in rngs])
+    distances = np.array([r.choice(spec.distances_m) for r in rngs])
+    scales = np.array([r.uniform(*spec.scale_range) for r in rngs])
+    participants = np.array([f"p{r.integers(spec.participants):02d}" for r in rngs], dtype=object)
+    rotations = np.array([rotation_about_y(math.radians(o)) for o in spec.orientations_deg])
+    rotations = rotations[np.searchsorted(spec.orientations_deg, orientations)]  # sorted set
+    offsets = np.zeros((len(labels), 1, 3))
+    offsets[:, 0, 2] = distances
+    pos = np.array([POSE_TEMPLATES[label] for label in PostureLabel])[labels]
+    pos = pos * scales[:, None, None] @ rotations.transpose(0, 2, 1) + offsets
+    if spec.noise_std_m > 0:
+        pos = pos + np.array([r.normal(0.0, spec.noise_std_m, (NUM_JOINTS, 3)) for r in rngs])
+    ds = LabeledDataset(pos, labels, participants, orientations, distances, "")
+    return replace(ds, fingerprint=_fingerprint_lines(map(record_line, ds.observations)))
 
 
 # ---------------------------------------------------------------------------

@@ -74,13 +74,12 @@ def stratified_split(
     """
     labels = ds.label_indices()
     n = labels.shape[0]
-    strata: dict = {}
-    for i, obs in enumerate(ds.observations):
-        if spec.stratify_by == "label":
-            key = (int(labels[i]),)
-        else:
-            key = (int(labels[i]), obs.participant_id)
-        strata.setdefault(key, []).append(i)
+    if spec.stratify_by == "label":
+        keys = labels
+    else:  # (label, participant) in tuple order: participants by sorted rank
+        participants, ranks = np.unique(ds.participants, return_inverse=True)
+        keys = labels * len(participants) + ranks
+    _, strata = np.unique(keys, return_inverse=True)
 
     class_sizes = np.bincount(labels, minlength=NUM_CLASSES)
     for k in np.flatnonzero(class_sizes):
@@ -90,28 +89,20 @@ def stratified_split(
                 "observation(s); need at least 2 to split"
             )
 
-    keys = sorted(strata.keys())
-    base = {}
-    remainder = {}
-    for key in keys:
-        exact = spec.train_fraction * len(strata[key])
-        base[key] = int(math.floor(exact))
-        remainder[key] = exact - base[key]
+    sizes = np.bincount(strata)
+    exact = spec.train_fraction * sizes
+    base = np.floor(exact).astype(np.int64)
     target_total = int(math.floor(spec.train_fraction * n + 0.5))
-    extras = target_total - sum(base.values())
-    for key in sorted(keys, key=lambda k: (-remainder[k], k))[:extras]:
-        base[key] += 1
+    extras = target_total - int(base.sum())
+    base[np.argsort(base - exact, kind="stable")[:extras]] += 1
 
     rng = np.random.default_rng(spec.seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for key in keys:
-        members = np.array(strata[key], dtype=np.int64)
-        rng.shuffle(members)
-        take = base[key]
-        train_idx.extend(members[:take].tolist())
-        test_idx.extend(members[take:].tolist())
-    return np.array(sorted(train_idx)), np.array(sorted(test_idx))
+    train = np.zeros(n, dtype=bool)
+    members = np.split(np.argsort(strata, kind="stable"), np.cumsum(sizes)[:-1])
+    for stratum, take in zip(members, base):
+        rng.shuffle(stratum)
+        train[stratum[:take]] = True
+    return np.flatnonzero(train), np.flatnonzero(~train)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ confusion matrix layout depend on them, as does the dataset file format
 """
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -191,6 +192,11 @@ class Observation:
     distance_m: float = 0.0
 
 
+def finite_real(value) -> bool:
+    """True for a real number (not a string) of finite float magnitude."""
+    return isinstance(value, Real) and abs(value) <= sys.float_info.max
+
+
 def validate_skeleton(
     raw: Mapping[str, Iterable[float]], line: int | None = None
 ) -> Skeleton:
@@ -201,21 +207,18 @@ def validate_skeleton(
 
     Raises:
         MissingJoint: a canonical joint name is absent.
-        NonFiniteCoordinate: a coordinate is NaN/inf, or not 3 numbers.
+        NonFiniteCoordinate: a coordinate is NaN/inf or not a number, or not 3 of them.
     """
     pos = np.empty((NUM_JOINTS, 3), dtype=np.float64)
     for j in JointId:
         if j.name not in raw:
             raise MissingJoint(j.name, line)
-        coords = list(raw[j.name])
+        coords = raw[j.name]
+        coords = () if isinstance(coords, str) or not isinstance(coords, Iterable) else list(coords)
         if len(coords) != 3:
             raise NonFiniteCoordinate(j.name, "xyz", line)
         for axis, value in zip("xyz", coords):
-            try:
-                v = float(value)
-            except (TypeError, ValueError):
-                raise NonFiniteCoordinate(j.name, axis, line) from None
-            if not math.isfinite(v):
+            if not finite_real(value):
                 raise NonFiniteCoordinate(j.name, axis, line)
         pos[int(j)] = coords
     return Skeleton(pos)

@@ -46,7 +46,21 @@ REJECTED_SPEC_VALUES = {
     "config-format-evaluate": (["evaluate"], {"format": "xml"}, None),
     "config-format-grid": (["grid"], {"format": "csv"}, None),
     "config-classifiers-number": (["grid"], {"classifiers": 3}, None),
+    "config-per-class-fraction": (["synth"], {"per-class": 2.9}, None),
+    "config-seed-fraction": (["synth"], {"seed": 1.7}, None),
+    "config-participants-fraction": (["synth"], {"participants": 3.5}, None),
+    "config-per-class-infinite": (["synth"], {"per-class": float("inf")}, None),
+    "config-noise-beyond-float": (["synth"], {"noise": 10**400}, None),
+    "config-angle-mode-number": (["featurize"], {"angle-mode": 3}, None),
 }
+
+# Cases above whose config value has the wrong kind: the message names the key.
+WRONG_KIND_CONFIG_CASES = (
+    "config-per-class-null", "config-noise-object", "config-seed-null",
+    "config-train-fraction-list", "config-seed-list", "config-per-class-fraction",
+    "config-seed-fraction", "config-participants-fraction", "config-per-class-infinite",
+    "config-noise-beyond-float", "config-angle-mode-number",
+)
 
 
 class TestSynthCommand:
@@ -117,6 +131,18 @@ class TestUsageErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", WRONG_KIND_CONFIG_CASES)
+    def test_wrong_kind_config_value_names_key(self, tmp_path, dataset_path, capsys, case):
+        argv, config, _ = REJECTED_SPEC_VALUES[case]
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        files = ["--out", str(tmp_path / "out")]
+        if argv[0] != "synth":
+            files = ["--data", str(dataset_path)]
+        capsys.readouterr()
+        assert run(["--config", str(tmp_path / "config.json"), *argv, *files]) == 1
+        (key,) = config
+        assert capsys.readouterr().err.startswith(f"usage error: {key}: ")
+
     def test_svm_hyperparameters_do_not_constrain_lda(self, dataset_path):
         args = ["evaluate", "--data", str(dataset_path), "--classifier", "lda"]
         assert run([*args, "--c", "0", "--tol", "0"]) == 0
@@ -154,6 +180,35 @@ class TestDataErrors:
         dataset_path.write_text("\n".join(lines) + "\n")
         assert run(["featurize", "--data", str(dataset_path), "--out", "-"]) == 2
         assert capsys.readouterr().err.startswith("data error: line 5:")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rec: rec.update(orientation_deg=10**400),
+            lambda rec: rec.update(distance_m=10**400),
+            lambda rec: rec["joints"]["Head"].__setitem__(0, 10**400),
+            lambda rec: rec["joints"].update(Head="123"),
+            lambda rec: rec["joints"].update(Head=["1.5", 2, 3]),
+        ],
+        ids=["orientation-beyond-float", "distance-beyond-float", "coordinate-beyond-float",
+             "string-joint", "string-coordinate"],
+    )
+    def test_unreadable_number_is_exit_2_with_line(self, dataset_path, capsys, edit):
+        lines = dataset_path.read_text().splitlines()
+        rec = json.loads(lines[4])
+        edit(rec)
+        lines[4] = json.dumps(rec)
+        dataset_path.write_text("\n".join(lines) + "\n")
+        assert run(["featurize", "--data", str(dataset_path), "--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "line 5" in err and "Traceback" not in err
+
+    def test_split_without_test_records_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "tiny.jsonl"
+        assert run(["synth", "--seed", "0", "--per-class", "7", "--out", str(path)]) == 0
+        argv = ["evaluate", "--data", str(path), "--classifier", "lda", "--train-fraction", "0.99"]
+        assert run(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_degenerate_skeleton_is_exit_3(self, tmp_path, capsys):
         # all joints coincident: the distance normalizer cannot be formed

@@ -22,6 +22,7 @@ from posturelab.dataset import (
 )
 from posturelab.errors import (
     CorruptModel,
+    DataError,
     MissingJoint,
     NonFiniteCoordinate,
     ParseError,
@@ -29,6 +30,7 @@ from posturelab.errors import (
     VersionMismatch,
 )
 from posturelab.features import FeatureConfig, extract, extract_matrix
+from posturelab.skeleton import JOINT_NAMES, validate_skeleton
 
 
 def write_dataset(tmp_path, name="ds.jsonl", **spec_kwargs):
@@ -135,6 +137,120 @@ class TestDatasetFile:
         lines[1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
         path.write_text("\n".join(lines) + "\n")
         assert load_dataset(path).fingerprint != ds.fingerprint
+
+
+def rewrite_records(path, edits):
+    """Apply edit(record) to the records on the given 1-based file lines."""
+    lines = path.read_text().splitlines()
+    for lineno, edit in edits.items():
+        rec = json.loads(lines[lineno - 1])
+        edit(rec)
+        lines[lineno - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestColumns:
+    def test_layout(self):
+        ds = synth_generate(SynthSpec(seed=3, per_class=4))
+        assert ds.positions.shape == (20, 25, 3) and ds.positions.dtype == np.float64
+        assert ds.positions.flags.c_contiguous
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [k for k in range(5) for _ in range(4)]
+        for obs, p, o, d in zip(ds.observations, ds.participants,
+                                ds.orientations_deg, ds.distances_m):
+            assert (obs.participant_id, obs.orientation_deg, obs.distance_m) == (p, o, d)
+
+    @pytest.mark.parametrize(
+        "column", ["positions", "labels", "participants", "orientations_deg", "distances_m"]
+    )
+    def test_columns_are_read_only(self, tmp_path, column):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        for dataset in (ds, load_dataset(path)):
+            with pytest.raises(ValueError):
+                getattr(dataset, column)[0] = getattr(dataset, column)[1]
+
+    def test_skeletons_are_views_of_positions(self, tmp_path):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        for dataset in (ds, load_dataset(path)):
+            for i, skel in enumerate(dataset.skeletons()):
+                assert np.shares_memory(skel.positions, dataset.positions)
+                assert np.array_equal(skel.positions, dataset.positions[i])
+
+    def test_loaded_columns_equal_generated(self, tmp_path):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=5)
+        loaded = load_dataset(path)
+        for column in ("positions", "labels", "participants", "orientations_deg", "distances_m"):
+            assert np.array_equal(getattr(loaded, column), getattr(ds, column)), column
+
+    def test_unlabeled_record_reads_minus_one(self, tmp_path):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        rewrite_records(path, {4: lambda rec: rec.update(label=None)})
+        loaded = load_dataset(path)
+        assert loaded.labels[2] == -1 and loaded.labels.min() == -1
+        with pytest.raises(DataError, match="record 2 has no label"):
+            loaded.label_indices()
+
+    def test_header_only_file_is_an_empty_dataset(self, tmp_path):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=1)
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        loaded = load_dataset(path)
+        assert len(loaded) == 0 and loaded.positions.shape == (0, 25, 3)
+        assert loaded.observations == ()
+
+
+# Joint values both validate_skeleton and the loader reject: value -> axis named
+BAD_JOINT_VALUES = {
+    "string-joint": ("123", "xyz"),
+    "string-coordinate": (["1.5", 2, 3], "x"),
+    "number-joint": (5, "xyz"),
+    "nested-coordinates": ([[1.0], [2.0], [3.0]], "x"),
+    "four-coordinates": ([1.0, 2.0, 3.0, 4.0], "xyz"),
+    "null-coordinate": ([1.0, None, 3.0], "y"),
+    "huge-integer": ([1.0, 2.0, 10**400], "z"),
+    "object-coordinate": ([1.0, 2.0, {"m": 3}], "z"),
+}
+
+
+class TestBadJoints:
+    @pytest.mark.parametrize("value, axis", BAD_JOINT_VALUES.values(), ids=BAD_JOINT_VALUES)
+    def test_validate_skeleton_rejects(self, value, axis):
+        raw = {name: [0.0, float(i), 1.0] for i, name in enumerate(JOINT_NAMES)}
+        raw["Head"] = value
+        with pytest.raises(NonFiniteCoordinate) as exc:
+            validate_skeleton(raw, line=7)
+        assert (exc.value.joint, exc.value.axis, exc.value.line) == ("Head", axis, 7)
+
+    @pytest.mark.parametrize("value, axis", BAD_JOINT_VALUES.values(), ids=BAD_JOINT_VALUES)
+    def test_loader_rejects(self, tmp_path, value, axis):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        rewrite_records(path, {4: lambda rec: rec["joints"].update(Head=value)})
+        with pytest.raises(NonFiniteCoordinate) as exc:
+            load_dataset(path)
+        assert (exc.value.joint, exc.value.axis, exc.value.line) == ("Head", axis, 4)
+
+    def test_integer_coordinates_load_as_floats(self, tmp_path):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        rewrite_records(path, {2: lambda rec: rec["joints"].update(Head=[1, 2, 3])})
+        loaded = load_dataset(path)
+        assert loaded.positions.dtype == np.float64
+        assert loaded.positions[0, 3].tolist() == [1.0, 2.0, 3.0]
+
+    def test_first_bad_line_is_reported(self, tmp_path):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        rewrite_records(path, {
+            3: lambda rec: rec["joints"]["Head"].__setitem__(1, None),
+            5: lambda rec: rec.update(label="Jumping"),
+        })
+        with pytest.raises(NonFiniteCoordinate) as exc:
+            load_dataset(path)
+        assert exc.value.line == 3
+
+    def test_joints_must_be_a_map(self, tmp_path):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        rewrite_records(path, {3: lambda rec: rec.update(joints=5)})
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert exc.value.line == 3
 
 
 class TestSynthGenerate:

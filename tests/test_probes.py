@@ -1,0 +1,37 @@
+"""The benchmark's span probes (perfbench/tracer.py) wrap attributes of the
+package by name. A refactor that drops or renames one must fail here, not in
+the middle of a benchmark run."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from posturelab.cli import run
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_probes_install_record_and_restore(tracer, tmp_path):
+    originals = [(owner, attr, owner.__dict__[attr])
+                 for owner, attr, *_ in tracer._probe_table()]
+    tr = tracer.Tracer()
+    probes = tracer.Probes(tr)
+    try:
+        assert all(owner.__dict__[attr] is not fn for owner, attr, fn in originals)
+        tr.begin_op("probe-check", 0, True)
+        path = tmp_path / "ds.jsonl"
+        assert run(["synth", "--seed", "1", "--per-class", "4", "--out", str(path)]) == 0
+        assert run(["evaluate", "--data", str(path), "--classifier", "lda"]) == 0
+    finally:
+        probes.remove()
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
+    for name in ("dataset.synth", "dataset.load", "evaluation.split", "features.extract_matrix"):
+        assert name in tr.names
