@@ -4,12 +4,19 @@ Four model kinds: one-vs-one SVM (trained by SMO), linear and quadratic
 Gaussian discriminants, and exact 1-nearest-neighbor. Every kind standardizes
 features with statistics fitted on its own training set, so kernel scales and
 distances are comparable across feature families.
+
+Every fitted model has one scorer, which maps standardized rows to class
+indices with a few BLAS calls. It is built from the fitted parameters on the
+model's first prediction and cached on the instance. It is not a dataclass
+field, so it is never saved: a model file has the same bytes whether or not
+the model has predicted.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from functools import cached_property
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -24,10 +31,13 @@ from .errors import (
 from .features import FeatureVector
 from .kernels import KernelSpec, linear_kernel, polynomial_kernel
 from .skeleton import NUM_CLASSES, PostureLabel
-from .svm import BinarySvmModel, decision_function, smo_train
+# decision_function scores one machine: the reference for OvoSvmModel.decisions,
+# and an attribute that perfbench probes here.
+from .svm import BinarySvmModel, decision_function, smo_train  # noqa: F401
 
 COVARIANCE_RIDGE = 1e-6  # lambda in Sigma + lambda * (trace/d) * I
 ZERO_STD_FLOOR = 1e-12  # features with stddev below this are stored with std 1
+_KNN_BLOCK = 256  # query rows per 1-NN filter step
 
 # Auto kernel scale: 4 * sqrt(n_features). For standardized features the
 # polynomial kernel argument x.y/scale^2 then stays well above -1, keeping
@@ -114,6 +124,28 @@ def vote_from_decisions(
     return int(tied[0]), votes, margins
 
 
+def vote_batch(
+    pairs: Sequence[tuple[int, int]], decisions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """vote_from_decisions of every row of an (n, len(pairs)) decision table.
+
+    Each class's margin takes the same float additions in the same pair
+    order, so margin ties break as in vote_from_decisions. Returns (winner
+    per row, votes per row and class).
+    """
+    # the class that each duel's vote goes to
+    voted = np.where(decisions >= 0.0, *np.reshape(pairs, (-1, 2)).T)
+    votes = (voted[:, :, None] == np.arange(NUM_CLASSES)).sum(axis=1)
+    margins = np.zeros((NUM_CLASSES, decisions.shape[0]))
+    for (a, b), d in zip(pairs, decisions.T):
+        margins[a] += d
+        margins[b] -= d
+    tied = votes == votes.max(axis=1, keepdims=True)
+    margins = np.where(tied, margins.T, -np.inf)
+    top = tied & ~(margins < margins.max(axis=1, keepdims=True))
+    return np.argmax(top, axis=1), votes
+
+
 @dataclass(frozen=True)
 class MulticlassModel:
     """Shared fields of every fitted five-class model."""
@@ -127,6 +159,11 @@ class MulticlassModel:
     @property
     def dim(self) -> int:
         return self.standardizer.dim
+
+    @cached_property
+    def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Class indices of standardized (n, d) rows; built once, never saved."""
+        raise TypeError(f"not a multiclass model: {type(self)!r}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +182,32 @@ class OvoSvmModel(MulticlassModel):
     def converged(self) -> bool:
         return self.nonconverged == 0
 
+    @cached_property
+    def decisions(self) -> Callable[[np.ndarray], np.ndarray]:
+        """(n, machines) decision values of standardized rows.
+
+        One Gram product against the distinct support vectors of all the
+        machines, then one product with their dual coefficients, a column
+        per machine. The values match decision_function's to rounding.
+        """
+        svs = [m.support_vectors for m in self.machines if m.support_vectors.size]
+        if any(sv.shape[1] != self.dim for sv in svs):
+            raise DimensionMismatch(f"support vectors do not have {self.dim} features")
+        union, rows = np.unique(
+            np.concatenate(svs or [np.empty((0, self.dim))]), axis=0, return_inverse=True
+        )
+        cols = np.repeat(np.arange(len(self.machines)), [m.dual_coef.size for m in self.machines])
+        coefs = np.zeros((union.shape[0], len(self.machines)))
+        np.add.at(coefs, (rows.ravel(), cols), np.concatenate([m.dual_coef for m in self.machines]))
+        biases = np.array([m.bias for m in self.machines])
+        kernel = self.machines[0].kernel  # ovo_train gives every machine one kernel
+        return lambda Xs: kernel.gram(Xs, union) @ coefs + biases
+
+    @cached_property
+    def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
+        decisions, pairs = self.decisions, self.pairs
+        return lambda Xs: vote_batch(pairs, decisions(Xs))[0]
+
 
 @dataclass(frozen=True)
 class LdaModel(MulticlassModel):
@@ -154,6 +217,14 @@ class LdaModel(MulticlassModel):
     log_priors: npt.NDArray[np.float64] = None
 
     kind: ClassVar[str] = "lda"
+
+    @cached_property
+    def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
+        coef = self.precision @ self.means.T  # (d, K)
+        intercept = -0.5 * np.einsum("kd,dk->k", self.means, coef) + self.log_priors
+        classes = np.asarray(self.classes)
+        # argmax ties go to the lowest class index.
+        return lambda Xs: classes[np.argmax(Xs @ coef + intercept, axis=1)]
 
 
 @dataclass(frozen=True)
@@ -166,6 +237,24 @@ class QdaModel(MulticlassModel):
 
     kind: ClassVar[str] = "qda"
 
+    @cached_property
+    def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Sphering (ESL 4.3): with precision_k = L_k L_k', the Mahalanobis
+        term is |(x - mu_k) L_k|^2, one matrix product per class."""
+        whiteners = [
+            _cholesky(p, f"class {k} precision") for p, k in zip(self.precisions, self.classes)
+        ]
+        means, log_dets, log_priors = self.means, self.log_dets, self.log_priors
+        classes = np.asarray(self.classes)
+
+        def score(Xs: np.ndarray) -> np.ndarray:
+            maha = np.column_stack(
+                [np.square((Xs - mu) @ L).sum(axis=1) for mu, L in zip(means, whiteners)]
+            )
+            return classes[np.argmax(-0.5 * log_dets - 0.5 * maha + log_priors, axis=1)]
+
+        return score
+
 
 @dataclass(frozen=True)
 class Knn1Model(MulticlassModel):
@@ -173,6 +262,42 @@ class Knn1Model(MulticlassModel):
     labels: npt.NDArray[np.int64] = None
 
     kind: ClassVar[str] = "knn1"
+
+    @cached_property
+    def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Label of the nearest point, bit for bit as the loop that takes, per
+        query z, the first argmin of ((points - z)**2).sum(axis=1).
+
+        The BLAS expansion |z|^2 - 2 z.p + |p|^2 and that loop's sum each
+        differ from the true squared distance by at most 3 gamma_{d+2}
+        (|z|^2 + |p|^2) (Higham, Accuracy and Stability of Numerical
+        Algorithms, 3.1); the slack of 8 gamma_{d+2} also covers the rounding
+        of the bound arithmetic. A point whose expansion minus slack exceeds
+        the smallest expansion plus slack cannot be the loop's minimum; the
+        loop's own arithmetic ranks the rest, in index order.
+        """
+        points, labels = self.points, self.labels
+        sq_points = np.einsum("nd,nd->n", points, points)
+        dk = (points.shape[1] + 2) * np.finfo(np.float64).eps / 2
+        rel = 8.0 * dk / (1.0 - dk)
+
+        def score(Xs: np.ndarray) -> np.ndarray:
+            out = np.empty(Xs.shape[0], dtype=np.int64)
+            for lo in range(0, Xs.shape[0], _KNN_BLOCK):
+                Z = Xs[lo : lo + _KNN_BLOCK]
+                size = np.einsum("nd,nd->n", Z, Z)[:, None] + sq_points
+                approx = size - 2.0 * (Z @ points.T)
+                slack = rel * size + np.finfo(np.float64).tiny  # tiny: underflow
+                bound = (approx + slack).min(axis=1, keepdims=True)
+                rows, cols = np.nonzero(~(approx - slack > bound))  # NaN: keep
+                d2 = ((points[cols] - Z[rows]) ** 2).sum(axis=1)
+                d2[np.isnan(d2)] = -np.inf  # np.argmin takes the first NaN
+                order = np.lexsort((cols, d2, rows))
+                first = order[np.flatnonzero(np.diff(rows, prepend=-1))]
+                out[lo : lo + Z.shape[0]] = labels[cols[first]]
+            return out
+
+        return score
 
 
 def _feature_row(model: MulticlassModel, x) -> np.ndarray:
@@ -240,20 +365,11 @@ def ovo_train(
     )
 
 
-def _ovo_votes(
-    model: OvoSvmModel, Xs: np.ndarray
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """vote_from_decisions of every standardized row."""
-    # tolist() keeps the per-row voting loop on Python floats.
-    decisions = [decision_function(m, Xs).tolist() for m in model.machines]
-    return [vote_from_decisions(model.pairs, row) for row in zip(*decisions)]
-
-
 def ovo_predict(model: OvoSvmModel, x) -> tuple[PostureLabel, dict[PostureLabel, int]]:
     """Majority vote over the pairwise machines for one feature vector."""
     xs = model.standardizer.transform(_feature_row(model, x))
-    winner, votes, _ = _ovo_votes(model, xs)[0]
-    return PostureLabel(winner), {label: int(votes[label]) for label in PostureLabel}
+    winners, votes = vote_batch(model.pairs, model.decisions(xs))
+    return PostureLabel(int(winners[0])), {label: int(votes[0, label]) for label in PostureLabel}
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +382,17 @@ def _regularized(cov: np.ndarray) -> np.ndarray:
     return cov + ridge * np.eye(d)
 
 
-def _chol_logdet(cov: np.ndarray, what: str) -> float:
+def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
     try:
-        chol = np.linalg.cholesky(cov)
+        return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         raise DegenerateCovariance(
-            f"{what} covariance is singular even after regularization"
+            f"{what} is singular even after regularization"
         ) from None
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+
+
+def _chol_logdet(cov: np.ndarray, what: str) -> float:
+    return float(2.0 * np.sum(np.log(np.diag(_cholesky(cov, f"{what} covariance")))))
 
 
 def _gaussian_fit(X: np.ndarray, y: np.ndarray):
@@ -338,23 +457,6 @@ def qda_train(
         log_dets=np.array(log_dets),
         log_priors=log_priors,
     )
-
-
-def _lda_scores(model: LdaModel, Xs: np.ndarray) -> np.ndarray:
-    coef = model.precision @ model.means.T  # (d, K)
-    intercept = -0.5 * np.einsum("kd,dk->k", model.means, coef) + model.log_priors
-    return Xs @ coef + intercept
-
-
-def _qda_scores(model: QdaModel, Xs: np.ndarray) -> np.ndarray:
-    scores = np.empty((Xs.shape[0], len(model.classes)))
-    for idx in range(len(model.classes)):
-        centered = Xs - model.means[idx]
-        maha = np.einsum("nd,de,ne->n", centered, model.precisions[idx], centered)
-        scores[:, idx] = (
-            -0.5 * model.log_dets[idx] - 0.5 * maha + model.log_priors[idx]
-        )
-    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -459,22 +561,4 @@ def predict_batch(model: MulticlassModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatch("expected an (n, d) matrix")
-    Xs = model.standardizer.transform(X)
-    if isinstance(model, OvoSvmModel):
-        return np.array([w for w, _, _ in _ovo_votes(model, Xs)], dtype=np.int64)
-    if isinstance(model, Knn1Model):
-        # np.argmin returns the first minimum, so exact distance ties resolve
-        # to the lowest training-record index.
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for i in range(X.shape[0]):
-            d2 = ((model.points - Xs[i]) ** 2).sum(axis=1)
-            out[i] = model.labels[int(np.argmin(d2))]
-        return out
-    if isinstance(model, LdaModel):
-        scores = _lda_scores(model, Xs)
-    elif isinstance(model, QdaModel):
-        scores = _qda_scores(model, Xs)
-    else:
-        raise TypeError(f"not a multiclass model: {type(model)!r}")
-    # argmax ties go to the lowest class index.
-    return np.asarray(model.classes)[np.argmax(scores, axis=1)]
+    return model.scorer(model.standardizer.transform(X))

@@ -214,12 +214,12 @@ class SynthSpec:
             raise ValueError("per_class and participants must be positive")
         if not (math.isfinite(self.noise_std_m) and self.noise_std_m >= 0):
             raise ValueError("noise stddev must be a finite number >= 0")
-        if not 0 < self.scale_range[0] <= self.scale_range[1]:
-            raise ValueError("scale range must satisfy 0 < min <= max")
+        if not 0 < self.scale_range[0] <= self.scale_range[1] < math.inf:
+            raise ValueError("scale range must be finite and satisfy 0 < min <= max")
         for name in ("orientations_deg", "distances_m"):
             values = tuple(sorted(float(v) for v in getattr(self, name)))
-            if not values:
-                raise ValueError(f"{name} must not be empty")
+            if not (values and all(map(math.isfinite, values))):
+                raise ValueError(f"{name} must be finite and not empty")
             object.__setattr__(self, name, values)
 
     def to_dict(self) -> dict:

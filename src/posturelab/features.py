@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateNormalizer, ZeroLengthSegment
+from .errors import DegenerateNormalizer, NumericError, ZeroLengthSegment
 from .skeleton import (
     ADJACENT_ANGLE_TRIPLES,
     BONES,
@@ -161,6 +161,16 @@ def _values(pos: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values, or NumericError naming the first record (row) with a non-finite
+    entry: finite coordinates so large that the geometry overflows."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=-1))
+    if bad.size:
+        record = f"record {bad[0]}: " if values.ndim > 1 else ""
+        raise NumericError(f"{record}feature values overflow; the coordinates are too large")
+    return values
+
+
 def normalizer(skel: Skeleton) -> float:
     """Length of the SpineShoulder-SpineMid segment (the scale reference).
 
@@ -203,11 +213,13 @@ def angle_features(
     return _angles_at(skel.positions, *_ANGLE_TRIPLES[AngleMode(mode)])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
 def extract(skel: Skeleton, cfg: FeatureConfig) -> FeatureVector:
     """Feature vector for one skeleton under ``cfg``: distances, then angles."""
-    return FeatureVector(_values(skel.positions, cfg), config_fingerprint(cfg))
+    return FeatureVector(_finite(_values(skel.positions, cfg)), config_fingerprint(cfg))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
 def extract_matrix(skeletons, cfg: FeatureConfig) -> tuple[np.ndarray, str]:
     """(n, d) matrix whose row i equals extract(skeletons[i], cfg).values.
 
@@ -220,4 +232,4 @@ def extract_matrix(skeletons, cfg: FeatureConfig) -> tuple[np.ndarray, str]:
     X = np.empty((len(pos), cfg.length))
     for lo in range(0, len(pos), _BLOCK):
         X[lo : lo + _BLOCK] = _values(pos[lo : lo + _BLOCK], cfg)
-    return X, fingerprint
+    return _finite(X), fingerprint

@@ -4,6 +4,8 @@ import pytest
 from posturelab.classifiers import (
     CLASSIFIER_NAMES,
     ClassifierSpec,
+    Knn1Model,
+    Standardizer,
     fit_standardizer,
     knn1_predict,
     knn1_train,
@@ -14,6 +16,7 @@ from posturelab.classifiers import (
     predict_label,
     qda_train,
     train_classifier,
+    vote_batch,
     vote_from_decisions,
 )
 from posturelab.errors import (
@@ -130,6 +133,27 @@ class TestVoting:
             tied = [k for k in tied if favor[k] == best_margin]
             assert winner == min(tied)
             assert [votes[k] for k in range(5)] == [tally[k] for k in range(5)]
+
+    @pytest.mark.parametrize("pairs", [PAIRS, ((0, 2), (0, 4), (2, 4)), ((1, 3),)])
+    def test_vote_batch_matches_oracle_row_by_row(self, rng, pairs):
+        tables = [
+            rng.normal(size=(500, len(pairs))),
+            rng.choice([-1.0, 0.0, 1.0], size=(2000, len(pairs))),
+            # sums of these depend on the order of additions
+            rng.choice([-0.3, -0.1, 0.0, 0.1, 0.2, 0.7], size=(2000, len(pairs))),
+        ]
+        vote_ties = margin_ties = 0
+        for table in tables:
+            winners, votes = vote_batch(pairs, table)
+            for row, winner, row_votes in zip(table, winners, votes):
+                expected, expected_votes, margins = vote_from_decisions(pairs, row)
+                assert winner == expected
+                assert np.array_equal(row_votes, expected_votes)
+                tied = np.flatnonzero(expected_votes == expected_votes.max())
+                vote_ties += tied.size > 1
+                margin_ties += np.count_nonzero(margins[tied] == margins[tied].max()) > 1
+        if len(pairs) > 1:  # one duel has one winner
+            assert vote_ties > 100 and margin_ties > 100
 
     def test_winner_invariant_under_positive_rescaling(self, rng):
         for _ in range(100):
@@ -255,6 +279,44 @@ class TestKnn1:
     def test_empty_rejected(self):
         with pytest.raises(EmptyTrainingSet):
             knn1_train(np.empty((0, 2)), np.empty(0, dtype=int))
+
+    @staticmethod
+    def row_loop(model, X):
+        """The per-query loop predict_batch must reproduce: first argmin."""
+        Z = model.standardizer.transform(X)
+        return np.array([model.labels[np.argmin(((model.points - z) ** 2).sum(axis=1))]
+                         for z in Z])
+
+    @staticmethod
+    def unscaled(points, labels):
+        """A 1-NN model over exactly these points (identity standardizer)."""
+        d = points.shape[1]
+        return Knn1Model(Standardizer(np.zeros(d), np.ones(d)), "", 0,
+                         points=points, labels=np.asarray(labels, dtype=np.int64))
+
+    def adversarial_cases(self, rng):
+        base = rng.normal(size=(60, 6))
+        dup = np.vstack([base, base[:20], base[:20]])  # same point, other labels
+        dup_labels = np.concatenate([rng.integers(5, size=60), np.arange(40) % 5])
+        queries = np.vstack([dup, base + rng.normal(scale=1e-9, size=base.shape),
+                             rng.normal(size=(300, 6))])
+        yield "duplicates", self.unscaled(dup, dup_labels), queries
+        grid = np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 3)).reshape(3, -1).T
+        halves = np.array(np.meshgrid(*[[-0.5, 0.0, 0.5]] * 3)).reshape(3, -1).T
+        yield "equidistant", self.unscaled(grid, np.arange(27) % 5), np.vstack([halves, grid])
+        for offset in (1e3, 1e6):
+            far = base + offset  # |z|^2 - 2 z.p + |p|^2 cancels to a few digits
+            queries = np.vstack([far, far[:30] + rng.normal(scale=1e-3, size=(30, 6))])
+            yield f"offset {offset:g}", self.unscaled(far, dup_labels[:60]), queries
+            tight = offset + rng.normal(scale=1e-9, size=(50, 6))  # expansion is blind
+            yield f"tight {offset:g}", self.unscaled(tight, np.arange(50) % 5), tight[::-1]
+        X = rng.normal(size=(120, 4)) * [1.0, 1e-6, 1e6, 0.0] + 1e3
+        model = knn1_train(np.vstack([X, X[:30]]), np.arange(150) % 5)
+        yield "trained, scaled columns", model, np.vstack([X, X + 1e-7])
+
+    def test_adversarial_inputs_match_row_loop(self, rng):
+        for name, model, queries in self.adversarial_cases(rng):
+            assert np.array_equal(predict_batch(model, queries), self.row_loop(model, queries)), name
 
 
 class TestFingerprints:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,9 @@ REJECTED_SPEC_VALUES = {
     "config-per-class-infinite": (["synth"], {"per-class": float("inf")}, None),
     "config-noise-beyond-float": (["synth"], {"noise": 10**400}, None),
     "config-angle-mode-number": (["featurize"], {"angle-mode": 3}, None),
+    "synth-distances-inf": (["synth", "--distances", "inf"], None, None),
+    "synth-orientations-nan": (["synth", "--orientations", "nan"], None, None),
+    "synth-scale-max-inf": (["synth", "--scale-max", "inf"], None, None),
 }
 
 # Cases above whose config value has the wrong kind: the message names the key.
@@ -223,6 +227,22 @@ class TestDataErrors:
         path.write_text("\n".join(lines) + "\n")
         assert run(["featurize", "--data", str(path), "--out", "-"]) == 3
         assert "record 0:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("features", ["distances", "angles", "combined"])
+    def test_overflowing_features_are_exit_3(self, tmp_path, capsys, features):
+        # finite coordinates near 1e308: squared lengths overflow
+        path, out = tmp_path / "huge.jsonl", tmp_path / "features.jsonl"
+        argv = ["synth", "--per-class", "2", "--scale-min", "1e308", "--scale-max", "1e308"]
+        assert run([*argv, "--out", str(path)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise here
+            code = run(["featurize", "--data", str(path), "--features", features,
+                        "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: record 0: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestPipeline:

@@ -367,6 +367,19 @@ class TestModelFile:
         save_model(ModelFile(load_model(p1).model, cfg, ds.fingerprint), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("name", CLASSIFIER_NAMES)
+    def test_scorer_is_cached_and_never_saved(self, tmp_path, name):
+        ds, cfg, X, model = self.fitted_model(name)
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        save_model(ModelFile(model, cfg, ds.fingerprint), before)
+        assert "scorer" not in vars(model)
+        labels = predict_batch(model, X)
+        scorer = vars(model)["scorer"]  # built by the first prediction
+        assert np.array_equal(predict_batch(model, X), labels)
+        assert model.scorer is scorer
+        save_model(ModelFile(model, cfg, ds.fingerprint), after)
+        assert before.read_bytes() == after.read_bytes()
+
     def test_machine_without_support_vectors_round_trips(self, tmp_path):
         ds, cfg, X, model = self.fitted_model("svm_quadratic")
         first = model.machines[0]
@@ -417,6 +430,17 @@ class TestModelFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptModel):
             load_model(path)
+
+    def test_support_vectors_of_wrong_width_are_a_data_error(self, tmp_path):
+        ds, cfg, X, model = self.fitted_model("svm_quadratic")
+        path = tmp_path / "model.json"
+        save_model(ModelFile(model, cfg, ""), path)
+        doc = json.loads(path.read_text())
+        machine = doc["params"]["machines"][3]
+        machine["support_vectors"] = [row[:-1] for row in machine["support_vectors"]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="support vectors"):
+            predict_batch(load_model(path).model, X)
 
     def test_standardizer_length_mismatch_is_corrupt(self, tmp_path):
         ds, cfg, X, model = self.fitted_model("lda")

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_rotation, random_skeleton
 from posturelab import features
-from posturelab.errors import DegenerateNormalizer, ZeroLengthSegment
+from posturelab.errors import DegenerateNormalizer, NumericError, ZeroLengthSegment
 from posturelab.features import (
     AngleMode,
     FeatureConfig,
@@ -248,6 +248,18 @@ class TestExtract:
             extract_matrix(skeletons, FeatureConfig())
         # angles alone need no spine length
         extract_matrix(skeletons, FeatureConfig(False, True))
+
+    @pytest.mark.parametrize("features_set", ["distances", "angles", "combined"])
+    @pytest.mark.parametrize("mode", ["adjacent", "all_triples"])
+    def test_overflow_in_stack_names_record(self, rng, features_set, mode):
+        cfg = FeatureConfig.from_name(features_set, mode)
+        skeletons = [random_skeleton(rng) for _ in range(80)]
+        skeletons[70] = Skeleton(skeletons[70].positions * 1e308)
+        with np.errstate(all="raise"):  # no overflow may escape as a warning
+            with pytest.raises(NumericError, match=r"^record 70: feature values overflow"):
+                extract_matrix(skeletons, cfg)
+            with pytest.raises(NumericError, match=r"^feature values overflow"):
+                extract(skeletons[70], cfg)
 
     def test_config_requires_a_family(self):
         with pytest.raises(ValueError):

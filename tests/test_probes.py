@@ -30,8 +30,15 @@ def test_probes_install_record_and_restore(tracer, tmp_path):
         path = tmp_path / "ds.jsonl"
         assert run(["synth", "--seed", "1", "--per-class", "4", "--out", str(path)]) == 0
         assert run(["evaluate", "--data", str(path), "--classifier", "lda"]) == 0
+        model = tmp_path / "model.json"
+        assert run(["train", "--data", str(path), "--classifier", "svm_quadratic",
+                    "--model-out", str(model)]) == 0
+        assert run(["predict", "--model", str(model), "--data", str(path),
+                    "--out", str(tmp_path / "pred.jsonl")]) == 0
     finally:
         probes.remove()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
-    for name in ("dataset.synth", "dataset.load", "evaluation.split", "features.extract_matrix"):
+    for name in ("dataset.synth", "dataset.load", "evaluation.split", "features.extract_matrix",
+                 "classifiers.train.svm_quadratic", "dataset.load_model.svm_quadratic",
+                 "classifiers.predict_batch.svm_quadratic", "kernels.gram"):
         assert name in tr.names
