@@ -508,11 +508,16 @@ class ClassifierSpec:
             raise ValueError(
                 f"unknown classifier {self.name!r}; choose from {CLASSIFIER_NAMES}"
             )
-        if self.name.startswith("svm_"):
-            for key in ("c", "tol", "kernel_scale"):
-                value = getattr(self, key)
-                if value is not None and not value > 0.0:
-                    raise ValueError(f"{key} must be positive, got {value!r}")
+        # Every classifier's report writes these values, and JSON has no
+        # infinity or NaN; only the SVMs use them, so only they need them > 0.
+        for key in ("c", "tol", "kernel_scale"):
+            value = getattr(self, key)
+            if value is None:
+                continue
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+            if self.name.startswith("svm_") and not value > 0.0:
+                raise ValueError(f"{key} must be positive, got {value!r}")
 
     def resolve_scale(self, n_features: int) -> float:
         if self.kernel_scale is not None:

@@ -14,10 +14,17 @@ Working set: i is the argmax of F over I_up; j is, among t in I_low with
 F_t < m, the one with the largest second-order gain b^2 / a, where
 b = m - F_t and a = K_ii + K_tt - 2 K_it. The two-variable subproblem is
 solved exactly and clipped to the box, so the pair moves along the equality
-constraint and the dual objective never decreases; G is then updated with
-two columns of Q. The solver stops when the gap m - M <= tol and sets the
-bias to (m + M) / 2, so that every KKT condition below holds with at least
-tol / 2 to spare. The returned model counts its pair updates in n_passes.
+constraint and the dual objective never decreases. The solver stops when the
+gap m - M <= tol and sets the bias to (m + M) / 2, so that every KKT
+condition below holds with at least tol / 2 to spare. The returned model
+counts its pair updates in n_passes.
+
+The solver keeps F itself, not G, and never forms Q: since
+-y_t Q_kt = -y_k K_kt, a step d_i, d_j on alpha_i, alpha_j moves F by
+K_i (-y_i d_i) + K_j (-y_j d_j), two rows of K. I_up and I_low are held as
+additive penalties (0 inside the set, -inf or +inf outside), so each scan is
+one addition into a preallocated buffer followed by argmax or argmin. A Gram
+matrix with a non-finite entry is a NumericError.
 
 Convergence means zero KKT violations at the requested tolerance, audited
 from exactly recomputed decision values:
@@ -93,16 +100,19 @@ def svm_decision(model: BinarySvmModel, x: np.ndarray) -> float:
 def kkt_violation_count(
     K: np.ndarray, y: np.ndarray, alpha: np.ndarray, bias: float, c: float, tol: float
 ) -> int:
-    """Violations of the dual optimality conditions, from exact decision values."""
+    """Violations of the dual optimality conditions, from exact decision values.
+
+    A non-finite y_i f(x_i) satisfies no condition, so it counts as one.
+    """
     yf = y * (K @ (alpha * y) + bias)
     at_zero = alpha <= _BOUND_EPS
     at_c = alpha >= c - _BOUND_EPS
     interior = ~(at_zero | at_c)
-    return int(
-        np.count_nonzero(at_zero & (yf < 1.0 - tol))
-        + np.count_nonzero(at_c & (yf > 1.0 + tol))
-        + np.count_nonzero(interior & (np.abs(yf - 1.0) > tol))
-    )
+    violated = ~np.isfinite(yf)
+    violated |= at_zero & (yf < 1.0 - tol)
+    violated |= at_c & (yf > 1.0 + tol)
+    violated |= interior & (np.abs(yf - 1.0) > tol)
+    return int(np.count_nonzero(violated))
 
 
 def smo_train(
@@ -131,73 +141,88 @@ def smo_train(
     if np.all(y == y[0]):
         raise SingleClass("training labels contain a single class")
     c = float(c)
-    if not (c > 0.0 and tol > 0.0):
-        raise ValueError("c and tol must be positive")
+    if not (0.0 < c < np.inf and 0.0 < tol < np.inf):
+        raise ValueError("c and tol must be finite and positive")
 
     n = X.shape[0]
-    K = kernel.gram(X, X)
-    Q = K * np.outer(y, y)
+    with np.errstate(all="ignore"):  # an overflow is reported just below
+        K = kernel.gram(X, X)
+    if not np.isfinite(K).all():
+        raise NumericError("kernel matrix has a non-finite entry; check the kernel scale")
     diag = np.diag(K)
     # a_ij = K_ii + K_jj - 2 K_ij, the curvature along a pair's line
     curv = K * -2.0
     curv += diag[:, None]
     curv += diag
     np.maximum(curv, _TAU, out=curv)
-    alpha = np.zeros(n)
-    G = np.full(n, -1.0)  # Q alpha - e at alpha = 0
-    neg_y = -y
-    up = y > 0.0  # I_up and I_low as masks, at alpha = 0
-    low = y < 0.0
+    alpha = [0.0] * n
+    ys = y.tolist()
+    F = y.copy()  # -y * (Q alpha - e) at alpha = 0
+    # I_up and I_low at alpha = 0, as penalties added to F before a scan
+    pen_up = np.where(y > 0.0, 0.0, -np.inf)
+    pen_low = np.where(y < 0.0, 0.0, np.inf)
+    scan = np.empty(n)
+    b = np.empty(n)
+    gain = np.empty(n)
+    step_i = np.empty(n)
+    step_j = np.empty(n)
 
     trace: list[float] | None = None
     if record_objective:
         trace = [0.0]
 
-    def objective() -> float:
-        ay = alpha * y
-        return float(alpha.sum() - 0.5 * (ay @ (K @ ay)))
-
     max_updates = max_total_passes * n
     updates = 0
     while True:
-        F = neg_y * G
-        F_up = np.where(up, F, -np.inf)
-        i = int(F_up.argmax())
-        m_up = F_up[i]
-        F_low = np.where(low, F, np.inf)
-        m_low = F_low.min()
+        # m and M are read from F: the penalty's +0.0 would turn -0.0 to +0.0
+        np.add(F, pen_up, out=scan)
+        i = int(scan.argmax())
+        m_up = F[i]
+        np.add(F, pen_low, out=scan)
+        m_low = F[int(scan.argmin())]
         if m_up - m_low <= tol or updates >= max_updates:
             break
-        b = np.maximum(m_up - F_low, 0.0)
-        j = int((b * b / curv[i]).argmax())
+        np.subtract(m_up, scan, out=b)
+        np.maximum(b, 0.0, out=b)
+        np.multiply(b, b, out=gain)
+        np.divide(gain, curv[i], out=gain)
+        j = int(gain.argmax())
 
         # Move t >= 0 along alpha_i += y_i t, alpha_j -= y_j t: P falls by
         # b t - a t^2 / 2 up to t = b / a, unless a bound comes first.
         ai, aj = alpha[i], alpha[j]
-        room_i = c - ai if y[i] > 0.0 else ai
-        room_j = aj if y[j] > 0.0 else c - aj
-        t = min(b[j] / curv[i, j], room_i, room_j)
+        yi, yj = ys[i], ys[j]
+        room_i = c - ai if yi > 0.0 else ai
+        room_j = aj if yj > 0.0 else c - aj
+        t = min(float(b[j]) / float(curv[i, j]), room_i, room_j)
         if t == room_i:
-            alpha[i] = c if y[i] > 0.0 else 0.0
+            alpha[i] = c if yi > 0.0 else 0.0
         else:
-            alpha[i] = min(max(ai + y[i] * t, 0.0), c)
+            alpha[i] = min(max(ai + yi * t, 0.0), c)
         if t == room_j:
-            alpha[j] = 0.0 if y[j] > 0.0 else c
+            alpha[j] = 0.0 if yj > 0.0 else c
         else:
-            alpha[j] = min(max(aj - y[j] * t, 0.0), c)
-        G += Q[i] * (alpha[i] - ai) + Q[j] * (alpha[j] - aj)
+            alpha[j] = min(max(aj - yj * t, 0.0), c)
+        np.multiply(K[i], -yi * (alpha[i] - ai), out=step_i)
+        np.multiply(K[j], -yj * (alpha[j] - aj), out=step_j)
+        np.add(step_i, step_j, out=step_i)
+        np.add(F, step_i, out=F)
         for k in (i, j):
-            up[k] = alpha[k] < c if y[k] > 0.0 else alpha[k] > 0.0
-            low[k] = alpha[k] > 0.0 if y[k] > 0.0 else alpha[k] < c
+            ak, yk = alpha[k], ys[k]
+            pen_up[k] = 0.0 if (ak < c if yk > 0.0 else ak > 0.0) else -np.inf
+            pen_low[k] = 0.0 if (ak > 0.0 if yk > 0.0 else ak < c) else np.inf
         updates += 1
         if trace is not None:
-            if not (np.all(alpha >= 0.0) and np.all(alpha <= c)):
+            a = np.array(alpha)
+            if not (np.all(a >= 0.0) and np.all(a <= c)):
                 raise NumericError("SMO step violated the box constraint 0 <= alpha <= C")
-            if abs(float(alpha @ y)) > 1e-8:
+            if abs(float(a @ y)) > 1e-8:
                 raise NumericError("SMO step violated the constraint sum(alpha * y) = 0")
-            trace.append(objective())
+            ay = a * y
+            trace.append(float(a.sum() - 0.5 * (ay @ (K @ ay))))
 
     bias = 0.5 * (m_up + m_low)
+    alpha = np.array(alpha)
     violations = kkt_violation_count(K, y, alpha, bias, c, tol)
 
     support = alpha > _BOUND_EPS

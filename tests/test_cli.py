@@ -56,6 +56,13 @@ REJECTED_SPEC_VALUES = {
     "synth-distances-inf": (["synth", "--distances", "inf"], None, None),
     "synth-orientations-nan": (["synth", "--orientations", "nan"], None, None),
     "synth-scale-max-inf": (["synth", "--scale-max", "inf"], None, None),
+    "c-inf": (["evaluate", "--c", "inf"], None, None),
+    "tol-inf": (["evaluate", "--tol", "inf"], None, None),
+    "kernel-scale-inf": (["evaluate", "--kernel-scale", "inf"], None, None),
+    "kernel-scale-nan": (["evaluate", "--kernel-scale", "nan"], None, None),
+    "lda-c-inf": (["evaluate", "--classifier", "lda", "--c", "inf"], None, None),
+    "grid-tol-inf": (["grid", "--classifiers", "lda,svm_linear", "--tol", "inf"], None, None),
+    "config-kernel-scale-inf": (["evaluate"], {"kernel-scale": float("inf")}, None),
 }
 
 # Cases above whose config value has the wrong kind: the message names the key.
@@ -243,6 +250,20 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: record 0: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_non_finite_kernel_matrix_is_exit_3(self, tmp_path, capsys):
+        # scale**2 underflows to 0, so the polynomial Gram divides by zero
+        path = tmp_path / "s50.jsonl"
+        assert run(["synth", "--seed", "3", "--per-class", "10", "--out", str(path)]) == 0
+        capsys.readouterr()
+        argv = ["evaluate", "--data", str(path), "--classifier", "svm_quadratic",
+                "--kernel-scale", "1e-200", "--format", "json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise here
+            assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numeric failure: kernel matrix has a non-finite entry")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 class TestPipeline:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from posturelab.errors import DimensionMismatch, SingleClass
+from posturelab.errors import DimensionMismatch, NumericError, SingleClass
 from posturelab.kernels import KernelSpec, linear_kernel, polynomial_kernel
 from posturelab.svm import (
+    _BOUND_EPS,
+    _TAU,
     BinarySvmModel,
     decision_function,
     kkt_violation_count,
@@ -24,6 +26,72 @@ def random_binary_problem(rng, n_max=200, d_max=20):
         y[0] = -y[0]
     X = centers[(y < 0).astype(int)] + rng.normal(size=(n, d))
     return X, y
+
+
+def _reference_smo(X, y, kernel, c=1.0, tol=1e-3, record_objective=False,
+                   max_total_passes=2000):
+    """The solver in its gradient form: G = Q alpha - e, updated with two
+    rows of Q = K * yy', and I_up/I_low as masks scanned with np.where.
+
+    Kept as the oracle that smo_train must match bit for bit. Returns the
+    fields of a fitted model as a dict.
+    """
+    K = kernel.gram(X, X)
+    Q = K * np.outer(y, y)
+    diag = np.diag(K)
+    curv = K * -2.0
+    curv += diag[:, None]
+    curv += diag
+    np.maximum(curv, _TAU, out=curv)
+    n = X.shape[0]
+    alpha = np.zeros(n)
+    G = np.full(n, -1.0)
+    neg_y = -y
+    up = y > 0.0
+    low = y < 0.0
+    trace = [0.0] if record_objective else None
+    updates = 0
+    while True:
+        F = neg_y * G
+        F_up = np.where(up, F, -np.inf)
+        i = int(F_up.argmax())
+        m_up = F_up[i]
+        F_low = np.where(low, F, np.inf)
+        m_low = F_low.min()
+        if m_up - m_low <= tol or updates >= max_total_passes * n:
+            break
+        b = np.maximum(m_up - F_low, 0.0)
+        j = int((b * b / curv[i]).argmax())
+        ai, aj = alpha[i], alpha[j]
+        room_i = c - ai if y[i] > 0.0 else ai
+        room_j = aj if y[j] > 0.0 else c - aj
+        t = min(b[j] / curv[i, j], room_i, room_j)
+        if t == room_i:
+            alpha[i] = c if y[i] > 0.0 else 0.0
+        else:
+            alpha[i] = min(max(ai + y[i] * t, 0.0), c)
+        if t == room_j:
+            alpha[j] = 0.0 if y[j] > 0.0 else c
+        else:
+            alpha[j] = min(max(aj - y[j] * t, 0.0), c)
+        G += Q[i] * (alpha[i] - ai) + Q[j] * (alpha[j] - aj)
+        for k in (i, j):
+            up[k] = alpha[k] < c if y[k] > 0.0 else alpha[k] > 0.0
+            low[k] = alpha[k] > 0.0 if y[k] > 0.0 else alpha[k] < c
+        updates += 1
+        if trace is not None:
+            ay = alpha * y
+            trace.append(float(alpha.sum() - 0.5 * (ay @ (K @ ay))))
+    bias = 0.5 * (m_up + m_low)
+    support = alpha > _BOUND_EPS
+    return {
+        "support_vectors": X[support],
+        "dual_coef": (alpha * y)[support],
+        "bias": float(bias),
+        "n_passes": updates,
+        "kkt_violations": kkt_violation_count(K, y, alpha, bias, c, tol),
+        "objective_trace": tuple(trace) if trace is not None else None,
+    }
 
 
 class TestKernels:
@@ -90,7 +158,9 @@ class TestSmoContract:
         with pytest.raises(SingleClass):
             smo_train(np.zeros((3, 2)), np.ones(3), linear_kernel())
 
-    @pytest.mark.parametrize("c, tol", [(0.0, 1e-3), (1.0, 0.0)])
+    @pytest.mark.parametrize(
+        "c, tol", [(0.0, 1e-3), (1.0, 0.0), (np.inf, 1e-3), (1.0, np.inf), (np.nan, 1e-3)]
+    )
     def test_nonpositive_c_or_tol_rejected(self, c, tol):
         with pytest.raises(ValueError):
             smo_train(XOR_X, XOR_Y, linear_kernel(), c=c, tol=tol)
@@ -150,6 +220,62 @@ class TestSmoContract:
         K = kern.gram(X, X)
         violations = kkt_violation_count(K, y, alpha, m.bias, 1.0, 1e-3)
         assert (violations == 0) == m.converged
+
+
+    def test_non_finite_kernel_matrix_is_numeric_error(self):
+        # scale**2 underflows to 0: every Gram entry is inf or nan
+        with pytest.raises(NumericError, match="non-finite"):
+            smo_train(XOR_X, XOR_Y, polynomial_kernel(2, 1e-200), c=1.0)
+
+    def test_kkt_audit_counts_non_finite_decisions(self):
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        alpha = np.ones(4)  # interior for c = 2, and y f(x) = 1 with K = I
+        assert kkt_violation_count(np.eye(4), y, alpha, 0.0, 2.0, 1e-3) == 0
+        for bad in (np.nan, np.inf, -np.inf):
+            K = np.eye(4)
+            K[1, 1] = bad
+            assert kkt_violation_count(K, y, alpha, 0.0, 2.0, 1e-3) == 1  # once, not twice
+            # at alpha = 0 no comparison with nan or +-inf fires, yet every point violates
+            assert kkt_violation_count(np.eye(4), y, np.zeros(4), bad, 2.0, 1e-3) == 4
+
+
+class TestOracleIdentity:
+    """smo_train keeps F in place; it must reproduce _reference_smo exactly."""
+
+    @staticmethod
+    def assert_identical(model, ref):
+        assert np.array_equal(model.support_vectors, ref["support_vectors"])
+        assert np.array_equal(model.dual_coef, ref["dual_coef"])
+        assert model.bias == ref["bias"]
+        assert model.n_passes == ref["n_passes"]
+        assert model.kkt_violations == ref["kkt_violations"]
+        assert model.objective_trace == ref["objective_trace"]
+
+    @pytest.mark.parametrize("kern", [linear_kernel(), polynomial_kernel(2, 4.0),
+                                      polynomial_kernel(3, 4.0)], ids=["linear", "quad", "cubic"])
+    def test_random_problems(self, rng, kern):
+        for _ in range(6):
+            X, y = random_binary_problem(rng, n_max=120)
+            c = float(rng.choice([0.1, 1.0, 10.0]))
+            tol = float(rng.choice([1e-3, 1e-6]))
+            model = smo_train(X, y, kern, c=c, tol=tol)
+            self.assert_identical(model, _reference_smo(X, y, kern, c=c, tol=tol))
+
+    def test_capped_run(self):
+        rng = np.random.default_rng(7)
+        y = np.where(rng.random(100) < 0.5, 1.0, -1.0)
+        X = rng.normal(size=(100, 5)) + 0.3 * y[:, None]
+        kern = linear_kernel()
+        model = smo_train(X, y, kern, c=1.0, max_total_passes=1)
+        assert not model.converged
+        self.assert_identical(model, _reference_smo(X, y, kern, c=1.0, max_total_passes=1))
+
+    def test_recorded_objective(self, rng):
+        for kern in (linear_kernel(), polynomial_kernel(2, 4.0)):
+            X, y = random_binary_problem(rng, n_max=60)
+            model = smo_train(X, y, kern, c=1.0, record_objective=True)
+            ref = _reference_smo(X, y, kern, c=1.0, record_objective=True)
+            self.assert_identical(model, ref)
 
 
 class TestSolverBudgetAndAccuracy:
