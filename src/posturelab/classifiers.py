@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     EmptyTrainingSet,
     FingerprintMismatch,
+    NumericError,
     SingleClass,
 )
 from .features import FeatureVector
@@ -188,7 +189,9 @@ class OvoSvmModel(MulticlassModel):
 
         One Gram product against the distinct support vectors of all the
         machines, then one product with their dual coefficients, a column
-        per machine. The values match decision_function's to rounding.
+        per machine. The values match decision_function's to rounding. A
+        non-finite value (a degenerate kernel scale, overflowing rows) is a
+        NumericError.
         """
         svs = [m.support_vectors for m in self.machines if m.support_vectors.size]
         if any(sv.shape[1] != self.dim for sv in svs):
@@ -201,7 +204,15 @@ class OvoSvmModel(MulticlassModel):
         np.add.at(coefs, (rows.ravel(), cols), np.concatenate([m.dual_coef for m in self.machines]))
         biases = np.array([m.bias for m in self.machines])
         kernel = self.machines[0].kernel  # ovo_train gives every machine one kernel
-        return lambda Xs: kernel.gram(Xs, union) @ coefs + biases
+
+        def decide(Xs: np.ndarray) -> np.ndarray:
+            with np.errstate(all="ignore"):
+                values = kernel.gram(Xs, union) @ coefs + biases
+            if not np.isfinite(values).all():
+                raise NumericError("SVM decision values are not finite")
+            return values
+
+        return decide
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:

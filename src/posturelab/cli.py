@@ -41,7 +41,7 @@ from .evaluation import (
     render_report,
 )
 from .features import AngleMode, FeatureConfig, extract_matrix
-from .skeleton import LABEL_NAMES, PostureLabel
+from .skeleton import LABEL_NAMES
 
 SEED_ENV_VAR = "POSTURELAB_SEED"
 _FORMATS = {"evaluate": ("text", "csv", "json"), "grid": ("text", "json")}
@@ -323,12 +323,11 @@ def _cmd_predict(r: _Resolver) -> int:
             f"feature fingerprint {fingerprint} does not match model "
             f"fingerprint {mf.model.fingerprint}"
         )
-    pred = predict_batch(mf.model, X)
+    labels = {k: json.dumps(name) for k, name in enumerate(LABEL_NAMES)}
+    # the bytes of json.dumps({"index": i, "label": name}, sort_keys=True)
     lines = [
-        json.dumps(
-            {"index": i, "label": PostureLabel(int(p)).name}, sort_keys=True
-        )
-        for i, p in enumerate(pred)
+        f'{{"index": {i}, "label": {labels[p]}}}'
+        for i, p in enumerate(predict_batch(mf.model, X).tolist())
     ]
     _write_out(r.args.out, "\n".join(lines) + "\n")
     return 0

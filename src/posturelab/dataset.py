@@ -4,11 +4,17 @@ Dataset file: UTF-8, one JSON record per line, header line first. The header
 carries the format version and a checksum of the canonical joint order; the
 records carry exact joint and label spellings from the skeleton module.
 
-Model file: a single versioned JSON document with every fitted parameter at
-full round-trip precision, so a loaded model predicts identically.
+Model file: a single versioned JSON document. Every array-valued parameter
+is a payload {"dtype", "shape", "data"}: the little-endian dtype string of
+its annotation, its shape, and the base64 of its C-order bytes (the idea of
+NumPy's .npy format). Everything else stays readable JSON: the model kind,
+class pairs and indices, kernels, biases, the feature config and the
+fingerprints. Loading decodes the bytes, so a loaded model holds bit-identical
+parameters and predicts identically.
 """
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
 import json
@@ -51,7 +57,8 @@ from .skeleton import (
 
 DATASET_FORMAT = "posturelab-dataset"
 MODEL_FORMAT = "posturelab-model"
-FILE_VERSION = 1
+DATASET_VERSION = 1
+MODEL_VERSION = 2  # 1 held arrays as nested JSON lists
 
 _JOINT_CHECKSUM = hashlib.sha256(",".join(JOINT_NAMES).encode()).hexdigest()[:16]
 
@@ -124,7 +131,7 @@ def _fingerprint_lines(lines) -> str:
 def save_dataset(ds: LabeledDataset, path, generator: dict | None = None) -> None:
     header = {
         "format": DATASET_FORMAT,
-        "version": FILE_VERSION,
+        "version": DATASET_VERSION,
         "joint_checksum": _JOINT_CHECKSUM,
         "generator": generator,
     }
@@ -146,8 +153,8 @@ def load_dataset(path) -> LabeledDataset:
         raise ParseError(1, f"bad header: {e.msg}") from None
     if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
         raise ParseError(1, "not a posturelab dataset file")
-    if header.get("version") != FILE_VERSION:
-        raise VersionMismatch(header.get("version"), FILE_VERSION)
+    if header.get("version") != DATASET_VERSION:
+        raise VersionMismatch(header.get("version"), DATASET_VERSION)
     if header.get("joint_checksum") != _JOINT_CHECKSUM:
         raise ParseError(1, "joint-order checksum mismatch")
 
@@ -286,16 +293,26 @@ def _item_types(tp, items) -> tuple:
     return (args[0],) * len(items) if args[-1] is Ellipsis else args
 
 
+def _array_dtype(tp) -> np.dtype:
+    """Little-endian dtype of an npt.NDArray[...] annotation."""
+    (dtype,) = get_args(get_args(tp)[1])
+    return np.dtype(dtype).newbyteorder("<")
+
+
 def encode(tp, value):
     """JSON form of a value of annotated type ``tp``: dataclasses as objects
-    of their fields in field order, arrays and tuples as lists, enums as
-    their values, None as None; ``T | None`` encodes a value as a T."""
+    of their fields in field order, arrays as payloads of their bytes, tuples
+    as lists, enums as their values, None as None; ``T | None`` encodes a
+    value as a T."""
     if value is None:
         return None
     if is_dataclass(tp):
         return {name: encode(t, getattr(value, name)) for name, t in _saved_fields(tp)}
     if get_origin(tp) is np.ndarray:
-        return value.tolist()
+        dtype = _array_dtype(tp)
+        arr = np.ascontiguousarray(value, dtype=dtype)
+        data = base64.b64encode(arr.tobytes()).decode("ascii")
+        return {"dtype": dtype.str, "shape": list(arr.shape), "data": data}
     if get_origin(tp) is tuple:
         return [encode(t, v) for t, v in zip(_item_types(tp, value), value)]
     if get_origin(tp) is types.UnionType:  # T | None
@@ -304,24 +321,45 @@ def encode(tp, value):
     return value.value if isinstance(value, Enum) else value
 
 
+def _decode_array(dtype: np.dtype, doc) -> np.ndarray:
+    """Owned, aligned, native-order array of a payload of exactly this dtype."""
+    if not isinstance(doc, dict) or doc.keys() != {"dtype", "shape", "data"}:
+        raise ValueError("an array must be an object of dtype, shape and data")
+    if doc["dtype"] != dtype.str:
+        raise ValueError(f"array dtype {doc['dtype']!r}, expected {dtype.str!r}")
+    shape = doc["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"array shape must be a list of non-negative ints: {shape!r}")
+    data = base64.b64decode(doc["data"], validate=True)
+    if len(data) != math.prod(shape) * dtype.itemsize:
+        raise ValueError(f"{len(data)} data bytes do not fill shape {shape}")
+    arr = np.frombuffer(data, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ValueError("array holds a non-finite value")
+    return arr
+
+
 def _decode(tp, doc):
-    """Inverse of encode; array dtypes come from the annotation."""
+    """Inverse of encode; array dtypes come from the annotation, and a
+    non-finite float is rejected."""
     if is_dataclass(tp):
         return tp(**{name: _decode(t, doc[name]) for name, t in _saved_fields(tp)})
     if get_origin(tp) is np.ndarray:
-        (dtype,) = get_args(get_args(tp)[1])
-        return np.asarray(doc, dtype=dtype)
+        return _decode_array(_array_dtype(tp), doc)
     if get_origin(tp) is tuple:
         types = _item_types(tp, doc)
         return tuple(_decode(t, v) for t, v in zip(types, doc, strict=True))
-    return tp(doc)
+    value = tp(doc)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite number {value!r}")
+    return value
 
 
 def model_file_to_dict(mf: ModelFile) -> dict:
     params = encode(type(mf.model), mf.model)
     doc = {
         "format": MODEL_FORMAT,
-        "version": FILE_VERSION,
+        "version": MODEL_VERSION,
         "kind": type(mf.model).kind,
         "feature_config": encode(FeatureConfig, mf.feature_config),
         "dataset_fingerprint": mf.dataset_fingerprint,
@@ -334,8 +372,8 @@ def model_file_to_dict(mf: ModelFile) -> dict:
 def model_file_from_dict(doc: dict) -> ModelFile:
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise CorruptModel("not a posturelab model file")
-    if doc.get("version") != FILE_VERSION:
-        raise VersionMismatch(doc.get("version"), FILE_VERSION)
+    if doc.get("version") != MODEL_VERSION:
+        raise VersionMismatch(doc.get("version"), MODEL_VERSION, "retrain the model")
     try:
         cfg = _decode(FeatureConfig, doc["feature_config"])
         cls = _MODEL_KINDS.get(str(doc["kind"]))
@@ -344,7 +382,7 @@ def model_file_from_dict(doc: dict) -> ModelFile:
         shared = {name: doc[key] for name, key in _TOP_LEVEL_FIELDS.items()}
         model = _decode(cls, {**doc["params"], **shared})
         return ModelFile(model, cfg, str(doc.get("dataset_fingerprint", "")))
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatch) as e:
         raise CorruptModel(f"malformed model file: {e}") from None
 
 

@@ -80,10 +80,11 @@ class FingerprintMismatch(DataError):
 
 
 class VersionMismatch(DataError):
-    def __init__(self, found, expected):
+    def __init__(self, found, expected, advice: str = ""):
         self.found = found
         self.expected = expected
-        super().__init__(f"file version {found!r}, reader supports {expected!r}")
+        advice = f"; {advice}" if advice else ""
+        super().__init__(f"file version {found!r}, reader supports {expected!r}{advice}")
 
 
 class CorruptModel(DataError):

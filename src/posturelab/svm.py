@@ -65,11 +65,6 @@ class BinarySvmModel:
     objective_trace: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        # A model file keeps support vectors as nested lists, so a machine
-        # without any loads back as [] and needs its 2-D shape restored.
-        if self.support_vectors.ndim == 1:
-            empty = self.support_vectors.reshape(0, 0)
-            object.__setattr__(self, "support_vectors", empty)
         if self.support_vectors.shape[0] != self.dual_coef.shape[0]:
             raise ValueError("expected one dual coefficient per support vector")
 

@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,17 @@ def random_skeleton(rng: np.random.Generator, span: float = 1.0) -> Skeleton:
                 return skel
         except Exception:
             continue
+
+
+def payload(arr, dtype="<f8") -> dict:
+    """A model file's form of an array: dtype, shape, base64 of C-order bytes."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    data = base64.b64encode(arr.tobytes()).decode("ascii")
+    return {"dtype": dtype, "shape": list(arr.shape), "data": data}
+
+
+def unpayload(p: dict) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(p["data"]), p["dtype"]).reshape(p["shape"])
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

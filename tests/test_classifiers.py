@@ -23,10 +23,11 @@ from posturelab.errors import (
     DimensionMismatch,
     EmptyTrainingSet,
     FingerprintMismatch,
+    NumericError,
     SingleClass,
 )
 from posturelab.features import FeatureVector
-from posturelab.kernels import linear_kernel
+from posturelab.kernels import linear_kernel, polynomial_kernel
 from posturelab.skeleton import PostureLabel
 
 
@@ -199,6 +200,17 @@ class TestOvo:
         _, votes = ovo_predict(model, X[0])
         assert set(votes.keys()) == set(PostureLabel)
         assert sum(votes.values()) == 10
+
+    def test_overflowing_rows_are_a_numeric_error(self, rng):
+        # (1 + x.y / scale^2)^2 overflows; no RuntimeWarning escapes
+        X, y = gaussian_blobs(rng, np.eye(5) * 4.0, 8)
+        model = ovo_train(X, y, polynomial_kernel(2, 2.0), seed=0)
+        for rows in (np.full((3, 5), 1e300), np.full((1, 5), -1e300)):
+            with pytest.raises(NumericError, match="not finite"):
+                predict_batch(model, rows)
+        with pytest.raises(NumericError, match="not finite"):
+            predict_label(model, np.full(5, 1e300))
+        assert np.array_equal(predict_batch(model, X), y)  # the model still works
 
 
 class TestDiscriminants:

@@ -1,11 +1,15 @@
+import base64
 import json
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import payload, unpayload
 from posturelab.cli import run
-from posturelab.dataset import SynthSpec, save_dataset, synth_generate
+from posturelab.dataset import SynthSpec, load_model, save_dataset, synth_generate
+from posturelab.errors import CorruptModel
+from posturelab.skeleton import LABEL_NAMES
 
 
 @pytest.fixture
@@ -13,6 +17,52 @@ def dataset_path(tmp_path):
     path = tmp_path / "ds.jsonl"
     assert run(["synth", "--seed", "7", "--per-class", "20", "--out", str(path)]) == 0
     return path
+
+
+def _with_data(p: dict, data: bytes) -> dict:
+    return {**p, "data": base64.b64encode(data).decode()}
+
+
+def _with_nan(p: dict) -> dict:
+    values = unpayload(p).copy()
+    values[1, 2] = np.nan
+    return payload(values)
+
+
+# Edits of a knn1 model file's params, each making one payload invalid:
+# id -> (field, payload -> the value written in its place)
+CORRUPT_PAYLOADS = {
+    "base64-bad-character": ("points", lambda p: {**p, "data": "!" + p["data"]}),
+    "base64-newline": ("points", lambda p: {**p, "data": p["data"] + "\n"}),
+    "base64-bad-padding": ("points", lambda p: {**p, "data": p["data"][:-1]}),
+    "base64-not-a-string": ("points", lambda p: {**p, "data": 12}),
+    "byte-count-short": ("points", lambda p: _with_data(p, unpayload(p).tobytes()[:-8])),
+    "byte-count-ragged": ("labels", lambda p: _with_data(p, unpayload(p).tobytes()[:-3])),
+    "shape-negative": ("points", lambda p: {**p, "shape": [-n for n in p["shape"]]}),
+    "shape-bool": ("labels", lambda p: {**p, "shape": p["shape"] + [True]}),
+    "shape-float": ("labels", lambda p: {**p, "shape": [float(p["shape"][0])]}),
+    "shape-not-a-list": ("labels", lambda p: {**p, "shape": p["shape"][0]}),
+    "dtype-big-endian": ("points", lambda p: {**p, "dtype": ">f8"}),
+    "dtype-int-for-float": ("points", lambda p: {**p, "dtype": "<i8"}),
+    "dtype-float-for-int": ("labels", lambda p: {**p, "dtype": "<f8"}),
+    "nan-in-floats": ("points", _with_nan),
+    "extra-key": ("points", lambda p: {**p, "order": "C"}),
+    "missing-key": ("labels", lambda p: {"dtype": p["dtype"], "data": p["data"]}),
+    "list-for-payload": ("points", lambda p: unpayload(p).tolist()),
+}
+
+
+def _train(tmp_path, dataset_path, name: str):
+    path = tmp_path / f"{name}.json"
+    argv = ["train", "--data", str(dataset_path), "--model-out", str(path), "--classifier", name]
+    assert run(argv) == 0
+    return path
+
+
+def _edit_model(path, edit) -> None:
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
 
 
 # Spec values each command must reject as a usage error:
@@ -264,6 +314,84 @@ class TestDataErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("numeric failure: kernel matrix has a non-finite entry")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+class TestModelFiles:
+    def predict(self, model_path, dataset_path, tmp_path) -> int:
+        out = tmp_path / "preds.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would raise here
+            code = run(["predict", "--model", str(model_path), "--data", str(dataset_path),
+                        "--out", str(out)])
+        assert code == 0 or not out.exists()
+        return code
+
+    @pytest.mark.parametrize("case", CORRUPT_PAYLOADS)
+    def test_corrupt_array_payload_is_exit_2(self, tmp_path, dataset_path, capsys, case):
+        path = _train(tmp_path, dataset_path, "knn1")
+        field, edit = CORRUPT_PAYLOADS[case]
+        _edit_model(path, lambda doc: doc["params"].update({field: edit(doc["params"][field])}))
+        with pytest.raises(CorruptModel, match="malformed model file"):
+            load_model(path)
+        capsys.readouterr()
+        assert self.predict(path, dataset_path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed model file") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("scale", float("inf")), ("scale", float("nan")), ("bias", float("inf")),
+         ("bias", float("-inf")), ("c", float("nan")), ("bias", 10**400)],
+        ids=["scale-inf", "scale-nan", "bias-inf", "bias-minus-inf", "c-nan",
+             "bias-beyond-float"],
+    )
+    def test_non_finite_svm_number_is_exit_2(self, tmp_path, dataset_path, capsys, key, value):
+        path = _train(tmp_path, dataset_path, "svm_quadratic")
+
+        def edit(doc):
+            machine = doc["params"]["machines"][2]
+            (machine["kernel"] if key == "scale" else machine)[key] = value
+
+        _edit_model(path, edit)
+        capsys.readouterr()
+        assert self.predict(path, dataset_path, tmp_path) == 2
+        assert capsys.readouterr().err.startswith("data error: malformed model file")
+
+    def test_degenerate_kernel_scale_is_exit_3(self, tmp_path, dataset_path, capsys):
+        # scale**2 underflows to 0, as in training at that scale
+        path = _train(tmp_path, dataset_path, "svm_quadratic")
+
+        def edit(doc):
+            for machine in doc["params"]["machines"]:
+                machine["kernel"]["scale"] = 1e-200
+
+        _edit_model(path, edit)
+        capsys.readouterr()
+        assert self.predict(path, dataset_path, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric failure: SVM decision values are not finite\n"
+
+    @pytest.mark.parametrize("version", [1, 0, "2", None])
+    def test_other_version_is_exit_2(self, tmp_path, dataset_path, capsys, version):
+        path = _train(tmp_path, dataset_path, "lda")
+        _edit_model(path, lambda doc: doc.update(version=version))
+        capsys.readouterr()
+        assert self.predict(path, dataset_path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: file version {version!r}, reader supports 2")
+        assert "retrain" in err
+
+    def test_predict_lines_are_sorted_key_json(self, tmp_path, dataset_path, capsys):
+        path = _train(tmp_path, dataset_path, "lda")
+        assert run(["predict", "--model", str(path), "--data", str(dataset_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 100
+        labels = set()
+        for i, line in enumerate(lines):
+            doc = json.loads(line)
+            assert line == json.dumps({"index": i, "label": doc["label"]}, sort_keys=True)
+            labels.add(doc["label"])
+        assert labels == set(LABEL_NAMES)
 
 
 class TestPipeline:

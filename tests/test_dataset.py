@@ -4,13 +4,17 @@ import json
 import numpy as np
 import pytest
 
+from conftest import payload, unpayload
 from posturelab.classifiers import (
     CLASSIFIER_NAMES,
     ClassifierSpec,
+    Knn1Model,
+    Standardizer,
     predict_batch,
     train_classifier,
 )
 from posturelab.dataset import (
+    MODEL_VERSION,
     ModelFile,
     SynthSpec,
     load_dataset,
@@ -390,7 +394,7 @@ class TestModelFile:
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
         save_model(ModelFile(model, cfg, ds.fingerprint), p1)
         loaded = load_model(p1).model
-        assert loaded.machines[0].support_vectors.shape == (0, 0)
+        assert loaded.machines[0].support_vectors.shape == (0, X.shape[1])
         assert loaded.machines[0].bias == first.bias
         assert np.array_equal(predict_batch(model, X), predict_batch(loaded, X))
         save_model(ModelFile(loaded, cfg, ds.fingerprint), p2)
@@ -437,7 +441,7 @@ class TestModelFile:
         save_model(ModelFile(model, cfg, ""), path)
         doc = json.loads(path.read_text())
         machine = doc["params"]["machines"][3]
-        machine["support_vectors"] = [row[:-1] for row in machine["support_vectors"]]
+        machine["support_vectors"] = payload(unpayload(machine["support_vectors"])[:, :-1])
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="support vectors"):
             predict_batch(load_model(path).model, X)
@@ -447,10 +451,48 @@ class TestModelFile:
         path = tmp_path / "model.json"
         save_model(ModelFile(model, cfg, ""), path)
         doc = json.loads(path.read_text())
-        doc["standardizer"]["std"] = doc["standardizer"]["std"][:-1]
+        doc["standardizer"]["std"] = payload(unpayload(doc["standardizer"]["std"])[:-1])
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptModel):
             load_model(path)
+
+    def test_arrays_round_trip_bit_exact(self, tmp_path):
+        floats = np.array([-0.0, 0.0, 5e-324, -2.2e-310, 1.7e308, -1.7e308, 0.1])
+        ints = np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max])
+        model = Knn1Model(
+            standardizer=Standardizer(floats, np.abs(floats) + 1.0),
+            fingerprint="fp",
+            seed=3,
+            points=np.stack([floats, floats[::-1]]),
+            labels=ints,
+        )
+        path = tmp_path / "model.json"
+        save_model(ModelFile(model, FeatureConfig()), path)
+        loaded = load_model(path).model
+        for name in ("points", "labels"):
+            saved, back = getattr(model, name), getattr(loaded, name)
+            assert back.dtype == saved.dtype and back.shape == saved.shape
+            assert back.tobytes() == saved.tobytes()
+            assert back.flags.owndata and back.flags.aligned and back.flags.c_contiguous
+        for name in ("mean", "std"):
+            saved, back = getattr(model.standardizer, name), getattr(loaded.standardizer, name)
+            assert back.tobytes() == saved.tobytes()
+
+    def test_arrays_are_payloads_and_the_rest_is_readable(self, tmp_path):
+        ds, cfg, X, model = self.fitted_model("svm_quadratic")
+        path = tmp_path / "model.json"
+        save_model(ModelFile(model, cfg, ds.fingerprint), path)
+        doc = json.loads(path.read_text())
+        assert doc["version"] == MODEL_VERSION == 2
+        assert doc["kind"] == "ovo_svm" and doc["standardizer"]["mean"]["dtype"] == "<f8"
+        assert doc["params"]["pairs"] == [list(p) for p in model.pairs]
+        machine, fitted = doc["params"]["machines"][0], model.machines[0]
+        assert machine["kernel"] == {"kind": "poly", "degree": 2, "scale": fitted.kernel.scale}
+        assert machine["bias"] == fitted.bias
+        sv = machine["support_vectors"]
+        assert sv == payload(fitted.support_vectors)
+        assert sv["shape"] == [fitted.support_vectors.shape[0], X.shape[1]]
+        assert np.array_equal(unpayload(doc["standardizer"]["std"]), model.standardizer.std)
 
     def test_version_mismatch(self, tmp_path):
         ds, cfg, X, model = self.fitted_model("knn1")
