@@ -67,7 +67,6 @@ from .skeleton import (
     NUM_CLASSES,
     NUM_JOINTS,
     JointId,
-    Observation,
     PostureLabel,
     Skeleton,
     bone_pairs_at_joint,

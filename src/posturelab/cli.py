@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .classifiers import (
@@ -71,13 +70,16 @@ def _build_parser() -> _Parser:
         p.add_argument("--angle-mode", choices=("adjacent", "all_triples"),
                        default=None, help="angle enumeration (default adjacent)")
 
-    def add_classifier(p):
-        p.add_argument("--classifier", choices=CLASSIFIER_NAMES, default=None,
-                       help="classifier (default svm_quadratic)")
+    def add_hyperparameters(p):
         p.add_argument("--c", type=float, default=None, help="SVM box constraint")
         p.add_argument("--tol", type=float, default=None, help="SMO KKT tolerance")
         p.add_argument("--kernel-scale", type=float, default=None,
                        help="polynomial kernel scale (default: 4*sqrt(n_features))")
+
+    def add_classifier(p):
+        p.add_argument("--classifier", choices=CLASSIFIER_NAMES, default=None,
+                       help="classifier (default svm_quadratic)")
+        add_hyperparameters(p)
 
     def add_split(p):
         p.add_argument("--train-fraction", type=float, default=None,
@@ -130,7 +132,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("grid", help="classifier-by-featureset accuracy grid")
     add_seed(p)
-    add_classifier(p)
+    add_hyperparameters(p)
     add_split(p)
     p.add_argument("--angle-mode", choices=("adjacent", "all_triples"), default=None)
     p.add_argument("--classifiers", default=None,
@@ -200,9 +202,9 @@ def _parse_list(raw, cast=float) -> tuple:
 
 def _usage_errors(build):
     """Decorates a spec builder: a rejected or wrong-typed value is a usage error."""
-    def wrapper(r: _Resolver):
+    def wrapper(r: _Resolver, *args):
         try:
-            return build(r)
+            return build(r, *args)
         except (TypeError, ValueError) as e:
             raise UsageError(str(e)) from None
     return wrapper
@@ -228,9 +230,10 @@ def _feature_config(r: _Resolver) -> FeatureConfig:
 
 
 @_usage_errors
-def _classifier_spec(r: _Resolver) -> ClassifierSpec:
+def _classifier_spec(r: _Resolver, name: str | None = None) -> ClassifierSpec:
+    """The spec of classifier name, else of the --classifier value."""
     return ClassifierSpec(
-        name=r.get("classifier", "svm_quadratic"),
+        name=r.get("classifier", "svm_quadratic") if name is None else name,
         c=r.get("c", 1.0, float),
         tol=r.get("tol", 1e-3, float),
         kernel_scale=r.get("kernel-scale", None, float),
@@ -342,24 +345,16 @@ def _cmd_evaluate(r: _Resolver) -> int:
 
 
 @_usage_errors
-def _grid_classifiers(r: _Resolver) -> tuple[str, ...]:
-    classifiers = _parse_list(r.get("classifiers", None) or GRID_CLASSIFIERS, str)
-    base = _classifier_spec(r)
-    for name in classifiers:  # each cell's spec: a known name, valid SVM values
-        replace(base, name=name)
-    return classifiers
+def _grid_specs(r: _Resolver) -> list[ClassifierSpec]:
+    """A spec per grid row: --classifiers names the rows, the other flags tune each."""
+    names = _parse_list(r.get("classifiers", None) or GRID_CLASSIFIERS, str)
+    return [_classifier_spec(r, name) for name in names]
 
 
 def _cmd_grid(r: _Resolver) -> int:
     fmt = _format(r)
     ds = _load_data(r.args.data)
-    reports = evaluate_grid(
-        ds,
-        _classifier_spec(r),
-        _split_spec(r),
-        classifiers=_grid_classifiers(r),
-        angle_mode=_angle_mode(r),
-    )
+    reports = evaluate_grid(ds, _grid_specs(r), _split_spec(r), _angle_mode(r))
     if fmt == "json":
         docs = [rep.to_dict() for rep in reports]
         _write_out(r.args.out, json.dumps(docs, sort_keys=True) + "\n")

@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import types
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -46,8 +46,9 @@ from .features import FeatureConfig
 from .poses import POSE_TEMPLATES, rotation_about_y
 from .skeleton import (
     JOINT_NAMES,
+    LABEL_NAMES,
+    NUM_CLASSES,
     NUM_JOINTS,
-    Observation,
     PostureLabel,
     Skeleton,
     finite_real,
@@ -65,7 +66,7 @@ _JOINT_CHECKSUM = hashlib.sha256(",".join(JOINT_NAMES).encode()).hexdigest()[:16
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Records held once as read-only columns, plus a content fingerprint.
+    """Records held once as read-only columns.
 
     positions is the C-ordered (n, 25, 3) joint stack; labels holds
     PostureLabel indices, -1 for an unlabeled record; participants (str),
@@ -78,24 +79,30 @@ class LabeledDataset:
     participants: np.ndarray
     orientations_deg: np.ndarray
     distances_m: np.ndarray
-    fingerprint: str
 
     def __post_init__(self):
-        for f in fields(self)[:-1]:  # every field but the fingerprint is a column
+        for f in fields(self):
             getattr(self, f.name).setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.labels)
 
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        """First 16 hex digits of the sha256 of the content: the record
+        count, the little-endian bytes of the numeric columns, then the JSON
+        list of participants. Equal columns give an equal fingerprint, however
+        a file spelled them."""
+        h = hashlib.sha256(len(self).to_bytes(8, "little"))
+        for column, dtype in ((self.positions, "<f8"), (self.labels, "<i8"),
+                              (self.orientations_deg, "<f8"), (self.distances_m, "<f8")):
+            h.update(np.ascontiguousarray(column, dtype=dtype).tobytes())
+        h.update(json.dumps(self.participants.tolist()).encode())
+        return h.hexdigest()[:16]
+
     def skeletons(self) -> list[Skeleton]:
         """One Skeleton per record, each a view of its row of positions."""
         return [Skeleton(p) for p in self.positions]
-
-    @property
-    def observations(self) -> tuple[Observation, ...]:
-        labels = [None if y < 0 else PostureLabel(y) for y in self.labels.tolist()]
-        return tuple(map(Observation, self.skeletons(), labels, self.participants,
-                         self.orientations_deg.tolist(), self.distances_m.tolist()))
 
     def label_indices(self) -> np.ndarray:
         if self.labels.min(initial=0) < 0:  # argmin: the first -1
@@ -107,25 +114,16 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def record_line(obs: Observation) -> str:
-    """Canonical one-line serialization of an observation."""
-    joints = dict(zip(JOINT_NAMES, obs.skeleton.positions.tolist()))
-    rec = {
-        "participant": obs.participant_id,
-        "label": obs.label.name if obs.label is not None else None,
-        "orientation_deg": float(obs.orientation_deg),
-        "distance_m": float(obs.distance_m),
-        "joints": joints,
-    }
-    return _dumps(rec)
-
-
-def _fingerprint_lines(lines) -> str:
-    h = hashlib.sha256()
-    for line in lines:
-        h.update(line.encode())
-        h.update(b"\n")
-    return h.hexdigest()[:16]
+def record_lines(ds: LabeledDataset) -> list[str]:
+    """Canonical one-line serialization of every record, in order."""
+    names = [*LABEL_NAMES, None]  # label -1 (unlabeled) reads the last
+    columns = (ds.positions.tolist(), ds.labels.tolist(), ds.participants.tolist(),
+               ds.orientations_deg.tolist(), ds.distances_m.tolist())
+    return [
+        _dumps({"participant": participant, "label": names[label], "orientation_deg": orientation,
+                "distance_m": distance, "joints": dict(zip(JOINT_NAMES, joints))})
+        for joints, label, participant, orientation, distance in zip(*columns)
+    ]
 
 
 def save_dataset(ds: LabeledDataset, path, generator: dict | None = None) -> None:
@@ -137,8 +135,8 @@ def save_dataset(ds: LabeledDataset, path, generator: dict | None = None) -> Non
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dumps(header) + "\n")
-        for obs in ds.observations:
-            fh.write(record_line(obs) + "\n")
+        for line in record_lines(ds):
+            fh.write(line + "\n")
 
 
 def load_dataset(path) -> LabeledDataset:
@@ -158,7 +156,7 @@ def load_dataset(path) -> LabeledDataset:
     if header.get("joint_checksum") != _JOINT_CHECKSUM:
         raise ParseError(1, "joint-order checksum mismatch")
 
-    positions, labels, metadata, record_lines = [], [], [], []
+    positions, labels, metadata = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -183,7 +181,6 @@ def load_dataset(path) -> LabeledDataset:
         if not all(map(finite_real, camera)):
             raise ParseError(lineno, f"orientation_deg/distance_m must be finite numbers: {camera}")
         metadata.append((str(rec.get("participant", "")), *camera))
-        record_lines.append(line)
     participants, orientations, distances = np.array(metadata, dtype=object).reshape(-1, 3).T
     return LabeledDataset(
         np.array(positions, dtype=np.float64).reshape(-1, NUM_JOINTS, 3),
@@ -191,7 +188,6 @@ def load_dataset(path) -> LabeledDataset:
         participants,
         orientations.astype(np.float64),
         distances.astype(np.float64),
-        _fingerprint_lines(record_lines),
     )
 
 
@@ -251,8 +247,7 @@ def synth_generate(spec: SynthSpec) -> LabeledDataset:
     pos = pos * scales[:, None, None] @ rotations.transpose(0, 2, 1) + offsets
     if spec.noise_std_m > 0:
         pos = pos + np.array([r.normal(0.0, spec.noise_std_m, (NUM_JOINTS, 3)) for r in rngs])
-    ds = LabeledDataset(pos, labels, participants, orientations, distances, "")
-    return replace(ds, fingerprint=_fingerprint_lines(map(record_line, ds.observations)))
+    return LabeledDataset(pos, labels, participants, orientations, distances)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +272,7 @@ _TOP_LEVEL_FIELDS = {
     "seed": "seed",
 }
 _UNSAVED_FIELDS = ("objective_trace",)  # solver instrumentation, not a parameter
+_CLASS_INDEX_FIELDS = ("pairs", "classes", "labels")  # hold PostureLabel indices
 
 
 @functools.cache  # get_type_hints re-evaluates string annotations per call
@@ -381,6 +377,10 @@ def model_file_from_dict(doc: dict) -> ModelFile:
             raise CorruptModel(f"unknown model kind {doc['kind']!r}")
         shared = {name: doc[key] for name, key in _TOP_LEVEL_FIELDS.items()}
         model = _decode(cls, {**doc["params"], **shared})
+        for name in _CLASS_INDEX_FIELDS:
+            index = np.asarray(getattr(model, name, ()), dtype=np.int64)
+            if not ((index >= 0) & (index < NUM_CLASSES)).all():
+                raise ValueError(f"{name} holds a class index outside 0-{NUM_CLASSES - 1}")
         return ModelFile(model, cfg, str(doc.get("dataset_fingerprint", "")))
     except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatch) as e:
         raise CorruptModel(f"malformed model file: {e}") from None

@@ -9,7 +9,8 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -324,17 +325,12 @@ def render_csv(report: EvaluationReport, include_timings: bool = True) -> str:
     def meta(name, value):
         writer.writerow(["meta", name, _csv_scalar(value), "", "", "", ""])
 
-    meta("version", doc["version"])
-    for key in ("classifier", "features", "split"):
-        for sub, value in doc[key].items():
-            meta(f"{key}.{sub}", value)
-    meta("dataset_fingerprint", doc["dataset_fingerprint"])
-    meta("accuracy", doc["accuracy"])
-    if "nonconverged_machines" in doc:
-        meta("nonconverged_machines", doc["nonconverged_machines"])
-    if include_timings:
-        for sub, value in doc["timings_ms"].items():
-            meta(f"timings_ms.{sub}", value)
+    for key, value in doc.items():  # one level flattened, in key order
+        if isinstance(value, dict):
+            for sub, v in value.items():
+                meta(f"{key}.{sub}", v)
+        elif key not in ("counts", "per_class"):
+            meta(key, value)
     for i, name in enumerate(LABEL_NAMES):
         writer.writerow(["counts", name] + [str(v) for v in doc["counts"][i]])
     writer.writerow(
@@ -393,12 +389,11 @@ def render_report(report: EvaluationReport, fmt: str = "text", include_timings: 
 
 def evaluate_grid(
     ds: LabeledDataset,
-    base_classifier: ClassifierSpec,
+    classifiers: Sequence[ClassifierSpec],
     split: SplitSpec,
-    classifiers=GRID_CLASSIFIERS,
     angle_mode: str = "adjacent",
 ) -> list[EvaluationReport]:
-    """Evaluate every (classifier, feature set) cell.
+    """Evaluate every (classifier, feature set) cell, a row per classifier spec.
 
     Each feature set is extracted once and shared by its cells, so a cell's
     timings_ms["extract"] is about 0. Cells are mutually independent; this
@@ -407,12 +402,11 @@ def evaluate_grid(
     configs = [FeatureConfig.from_name(f, angle_mode) for f in GRID_FEATURE_SETS]
     skeletons = ds.skeletons()
     extracted = [extract_matrix(skeletons, cfg) for cfg in configs]
-    reports = []
-    for name in classifiers:
-        spec = replace(base_classifier, name=name)
-        for cfg, X in zip(configs, extracted):
-            reports.append(evaluate(ds, cfg, spec, split, X))
-    return reports
+    return [
+        evaluate(ds, cfg, spec, split, X)
+        for spec in classifiers
+        for cfg, X in zip(configs, extracted)
+    ]
 
 
 def render_grid(reports: list[EvaluationReport]) -> str:

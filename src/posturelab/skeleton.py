@@ -181,17 +181,6 @@ class Skeleton:
         return Skeleton(pos)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """A skeleton with its label (optional for prediction inputs) and capture metadata."""
-
-    skeleton: Skeleton
-    label: PostureLabel | None = None
-    participant_id: str = ""
-    orientation_deg: float = 0.0
-    distance_m: float = 0.0
-
-
 def finite_real(value) -> bool:
     """True for a real number (not a string) of finite float magnitude."""
     return isinstance(value, Real) and abs(value) <= sys.float_info.max

@@ -26,7 +26,7 @@ from posturelab.dataset import (
     ModelFile,
     SynthSpec,
     load_model,
-    record_line,
+    record_lines,
     save_model,
     synth_generate,
 )
@@ -271,9 +271,7 @@ def test_determinism_and_round_trip(tmp_path):
         spec = SynthSpec(seed=7, per_class=12)
         ds_a = synth_generate(spec)
         ds_b = synth_generate(spec)
-        assert [record_line(o) for o in ds_a.observations] == [
-            record_line(o) for o in ds_b.observations
-        ]
+        assert record_lines(ds_a) == record_lines(ds_b)
         assert ds_a.fingerprint == ds_b.fingerprint
 
         cfg = FeatureConfig.from_name("combined")

@@ -52,6 +52,22 @@ CORRUPT_PAYLOADS = {
 }
 
 
+def _with_labels(params: dict, value: int) -> None:
+    labels = unpayload(params["labels"]).copy()
+    labels[3] = value
+    params["labels"] = payload(labels, "<i8")
+
+
+# Edits of a model file's params that put one class index outside the five
+# postures: id -> (classifier, edit(params, index))
+CLASS_INDEX_EDITS = {
+    "lda-classes": ("lda", lambda params, k: params["classes"].__setitem__(2, k)),
+    "qda-classes": ("qda", lambda params, k: params["classes"].__setitem__(2, k)),
+    "svm-pairs": ("svm_quadratic", lambda params, k: params["pairs"][4].__setitem__(1, k)),
+    "knn1-labels": ("knn1", _with_labels),
+}
+
+
 def _train(tmp_path, dataset_path, name: str):
     path = tmp_path / f"{name}.json"
     argv = ["train", "--data", str(dataset_path), "--model-out", str(path), "--classifier", name]
@@ -82,9 +98,7 @@ REJECTED_SPEC_VALUES = {
     "config-angle-mode-featurize": (["featurize"], {"angle-mode": "bogus"}, None),
     "config-angle-mode-grid": (["grid", "--classifiers", "lda"], {"angle-mode": "bogus"}, None),
     "grid-unknown-classifier": (["grid", "--classifiers", "lda,svm_rbf"], None, None),
-    "grid-svm-cell-c-0": (
-        ["grid", "--classifier", "lda", "--c", "0", "--classifiers", "lda,svm_linear"], None, None
-    ),
+    "grid-svm-cell-c-0": (["grid", "--c", "0", "--classifiers", "lda,svm_linear"], None, None),
     "kernel-scale-0": (["evaluate", "--kernel-scale", "0"], None, None),
     "train-fraction-flag": (["evaluate", "--train-fraction", "1.5"], None, None),
     "config-train-fraction": (["evaluate"], {"train-fraction": 1.5}, None),
@@ -207,6 +221,21 @@ class TestUsageErrors:
     def test_svm_hyperparameters_do_not_constrain_lda(self, dataset_path):
         args = ["evaluate", "--data", str(dataset_path), "--classifier", "lda"]
         assert run([*args, "--c", "0", "--tol", "0"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [(["--c", "0", "--tol", "0"], None), ([], {"classifier": "bogus"})],
+        ids=["svm-flags", "config-classifier"],
+    )
+    def test_svm_free_grid_ignores_svm_and_classifier_values(
+        self, tmp_path, dataset_path, argv, config
+    ):
+        prefix = []
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            prefix = ["--config", str(tmp_path / "config.json")]
+        args = ["grid", "--data", str(dataset_path), "--classifiers", "lda,knn1", *argv]
+        assert run([*prefix, *args, "--out", str(tmp_path / "grid.txt")]) == 0
 
     def test_help_exits_zero_and_lists_commands(self, capsys):
         assert run(["--help"]) == 0
@@ -370,6 +399,21 @@ class TestModelFiles:
         assert self.predict(path, dataset_path, tmp_path) == 3
         err = capsys.readouterr().err
         assert err == "numeric failure: SVM decision values are not finite\n"
+
+    @pytest.mark.parametrize("value", [7, -1])
+    @pytest.mark.parametrize("case", CLASS_INDEX_EDITS)
+    def test_class_index_outside_the_postures_is_exit_2(
+        self, tmp_path, dataset_path, capsys, case, value
+    ):
+        name, edit = CLASS_INDEX_EDITS[case]
+        path = _train(tmp_path, dataset_path, name)
+        _edit_model(path, lambda doc: edit(doc["params"], value))
+        with pytest.raises(CorruptModel, match="class index outside 0-4"):
+            load_model(path)
+        capsys.readouterr()
+        assert self.predict(path, dataset_path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed model file") and err.count("\n") == 1
 
     @pytest.mark.parametrize("version", [1, 0, "2", None])
     def test_other_version_is_exit_2(self, tmp_path, dataset_path, capsys, version):

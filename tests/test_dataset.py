@@ -2,6 +2,7 @@ import dataclasses
 import json
 
 import numpy as np
+import numpy.typing as npt
 import pytest
 
 from conftest import payload, unpayload
@@ -15,11 +16,14 @@ from posturelab.classifiers import (
 )
 from posturelab.dataset import (
     MODEL_VERSION,
+    LabeledDataset,
     ModelFile,
     SynthSpec,
+    _decode,
+    encode,
     load_dataset,
     load_model,
-    record_line,
+    record_lines,
     save_dataset,
     save_model,
     synth_generate,
@@ -51,10 +55,7 @@ class TestDatasetFile:
         loaded = load_dataset(path)
         assert len(loaded) == len(ds)
         assert loaded.fingerprint == ds.fingerprint
-        for a, b in zip(ds.observations, loaded.observations):
-            assert a.label == b.label
-            assert a.participant_id == b.participant_id
-            assert np.array_equal(a.skeleton.positions, b.skeleton.positions)
+        assert record_lines(loaded) == record_lines(ds)
 
     def test_unknown_label_carries_line_number(self, tmp_path):
         ds, path = write_dataset(tmp_path, seed=3, per_class=2)
@@ -131,7 +132,8 @@ class TestDatasetFile:
         lines[1] = json.dumps(rec)
         path.write_text("\n".join(lines) + "\n")
         loaded = load_dataset(path)
-        assert loaded.observations[0].label is None
+        assert loaded.labels[0] == -1
+        assert json.loads(record_lines(loaded)[0])["label"] is None
 
     def test_fingerprint_tracks_record_bytes(self, tmp_path):
         ds, path = write_dataset(tmp_path, seed=3, per_class=2)
@@ -160,9 +162,9 @@ class TestColumns:
         assert ds.positions.flags.c_contiguous
         assert ds.labels.dtype == np.int64
         assert ds.labels.tolist() == [k for k in range(5) for _ in range(4)]
-        for obs, p, o, d in zip(ds.observations, ds.participants,
-                                ds.orientations_deg, ds.distances_m):
-            assert (obs.participant_id, obs.orientation_deg, obs.distance_m) == (p, o, d)
+        assert all(type(p) is str for p in ds.participants)
+        assert ds.orientations_deg.dtype == ds.distances_m.dtype == np.float64
+        assert ds.orientations_deg.shape == ds.distances_m.shape == (20,)
 
     @pytest.mark.parametrize(
         "column", ["positions", "labels", "participants", "orientations_deg", "distances_m"]
@@ -199,7 +201,85 @@ class TestColumns:
         path.write_text(path.read_text().splitlines()[0] + "\n")
         loaded = load_dataset(path)
         assert len(loaded) == 0 and loaded.positions.shape == (0, 25, 3)
-        assert loaded.observations == ()
+        assert record_lines(loaded) == []
+
+
+COLUMNS = ("positions", "labels", "participants", "orientations_deg", "distances_m")
+
+
+def _with(ds, column: str, edit):
+    values = getattr(ds, column).copy()
+    edit(values)
+    return dataclasses.replace(ds, **{column: values})
+
+
+def _next_float(values, index):
+    values[index] = np.nextafter(values[index], np.inf)
+
+
+# Edits of a dataset's content: id -> edit(ds) returning a new dataset
+CONTENT_EDITS = {
+    "positions": lambda ds: _with(ds, "positions", lambda v: _next_float(v, (5, 3, 1))),
+    "labels": lambda ds: _with(ds, "labels", lambda v: v.__setitem__(5, (v[5] + 1) % 5)),
+    "participants": lambda ds: _with(ds, "participants", lambda v: v.__setitem__(5, v[5] + "x")),
+    "orientations_deg": lambda ds: _with(ds, "orientations_deg", lambda v: _next_float(v, 5)),
+    "distances_m": lambda ds: _with(ds, "distances_m", lambda v: _next_float(v, 5)),
+    "record-order": lambda ds: dataclasses.replace(
+        ds, **{c: getattr(ds, c)[::-1].copy() for c in COLUMNS}
+    ),
+}
+
+
+class TestFingerprint:
+    def test_is_not_a_constructor_argument(self):
+        ds = synth_generate(SynthSpec(seed=3, per_class=2))
+        with pytest.raises(TypeError):
+            LabeledDataset(*(getattr(ds, c) for c in COLUMNS), ds.fingerprint)
+
+    def test_value_is_pinned(self):
+        # reports and model files record it: a change to its recipe shows here
+        assert synth_generate(SynthSpec(seed=3, per_class=2)).fingerprint == "e77cd44d9278100d"
+
+    def test_reformatted_file_keeps_it(self, tmp_path):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=4)
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines[1:], start=1):
+            rec = json.loads(line)
+            for key in ("orientation_deg", "distance_m"):  # 90.0 -> 90
+                assert rec[key].is_integer()
+                rec[key] = int(rec[key])
+            rec["joints"] = dict(reversed(rec["joints"].items()))
+            rec = dict(reversed(rec.items()))
+            lines[i] = "  " + json.dumps(rec, separators=(" , ", " : ")) + " "
+        respelled = tmp_path / "respelled.jsonl"
+        respelled.write_text("\n".join(lines) + "\n")
+        assert respelled.read_bytes() != path.read_bytes()
+        loaded = load_dataset(respelled)
+        assert "fingerprint" not in loaded.__dict__  # computed on first use only
+        assert loaded.fingerprint == ds.fingerprint == load_dataset(path).fingerprint
+
+    def test_equal_columns_give_equal_fingerprints(self):
+        ds = synth_generate(SynthSpec(seed=3, per_class=4))
+        copied = dataclasses.replace(ds, **{c: getattr(ds, c).copy() for c in COLUMNS})
+        assert copied.fingerprint == ds.fingerprint
+
+    @pytest.mark.parametrize("edit", CONTENT_EDITS)
+    def test_a_content_change_changes_it(self, edit):
+        ds = synth_generate(SynthSpec(seed=3, per_class=4))
+        assert CONTENT_EDITS[edit](ds).fingerprint != ds.fingerprint
+
+    def test_record_lines_are_byte_stable_across_save_load_save(self, tmp_path):
+        spec = SynthSpec(seed=3, per_class=4)
+        ds = synth_generate(spec)
+        labels = ds.labels.copy()
+        labels[2] = -1  # an unlabeled record too
+        ds = dataclasses.replace(ds, labels=labels)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        save_dataset(ds, first, generator=spec.to_dict())
+        save_dataset(load_dataset(first), second, generator=spec.to_dict())
+        assert second.read_bytes() == first.read_bytes()
+        assert first.read_text().splitlines()[1:] == record_lines(ds)
+        assert load_dataset(second).fingerprint == ds.fingerprint
 
 
 # Joint values both validate_skeleton and the loader reject: value -> axis named
@@ -269,9 +349,7 @@ class TestSynthGenerate:
         a = synth_generate(SynthSpec(seed=11, per_class=6))
         b = synth_generate(SynthSpec(seed=11, per_class=6))
         assert a.fingerprint == b.fingerprint
-        assert [record_line(o) for o in a.observations] == [
-            record_line(o) for o in b.observations
-        ]
+        assert record_lines(a) == record_lines(b)
         c = synth_generate(SynthSpec(seed=12, per_class=6))
         assert c.fingerprint != a.fingerprint
 
@@ -300,10 +378,9 @@ class TestSynthGenerate:
     def test_metadata_draws_come_from_spec_sets(self):
         spec = SynthSpec(seed=9, per_class=30)
         ds = synth_generate(spec)
-        for obs in ds.observations:
-            assert obs.orientation_deg in spec.orientations_deg
-            assert obs.distance_m in spec.distances_m
-            assert obs.participant_id.startswith("p")
+        assert set(ds.orientations_deg.tolist()) <= set(spec.orientations_deg)
+        assert set(ds.distances_m.tolist()) <= set(spec.distances_m)
+        assert all(p.startswith("p") for p in ds.participants)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -458,19 +535,22 @@ class TestModelFile:
 
     def test_arrays_round_trip_bit_exact(self, tmp_path):
         floats = np.array([-0.0, 0.0, 5e-324, -2.2e-310, 1.7e308, -1.7e308, 0.1])
-        ints = np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max])
         model = Knn1Model(
             standardizer=Standardizer(floats, np.abs(floats) + 1.0),
             fingerprint="fp",
             seed=3,
             points=np.stack([floats, floats[::-1]]),
-            labels=ints,
+            labels=np.array([4, 0]),
         )
         path = tmp_path / "model.json"
         save_model(ModelFile(model, FeatureConfig()), path)
         loaded = load_model(path).model
-        for name in ("points", "labels"):
-            saved, back = getattr(model, name), getattr(loaded, name)
+        arrays = [(getattr(model, n), getattr(loaded, n)) for n in ("points", "labels")]
+        # class labels must be postures, so the int64 extremes go through the codec alone
+        ints = np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max])
+        tp = npt.NDArray[np.int64]
+        arrays.append((ints, _decode(tp, json.loads(json.dumps(encode(tp, ints))))))
+        for saved, back in arrays:
             assert back.dtype == saved.dtype and back.shape == saved.shape
             assert back.tobytes() == saved.tobytes()
             assert back.flags.owndata and back.flags.aligned and back.flags.c_contiguous
@@ -528,6 +608,6 @@ class TestModelFile:
         path = tmp_path / "model.json"
         save_model(ModelFile(model, cfg, ds.fingerprint), path)
         loaded = load_model(path)
-        skel = ds.observations[0].skeleton
+        skel = ds.skeletons()[0]
         fv = extract(skel, loaded.feature_config)
         assert fv.fingerprint == loaded.model.fingerprint

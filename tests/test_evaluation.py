@@ -8,6 +8,7 @@ from posturelab.classifiers import ClassifierSpec, fit_standardizer
 from posturelab.dataset import SynthSpec, synth_generate
 from posturelab.errors import ClassTooSmall, EmptyInput, LengthMismatch
 from posturelab.evaluation import (
+    GRID_CLASSIFIERS,
     SplitSpec,
     confusion_matrix,
     evaluate,
@@ -271,7 +272,8 @@ class TestRenderFormats:
 class TestGrid:
     def test_grid_is_15_reports_in_table_shape(self):
         ds = small_dataset(per_class=8)
-        reports = evaluate_grid(ds, ClassifierSpec(seed=0), SplitSpec(seed=0))
+        specs = [ClassifierSpec(name, seed=0) for name in GRID_CLASSIFIERS]
+        reports = evaluate_grid(ds, specs, SplitSpec(seed=0))
         assert len(reports) == 15
         text = render_grid(reports)
         lines = text.strip().splitlines()
@@ -340,18 +342,16 @@ class TestGridExtraction:
 
         monkeypatch.setattr(ev, "extract_matrix", counting)
         ds = small_dataset(per_class=8)
-        reports = evaluate_grid(
-            ds, ClassifierSpec(seed=0), SplitSpec(seed=0), classifiers=("lda", "knn1")
-        )
+        specs = [ClassifierSpec(name, seed=0) for name in ("lda", "knn1")]
+        reports = evaluate_grid(ds, specs, SplitSpec(seed=0))
         assert len(reports) == 6
         assert sorted(calls) == ["angles", "combined", "distances"]
 
     def test_grid_cells_equal_single_evaluations(self):
         ds = small_dataset(per_class=8)
         split = SplitSpec(seed=4)
-        reports = evaluate_grid(
-            ds, ClassifierSpec(seed=4), split, classifiers=("lda", "svm_linear")
-        )
+        specs = [ClassifierSpec(name, seed=4) for name in ("lda", "svm_linear")]
+        reports = evaluate_grid(ds, specs, split)
         for report in reports:
             alone = evaluate(ds, report.features, report.classifier, split)
             assert report.to_dict(include_timings=False) == alone.to_dict(
