@@ -1,9 +1,12 @@
 """The classifier menu behind a single train/predict contract.
 
 Four model kinds: one-vs-one SVM (trained by SMO), linear and quadratic
-Gaussian discriminants, and exact 1-nearest-neighbor. Every kind standardizes
-features with statistics fitted on its own training set, so kernel scales and
-distances are comparable across feature families.
+Gaussian discriminants, and exact 1-nearest-neighbor. One table, CLASSIFIERS,
+gives each classifier name its model class, its fit and its kernel degree.
+Every kind trains through one path, which standardizes features with
+statistics fitted on its own training set (so kernel scales and distances are
+comparable across feature families) and hands the standardized rows to the
+kind's fit.
 
 Every fitted model has one scorer, which maps standardized rows to class
 indices with a few BLAS calls. It is built from the fitted parameters on the
@@ -16,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, Sequence
+from itertools import combinations
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -32,8 +36,8 @@ from .errors import (
 from .features import FeatureVector
 from .kernels import KernelSpec, linear_kernel, polynomial_kernel
 from .skeleton import NUM_CLASSES, PostureLabel
-# decision_function scores one machine: the reference for OvoSvmModel.decisions,
-# and an attribute that perfbench probes here.
+# The benchmark's tracer wraps decision_function (the one-machine reference for
+# OvoSvmModel.decisions), smo_train and ovo_train as attributes of this module.
 from .svm import BinarySvmModel, decision_function, smo_train  # noqa: F401
 
 COVARIANCE_RIDGE = 1e-6  # lambda in Sigma + lambda * (trace/d) * I
@@ -44,16 +48,6 @@ _KNN_BLOCK = 256  # query rows per 1-NN filter step
 # polynomial kernel argument x.y/scale^2 then stays well above -1, keeping
 # (1 + x.y/scale^2)^degree monotone in the dot product.
 AUTO_SCALE_FACTOR = 4.0
-
-CLASSIFIER_NAMES = (
-    "lda",
-    "qda",
-    "knn1",
-    "svm_linear",
-    "svm_quadratic",
-    "svm_cubic",
-)
-
 
 @dataclass(frozen=True)
 class Standardizer:
@@ -95,44 +89,19 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
     return Standardizer(mean, std)
 
 
-def vote_from_decisions(
-    pairs: Sequence[tuple[int, int]],
-    decisions: Sequence[float],
-    n_classes: int = NUM_CLASSES,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Aggregate pairwise duels into a winner.
+def vote_batch(
+    pairs: Sequence[tuple[int, int]], decisions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-vs-one vote of every row of an (n, len(pairs)) decision table.
 
     Each duel (a, b) carries a signed decision value: positive favors a,
     negative favors b, exact zero goes to the lower index a. The winner has
     the most votes; ties break on the largest sum of signed decision values
-    in the class's favor, then on the lowest class index.
+    in the class's favor, then on the lowest class index. Each class's sum
+    takes its additions in pair order.
 
-    Returns (winner index, votes per class, margin sum per class).
-    """
-    votes = np.zeros(n_classes, dtype=np.int64)
-    margins = np.zeros(n_classes)
-    for (a, b), d in zip(pairs, decisions):
-        d = float(d)
-        if d >= 0.0:
-            votes[a] += 1
-        else:
-            votes[b] += 1
-        margins[a] += d
-        margins[b] -= d
-    tied = np.flatnonzero(votes == votes.max())
-    if tied.size > 1:
-        tied = tied[margins[tied] == margins[tied].max()]
-    return int(tied[0]), votes, margins
-
-
-def vote_batch(
-    pairs: Sequence[tuple[int, int]], decisions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """vote_from_decisions of every row of an (n, len(pairs)) decision table.
-
-    Each class's margin takes the same float additions in the same pair
-    order, so margin ties break as in vote_from_decisions. Returns (winner
-    per row, votes per row and class).
+    Returns (winner per row, votes per row and class, margin sum per row and
+    class).
     """
     # the class that each duel's vote goes to
     voted = np.where(decisions >= 0.0, *np.reshape(pairs, (-1, 2)).T)
@@ -141,10 +110,19 @@ def vote_batch(
     for (a, b), d in zip(pairs, decisions.T):
         margins[a] += d
         margins[b] -= d
+    margins = margins.T
     tied = votes == votes.max(axis=1, keepdims=True)
-    margins = np.where(tied, margins.T, -np.inf)
-    top = tied & ~(margins < margins.max(axis=1, keepdims=True))
-    return np.argmax(top, axis=1), votes
+    tied_margins = np.where(tied, margins, -np.inf)
+    top = tied & ~(tied_margins < tied_margins.max(axis=1, keepdims=True))
+    return np.argmax(top, axis=1), votes, margins
+
+
+def vote_from_decisions(
+    pairs: Sequence[tuple[int, int]], decisions: Sequence[float]
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """vote_batch of one row: (winner index, votes per class, margin sum per class)."""
+    winners, votes, margins = vote_batch(pairs, np.asarray(decisions, dtype=np.float64)[None, :])
+    return int(winners[0]), votes[0], margins[0]
 
 
 @dataclass(frozen=True)
@@ -161,6 +139,11 @@ class MulticlassModel:
     def dim(self) -> int:
         return self.standardizer.dim
 
+    @property
+    def nonconverged(self) -> int | None:
+        """Binary SVMs left with KKT violations; None for a model without any."""
+        return None
+
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
         """Class indices of standardized (n, d) rows; built once, never saved."""
@@ -176,12 +159,7 @@ class OvoSvmModel(MulticlassModel):
 
     @property
     def nonconverged(self) -> int:
-        """Binary SVMs left with KKT violations."""
         return sum(not m.converged for m in self.machines)
-
-    @property
-    def converged(self) -> bool:
-        return self.nonconverged == 0
 
     @cached_property
     def decisions(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -326,65 +304,27 @@ def _feature_row(model: MulticlassModel, x) -> np.ndarray:
     return x[None, :]
 
 
-def _class_counts(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    classes, counts = np.unique(y, return_counts=True)
-    return classes.astype(np.int64), counts
-
-
 # ---------------------------------------------------------------------------
-# One-vs-one SVM
+# Fits: standardized (n, d) rows and n labels -> the kind's own model fields
 
 
-def ovo_train(
-    X: np.ndarray,
-    y: np.ndarray,
-    kernel: KernelSpec,
-    c: float = 1.0,
-    tol: float = 1e-3,
-    seed: int = 0,
-    fingerprint: str = "",
-) -> OvoSvmModel:
+def _ovo_fit(Xs: np.ndarray, y: np.ndarray, kernel: KernelSpec, c: float, tol: float) -> dict:
     """One binary SVM per unordered pair of classes present in y.
 
     The positive label of the (a, b) machine is class a (the lower index), so
-    positive decision values vote for a. The solver is deterministic: seed is
-    only recorded in the model.
+    positive decision values vote for a.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    classes, _ = _class_counts(y)
+    # With return_counts, np.unique sorts; without, numpy 2 hashes, and the
+    # hashing path costs about 10 ms on its first call in a process.
+    classes, _ = np.unique(y, return_counts=True)
     if classes.size < 2:
         raise SingleClass("one-vs-one training needs at least two classes")
-    standardizer = fit_standardizer(X)
-    Xs = standardizer.transform(X)
-
-    pairs = []
+    pairs = tuple(combinations(classes.tolist(), 2))
     machines = []
-    for ia in range(classes.size):
-        for ib in range(ia + 1, classes.size):
-            a, b = int(classes[ia]), int(classes[ib])
-            mask = (y == a) | (y == b)
-            y_bin = np.where(y[mask] == a, 1.0, -1.0)
-            machines.append(smo_train(Xs[mask], y_bin, kernel, c=c, tol=tol))
-            pairs.append((a, b))
-    return OvoSvmModel(
-        standardizer=standardizer,
-        fingerprint=fingerprint,
-        seed=seed,
-        pairs=tuple(pairs),
-        machines=tuple(machines),
-    )
-
-
-def ovo_predict(model: OvoSvmModel, x) -> tuple[PostureLabel, dict[PostureLabel, int]]:
-    """Majority vote over the pairwise machines for one feature vector."""
-    xs = model.standardizer.transform(_feature_row(model, x))
-    winners, votes = vote_batch(model.pairs, model.decisions(xs))
-    return PostureLabel(int(winners[0])), {label: int(votes[0, label]) for label in PostureLabel}
-
-
-# ---------------------------------------------------------------------------
-# Gaussian discriminants
+    for a, b in pairs:
+        mask = (y == a) | (y == b)
+        machines.append(smo_train(Xs[mask], np.where(y[mask] == a, 1.0, -1.0), kernel, c=c, tol=tol))
+    return {"pairs": pairs, "machines": tuple(machines)}
 
 
 def _regularized(cov: np.ndarray) -> np.ndarray:
@@ -402,98 +342,68 @@ def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
         ) from None
 
 
-def _chol_logdet(cov: np.ndarray, what: str) -> float:
-    return float(2.0 * np.sum(np.log(np.diag(_cholesky(cov, f"{what} covariance")))))
-
-
-def _gaussian_fit(X: np.ndarray, y: np.ndarray):
-    """Shared part of LDA and QDA training.
-
-    Returns the standardizer, the class indices, the class means, each
-    class's standardized rows centered on its mean, and the log priors.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    classes, counts = _class_counts(y)
+def _gaussian_fit(Xs: np.ndarray, y: np.ndarray) -> tuple[dict, list[np.ndarray]]:
+    """What LDA and QDA share: the class indices, means and log priors, and
+    each class's rows centered on its mean."""
+    classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2:
         raise SingleClass("discriminant training needs at least two classes")
     if counts.min() < 2:
         small = int(classes[counts.argmin()])
         raise SingleClass(f"class {small} has fewer than 2 samples")
-    standardizer = fit_standardizer(X)
-    Xs = standardizer.transform(X)
     means = np.vstack([Xs[y == k].mean(axis=0) for k in classes])
     centered = [Xs[y == k] - mean_k for mean_k, k in zip(means, classes)]
-    log_priors = np.log(counts / Xs.shape[0])
-    return standardizer, tuple(int(k) for k in classes), means, centered, log_priors
+    shared = {"classes": tuple(classes.tolist()), "means": means,
+              "log_priors": np.log(counts / Xs.shape[0])}
+    return shared, centered
 
 
-def lda_train(
-    X: np.ndarray, y: np.ndarray, fingerprint: str = "", seed: int = 0
-) -> LdaModel:
+def _lda_fit(Xs: np.ndarray, y: np.ndarray) -> dict:
     """Gaussian discriminant with one pooled covariance across classes."""
-    standardizer, classes, means, centered, log_priors = _gaussian_fit(X, y)
-    d = means.shape[1]
-    pooled = np.zeros((d, d))
+    shared, centered = _gaussian_fit(Xs, y)
+    pooled = np.zeros((Xs.shape[1], Xs.shape[1]))
     for rows in centered:
         pooled += rows.T @ rows
-    pooled /= sum(len(rows) for rows in centered) - len(classes)
-    pooled = _regularized(pooled)
-    _chol_logdet(pooled, "pooled")
-    return LdaModel(
-        standardizer=standardizer,
-        fingerprint=fingerprint,
-        seed=seed,
-        classes=classes,
-        means=means,
-        precision=np.linalg.inv(pooled),
-        log_priors=log_priors,
-    )
+    pooled = _regularized(pooled / (Xs.shape[0] - len(centered)))
+    _cholesky(pooled, "pooled covariance")
+    return {**shared, "precision": np.linalg.inv(pooled)}
 
 
-def qda_train(
-    X: np.ndarray, y: np.ndarray, fingerprint: str = "", seed: int = 0
-) -> QdaModel:
+def _qda_fit(Xs: np.ndarray, y: np.ndarray) -> dict:
     """Gaussian discriminant with one covariance per class."""
-    standardizer, classes, means, centered, log_priors = _gaussian_fit(X, y)
+    shared, centered = _gaussian_fit(Xs, y)
     covs = [_regularized(rows.T @ rows / (rows.shape[0] - 1)) for rows in centered]
-    log_dets = [_chol_logdet(cov, f"class {k}") for cov, k in zip(covs, classes)]
-    return QdaModel(
-        standardizer=standardizer,
-        fingerprint=fingerprint,
-        seed=seed,
-        classes=classes,
-        means=means,
-        precisions=np.stack([np.linalg.inv(cov) for cov in covs]),
-        log_dets=np.array(log_dets),
-        log_priors=log_priors,
-    )
+    log_dets = [
+        2.0 * np.sum(np.log(np.diag(_cholesky(cov, f"class {k} covariance"))))
+        for cov, k in zip(covs, shared["classes"])
+    ]
+    return {**shared, "precisions": np.stack([np.linalg.inv(cov) for cov in covs]),
+            "log_dets": np.array(log_dets)}
 
 
-# ---------------------------------------------------------------------------
-# Nearest neighbor
+def _knn1_fit(Xs: np.ndarray, y: np.ndarray) -> dict:
+    return {"points": Xs, "labels": y.copy()}
 
 
-def knn1_train(
-    X: np.ndarray, y: np.ndarray, fingerprint: str = "", seed: int = 0
-) -> Knn1Model:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.shape[0] == 0:
-        raise EmptyTrainingSet("1-NN needs at least one training point")
-    standardizer = fit_standardizer(X)
-    return Knn1Model(
-        standardizer=standardizer,
-        fingerprint=fingerprint,
-        seed=seed,
-        points=standardizer.transform(X),
-        labels=y.copy(),
-    )
+class _Entry(NamedTuple):
+    model: type[MulticlassModel]
+    fit: Callable[..., dict]
+    degree: int | None = None  # of the SVM kernel; 1 is the linear kernel
 
 
-def knn1_predict(model: Knn1Model, x) -> PostureLabel:
-    """Label of the Euclidean-nearest standardized training point."""
-    return predict_label(model, x)
+# The classifier menu, keyed by ClassifierSpec.name. The SVM rows train
+# through ovo_train, which binds the kernel, c and tol of their fit.
+CLASSIFIERS = {
+    "lda": _Entry(LdaModel, _lda_fit),
+    "qda": _Entry(QdaModel, _qda_fit),
+    "knn1": _Entry(Knn1Model, _knn1_fit),
+    "svm_linear": _Entry(OvoSvmModel, _ovo_fit, 1),
+    "svm_quadratic": _Entry(OvoSvmModel, _ovo_fit, 2),
+    "svm_cubic": _Entry(OvoSvmModel, _ovo_fit, 3),
+}
+CLASSIFIER_NAMES = tuple(CLASSIFIERS)
+# Model class of each kind a model file names.
+MODEL_KINDS = {entry.model.kind: entry.model for entry in CLASSIFIERS.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +425,7 @@ class ClassifierSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.name not in CLASSIFIER_NAMES:
+        if self.name not in CLASSIFIERS:
             raise ValueError(
                 f"unknown classifier {self.name!r}; choose from {CLASSIFIER_NAMES}"
             )
@@ -527,7 +437,7 @@ class ClassifierSpec:
                 continue
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
-            if self.name.startswith("svm_") and not value > 0.0:
+            if CLASSIFIERS[self.name].degree is not None and not value > 0.0:
                 raise ValueError(f"{key} must be positive, got {value!r}")
 
     def resolve_scale(self, n_features: int) -> float:
@@ -536,35 +446,74 @@ class ClassifierSpec:
         return AUTO_SCALE_FACTOR * math.sqrt(n_features)
 
     def kernel(self, n_features: int) -> KernelSpec | None:
-        if self.name == "svm_linear":
+        degree = CLASSIFIERS[self.name].degree
+        if degree is None:
+            return None
+        if degree == 1:
             return linear_kernel()
-        if self.name == "svm_quadratic":
-            return polynomial_kernel(2, self.resolve_scale(n_features))
-        if self.name == "svm_cubic":
-            return polynomial_kernel(3, self.resolve_scale(n_features))
-        return None
+        return polynomial_kernel(degree, self.resolve_scale(n_features))
+
+
+def _checked(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X as an (n, d) float matrix and y as its n integer labels."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise DimensionMismatch(
+            f"training needs an (n, d) matrix and n labels, got shapes {X.shape} and {y.shape}"
+        )
+    return X, y
+
+
+def _train(
+    model: type[MulticlassModel], fit: Callable[..., dict], X, y, fingerprint: str, seed: int,
+    **params,
+) -> MulticlassModel:
+    """The one training path: check X and y, fit the standardizer on X, and
+    build the model from the kind's fit on the standardized rows."""
+    X, y = _checked(X, y)
+    standardizer = fit_standardizer(X)
+    fields = fit(standardizer.transform(X), y, **params)
+    return model(standardizer=standardizer, fingerprint=fingerprint, seed=seed, **fields)
 
 
 def train_classifier(
     X: np.ndarray, y: np.ndarray, spec: ClassifierSpec, fingerprint: str = ""
 ) -> MulticlassModel:
-    X = np.asarray(X, dtype=np.float64)
-    kernel = spec.kernel(X.shape[1])
-    if kernel is not None:
-        return ovo_train(
-            X,
-            y,
-            kernel,
-            c=spec.c,
-            tol=spec.tol,
-            seed=spec.seed,
-            fingerprint=fingerprint,
-        )
-    if spec.name == "lda":
-        return lda_train(X, y, fingerprint=fingerprint, seed=spec.seed)
-    if spec.name == "qda":
-        return qda_train(X, y, fingerprint=fingerprint, seed=spec.seed)
-    return knn1_train(X, y, fingerprint=fingerprint, seed=spec.seed)
+    """The spec's classifier, fitted on raw (n, d) rows X and their n labels y."""
+    entry = CLASSIFIERS[spec.name]
+    if entry.degree is None:
+        return _train(entry.model, entry.fit, X, y, fingerprint, spec.seed)
+    # SVMs train through the module attribute ovo_train, which perfbench wraps;
+    # X is checked first because the auto kernel scale reads its width.
+    X, y = _checked(X, y)
+    return ovo_train(X, y, spec.kernel(X.shape[1]), spec.c, spec.tol, spec.seed, fingerprint)
+
+
+def ovo_train(
+    X: np.ndarray,
+    y: np.ndarray,
+    kernel: KernelSpec,
+    c: float = 1.0,
+    tol: float = 1e-3,
+    seed: int = 0,
+    fingerprint: str = "",
+) -> OvoSvmModel:
+    """One-vs-one SVM with this kernel. The solver is deterministic: seed is
+    only recorded in the model."""
+    return _train(OvoSvmModel, _ovo_fit, X, y, fingerprint, seed, kernel=kernel, c=c, tol=tol)
+
+
+def lda_train(X: np.ndarray, y: np.ndarray, fingerprint: str = "", seed: int = 0) -> LdaModel:
+    return train_classifier(X, y, ClassifierSpec("lda", seed=seed), fingerprint)
+
+
+def qda_train(X: np.ndarray, y: np.ndarray, fingerprint: str = "", seed: int = 0) -> QdaModel:
+    return train_classifier(X, y, ClassifierSpec("qda", seed=seed), fingerprint)
+
+
+def knn1_train(X: np.ndarray, y: np.ndarray, fingerprint: str = "", seed: int = 0) -> Knn1Model:
+    return train_classifier(X, y, ClassifierSpec("knn1", seed=seed), fingerprint)
 
 
 def predict_label(model: MulticlassModel, x) -> PostureLabel:
@@ -578,3 +527,15 @@ def predict_batch(model: MulticlassModel, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2:
         raise DimensionMismatch("expected an (n, d) matrix")
     return model.scorer(model.standardizer.transform(X))
+
+
+def ovo_predict(model: OvoSvmModel, x) -> tuple[PostureLabel, dict[PostureLabel, int]]:
+    """Majority vote over the pairwise machines for one feature vector."""
+    xs = model.standardizer.transform(_feature_row(model, x))
+    winners, votes, _ = vote_batch(model.pairs, model.decisions(xs))
+    return PostureLabel(int(winners[0])), {label: int(votes[0, label]) for label in PostureLabel}
+
+
+def knn1_predict(model: Knn1Model, x) -> PostureLabel:
+    """Label of the Euclidean-nearest standardized training point."""
+    return predict_label(model, x)

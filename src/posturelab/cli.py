@@ -13,13 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .classifiers import (
-    CLASSIFIER_NAMES,
-    ClassifierSpec,
-    OvoSvmModel,
-    predict_batch,
-    train_classifier,
-)
+from .classifiers import CLASSIFIER_NAMES, ClassifierSpec, predict_batch, train_classifier
 from .dataset import (
     LabeledDataset,
     ModelFile,
@@ -51,6 +45,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        # No prefix matching: a removed flag must not parse as a longer one.
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         raise UsageError(message)
 
@@ -302,8 +300,8 @@ def _cmd_train(r: _Resolver) -> int:
     spec = _classifier_spec(r)
     X, fingerprint = extract_matrix(ds.skeletons(), cfg)
     model = train_classifier(X, ds.label_indices(), spec, fingerprint)
-    if isinstance(model, OvoSvmModel) and not model.converged:
-        bad = model.nonconverged
+    bad = model.nonconverged
+    if bad:
         if not r.args.allow_nonconverged:
             raise NonConvergence(
                 f"{bad} of {len(model.machines)} binary SVMs left KKT violations; "
@@ -347,7 +345,10 @@ def _cmd_evaluate(r: _Resolver) -> int:
 @_usage_errors
 def _grid_specs(r: _Resolver) -> list[ClassifierSpec]:
     """A spec per grid row: --classifiers names the rows, the other flags tune each."""
-    names = _parse_list(r.get("classifiers", None) or GRID_CLASSIFIERS, str)
+    names = r.get("classifiers", None)
+    names = GRID_CLASSIFIERS if names is None else _parse_list(names, str)
+    if not names:
+        raise ValueError("classifiers: no classifier named")
     return [_classifier_spec(r, name) for name in names]
 
 

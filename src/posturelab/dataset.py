@@ -27,13 +27,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .classifiers import (
-    Knn1Model,
-    LdaModel,
-    MulticlassModel,
-    OvoSvmModel,
-    QdaModel,
-)
+from .classifiers import MODEL_KINDS, MulticlassModel
 from .errors import (
     CorruptModel,
     DataError,
@@ -263,7 +257,6 @@ class ModelFile:
     dataset_fingerprint: str = ""
 
 
-_MODEL_KINDS = {cls.kind: cls for cls in (OvoSvmModel, LdaModel, QdaModel, Knn1Model)}
 # The fields every model shares sit at the top level of the file, the others
 # under "params": model field name -> top-level key.
 _TOP_LEVEL_FIELDS = {
@@ -372,7 +365,7 @@ def model_file_from_dict(doc: dict) -> ModelFile:
         raise VersionMismatch(doc.get("version"), MODEL_VERSION, "retrain the model")
     try:
         cfg = _decode(FeatureConfig, doc["feature_config"])
-        cls = _MODEL_KINDS.get(str(doc["kind"]))
+        cls = MODEL_KINDS.get(str(doc["kind"]))
         if cls is None:
             raise CorruptModel(f"unknown model kind {doc['kind']!r}")
         shared = {name: doc[key] for name, key in _TOP_LEVEL_FIELDS.items()}

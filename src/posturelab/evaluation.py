@@ -14,13 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import (
-    ClassifierSpec,
-    MulticlassModel,
-    OvoSvmModel,
-    predict_batch,
-    train_classifier,
-)
+from .classifiers import ClassifierSpec, MulticlassModel, predict_batch, train_classifier
 from .dataset import LabeledDataset, encode
 from .errors import ClassTooSmall, EmptyInput, LengthMismatch
 from .features import FeatureConfig, extract_matrix
@@ -182,9 +176,7 @@ class EvaluationReport:
     @property
     def nonconverged_machines(self) -> int | None:
         """Binary SVMs of the model left with KKT violations; None if not an SVM."""
-        if not isinstance(self.model, OvoSvmModel):
-            return None
-        return self.model.nonconverged
+        return None if self.model is None else self.model.nonconverged
 
     def to_dict(self, include_timings: bool = True) -> dict:
         per_class = [

@@ -39,6 +39,22 @@ def gaussian_blobs(rng, centers, n_per, spread=0.3):
     return np.vstack(X), np.array(y)
 
 
+def duel_tally(pairs, decisions):
+    """Independent one-vs-one count, duel by duel.
+
+    Returns (winner, votes, margin sums, classes tied on votes, classes of
+    those also tied on margin).
+    """
+    votes, favor = [0] * 5, [0.0] * 5
+    for (a, b), d in zip(pairs, decisions):
+        votes[a if d >= 0 else b] += 1
+        favor[a] += d
+        favor[b] -= d
+    tied = [k for k in range(5) if votes[k] == max(votes)]
+    top = [k for k in tied if favor[k] == max(favor[k] for k in tied)]
+    return min(top), votes, favor, tied, top
+
+
 class TestStandardizer:
     def test_mean_and_population_std(self):
         std = fit_standardizer(np.array([[0.0, 0.0], [2.0, 2.0]]))
@@ -121,19 +137,10 @@ class TestVoting:
         for _ in range(500):
             decisions = rng.normal(size=len(self.PAIRS))
             winner, votes, margins = vote_from_decisions(self.PAIRS, decisions)
-            # independent tally
-            tally = {k: 0 for k in range(5)}
-            favor = {k: 0.0 for k in range(5)}
-            for (a, b), d in zip(self.PAIRS, decisions):
-                tally[a if d >= 0 else b] += 1
-                favor[a] += d
-                favor[b] -= d
-            best = max(tally.values())
-            tied = [k for k in range(5) if tally[k] == best]
-            best_margin = max(favor[k] for k in tied)
-            tied = [k for k in tied if favor[k] == best_margin]
-            assert winner == min(tied)
-            assert [votes[k] for k in range(5)] == [tally[k] for k in range(5)]
+            expected, tally, favor, _, _ = duel_tally(self.PAIRS, decisions)
+            assert winner == expected
+            assert votes.tolist() == tally
+            assert margins.tolist() == favor
 
     @pytest.mark.parametrize("pairs", [PAIRS, ((0, 2), (0, 4), (2, 4)), ((1, 3),)])
     def test_vote_batch_matches_oracle_row_by_row(self, rng, pairs):
@@ -145,14 +152,14 @@ class TestVoting:
         ]
         vote_ties = margin_ties = 0
         for table in tables:
-            winners, votes = vote_batch(pairs, table)
-            for row, winner, row_votes in zip(table, winners, votes):
-                expected, expected_votes, margins = vote_from_decisions(pairs, row)
+            winners, votes, margins = vote_batch(pairs, table)
+            for row, winner, row_votes, row_margins in zip(table, winners, votes, margins):
+                expected, tally, favor, tied, top = duel_tally(pairs, row)
                 assert winner == expected
-                assert np.array_equal(row_votes, expected_votes)
-                tied = np.flatnonzero(expected_votes == expected_votes.max())
-                vote_ties += tied.size > 1
-                margin_ties += np.count_nonzero(margins[tied] == margins[tied].max()) > 1
+                assert row_votes.tolist() == tally
+                assert row_margins.tolist() == favor
+                vote_ties += len(tied) > 1
+                margin_ties += len(top) > 1
         if len(pairs) > 1:  # one duel has one winner
             assert vote_ties > 100 and margin_ties > 100
 
@@ -391,6 +398,14 @@ class TestTrainDispatch:
         model = train_classifier(X, y, ClassifierSpec(name, seed=3))
         acc = float((predict_batch(model, X) == y).mean())
         assert acc >= 0.95
+
+    @pytest.mark.parametrize("name", CLASSIFIER_NAMES)
+    def test_mismatched_training_input_rejected(self, rng, name):
+        X, y = gaussian_blobs(rng, np.eye(5, 3) * 6.0, 4)  # (20, 3), 20 labels
+        spec = ClassifierSpec(name)
+        for bad_X, bad_y in ((X, y[:-1]), (X, y[:, None]), (X[:, 0], y), (X[None], y)):
+            with pytest.raises(DimensionMismatch):
+                train_classifier(bad_X, bad_y, spec)
 
     def test_unknown_classifier_rejected(self):
         with pytest.raises(ValueError):

@@ -127,6 +127,9 @@ REJECTED_SPEC_VALUES = {
     "lda-c-inf": (["evaluate", "--classifier", "lda", "--c", "inf"], None, None),
     "grid-tol-inf": (["grid", "--classifiers", "lda,svm_linear", "--tol", "inf"], None, None),
     "config-kernel-scale-inf": (["evaluate"], {"kernel-scale": float("inf")}, None),
+    "grid-no-classifiers": (["grid", "--classifiers", ","], None, None),
+    "config-grid-no-classifiers": (["grid"], {"classifiers": []}, None),
+    "grid-flag-prefix": (["grid", "--classifier", "lda"], None, None),
 }
 
 # Cases above whose config value has the wrong kind: the message names the key.
