@@ -15,16 +15,10 @@ from .classifiers import (
     QdaModel,
     Standardizer,
     fit_standardizer,
-    knn1_predict,
-    knn1_train,
-    lda_train,
-    ovo_predict,
     ovo_train,
     predict_batch,
     predict_label,
-    qda_train,
     train_classifier,
-    vote_from_decisions,
 )
 from .dataset import (
     LabeledDataset,
@@ -72,6 +66,6 @@ from .skeleton import (
     bone_pairs_at_joint,
     validate_skeleton,
 )
-from .svm import BinarySvmModel, smo_train, svm_decision
+from .svm import BinarySvmModel, smo_train
 
 __version__ = "0.1.0"

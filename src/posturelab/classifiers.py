@@ -8,6 +8,9 @@ statistics fitted on its own training set (so kernel scales and distances are
 comparable across feature families) and hands the standardized rows to the
 kind's fit.
 
+Each model type checks its fields against each other, the standardizer's
+width and the five postures in __post_init__, so training and loading agree.
+
 Every fitted model has one scorer, which maps standardized rows to class
 indices with a few BLAS calls. It is built from the fitted parameters on the
 model's first prediction and cached on the instance. It is not a dataclass
@@ -63,6 +66,8 @@ class Standardizer:
             object.__setattr__(self, name, arr)
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise DimensionMismatch("mean and std must be 1-D and equal length")
+        if not (self.std > 0.0).all():
+            raise ValueError("std must be positive")
 
     @property
     def dim(self) -> int:
@@ -117,12 +122,17 @@ def vote_batch(
     return np.argmax(top, axis=1), votes, margins
 
 
-def vote_from_decisions(
-    pairs: Sequence[tuple[int, int]], decisions: Sequence[float]
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """vote_batch of one row: (winner index, votes per class, margin sum per class)."""
-    winners, votes, margins = vote_batch(pairs, np.asarray(decisions, dtype=np.float64)[None, :])
-    return int(winners[0]), votes[0], margins[0]
+def _check_indices(name: str, index) -> None:
+    index = np.asarray(index, dtype=np.int64)
+    if not ((index >= 0) & (index < NUM_CLASSES)).all():
+        raise ValueError(f"{name} holds a class index outside 0-{NUM_CLASSES - 1}")
+
+
+def _check_shapes(model, **shapes: tuple[int, ...]) -> None:
+    for name, shape in shapes.items():
+        got = np.shape(getattr(model, name))
+        if got != shape:
+            raise DimensionMismatch(f"{name} has shape {got}, expected {shape}")
 
 
 @dataclass(frozen=True)
@@ -157,6 +167,16 @@ class OvoSvmModel(MulticlassModel):
 
     kind: ClassVar[str] = "ovo_svm"
 
+    def __post_init__(self):
+        _check_indices("pairs", self.pairs)
+        pairs = tuple(combinations(sorted({k for pair in self.pairs for k in pair}), 2))
+        if not self.machines or self.pairs != pairs or len(self.machines) != len(pairs):
+            raise ValueError("expected one machine per pair of classes, pairs in order")
+        if any(m.kernel != self.machines[0].kernel for m in self.machines):
+            raise ValueError("the machines do not share one kernel")
+        if any(m.support_vectors.shape[1:] != (self.dim,) for m in self.machines):
+            raise DimensionMismatch(f"support vectors do not have {self.dim} features")
+
     @property
     def nonconverged(self) -> int:
         return sum(not m.converged for m in self.machines)
@@ -171,17 +191,13 @@ class OvoSvmModel(MulticlassModel):
         non-finite value (a degenerate kernel scale, overflowing rows) is a
         NumericError.
         """
-        svs = [m.support_vectors for m in self.machines if m.support_vectors.size]
-        if any(sv.shape[1] != self.dim for sv in svs):
-            raise DimensionMismatch(f"support vectors do not have {self.dim} features")
-        union, rows = np.unique(
-            np.concatenate(svs or [np.empty((0, self.dim))]), axis=0, return_inverse=True
-        )
+        svs = np.concatenate([m.support_vectors for m in self.machines])
+        union, rows = np.unique(svs, axis=0, return_inverse=True)
         cols = np.repeat(np.arange(len(self.machines)), [m.dual_coef.size for m in self.machines])
         coefs = np.zeros((union.shape[0], len(self.machines)))
         np.add.at(coefs, (rows.ravel(), cols), np.concatenate([m.dual_coef for m in self.machines]))
         biases = np.array([m.bias for m in self.machines])
-        kernel = self.machines[0].kernel  # ovo_train gives every machine one kernel
+        kernel = self.machines[0].kernel
 
         def decide(Xs: np.ndarray) -> np.ndarray:
             with np.errstate(all="ignore"):
@@ -198,6 +214,16 @@ class OvoSvmModel(MulticlassModel):
         return lambda Xs: vote_batch(pairs, decisions(Xs))[0]
 
 
+def _check_gaussian(model) -> tuple[int, int]:
+    """LDA/QDA: sorted distinct classes, each with a mean and a log prior; returns (k, d)."""
+    _check_indices("classes", model.classes)
+    if not model.classes or list(model.classes) != sorted(set(model.classes)):
+        raise ValueError(f"classes must be sorted, distinct and not empty: {model.classes}")
+    k, d = len(model.classes), model.dim
+    _check_shapes(model, means=(k, d), log_priors=(k,))
+    return k, d
+
+
 @dataclass(frozen=True)
 class LdaModel(MulticlassModel):
     classes: tuple[int, ...] = ()
@@ -206,6 +232,10 @@ class LdaModel(MulticlassModel):
     log_priors: npt.NDArray[np.float64] = None
 
     kind: ClassVar[str] = "lda"
+
+    def __post_init__(self):
+        d = _check_gaussian(self)[1]
+        _check_shapes(self, precision=(d, d))
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -225,6 +255,10 @@ class QdaModel(MulticlassModel):
     log_priors: npt.NDArray[np.float64] = None
 
     kind: ClassVar[str] = "qda"
+
+    def __post_init__(self):
+        k, d = _check_gaussian(self)
+        _check_shapes(self, precisions=(k, d, d), log_dets=(k,))
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -251,6 +285,13 @@ class Knn1Model(MulticlassModel):
     labels: npt.NDArray[np.int64] = None
 
     kind: ClassVar[str] = "knn1"
+
+    def __post_init__(self):
+        _check_indices("labels", self.labels)
+        n = len(self.points)
+        if n < 1:
+            raise ValueError("1-NN needs at least one stored point")
+        _check_shapes(self, points=(n, self.dim), labels=(n,))
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -504,18 +545,6 @@ def ovo_train(
     return _train(OvoSvmModel, _ovo_fit, X, y, fingerprint, seed, kernel=kernel, c=c, tol=tol)
 
 
-def lda_train(X: np.ndarray, y: np.ndarray, fingerprint: str = "", seed: int = 0) -> LdaModel:
-    return train_classifier(X, y, ClassifierSpec("lda", seed=seed), fingerprint)
-
-
-def qda_train(X: np.ndarray, y: np.ndarray, fingerprint: str = "", seed: int = 0) -> QdaModel:
-    return train_classifier(X, y, ClassifierSpec("qda", seed=seed), fingerprint)
-
-
-def knn1_train(X: np.ndarray, y: np.ndarray, fingerprint: str = "", seed: int = 0) -> Knn1Model:
-    return train_classifier(X, y, ClassifierSpec("knn1", seed=seed), fingerprint)
-
-
 def predict_label(model: MulticlassModel, x) -> PostureLabel:
     """Label of one feature vector: predict_batch on a one-row matrix."""
     return PostureLabel(int(predict_batch(model, _feature_row(model, x))[0]))
@@ -528,14 +557,3 @@ def predict_batch(model: MulticlassModel, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("expected an (n, d) matrix")
     return model.scorer(model.standardizer.transform(X))
 
-
-def ovo_predict(model: OvoSvmModel, x) -> tuple[PostureLabel, dict[PostureLabel, int]]:
-    """Majority vote over the pairwise machines for one feature vector."""
-    xs = model.standardizer.transform(_feature_row(model, x))
-    winners, votes, _ = vote_batch(model.pairs, model.decisions(xs))
-    return PostureLabel(int(winners[0])), {label: int(votes[0, label]) for label in PostureLabel}
-
-
-def knn1_predict(model: Knn1Model, x) -> PostureLabel:
-    """Label of the Euclidean-nearest standardized training point."""
-    return predict_label(model, x)

@@ -150,6 +150,8 @@ def _load_config(path: str | None) -> dict:
         raise DataError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise DataError(f"config file {path}: {e.msg}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"config file {path}: not UTF-8 text") from None
     if not isinstance(config, dict):
         raise DataError(f"config file {path}: expected a JSON object")
     return config
@@ -318,12 +320,7 @@ def _cmd_predict(r: _Resolver) -> int:
         raise DataError(f"model file not found: {r.args.model}")
     mf = load_model(r.args.model)
     ds = _load_data(r.args.data)
-    X, fingerprint = extract_matrix(ds.skeletons(), mf.feature_config)
-    if fingerprint != mf.model.fingerprint:
-        raise DataError(
-            f"feature fingerprint {fingerprint} does not match model "
-            f"fingerprint {mf.model.fingerprint}"
-        )
+    X, _ = extract_matrix(ds.skeletons(), mf.feature_config)  # ModelFile checks the fingerprint
     labels = {k: json.dumps(name) for k, name in enumerate(LABEL_NAMES)}
     # the bytes of json.dumps({"index": i, "label": name}, sort_keys=True)
     lines = [

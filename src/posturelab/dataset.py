@@ -31,17 +31,16 @@ from .classifiers import MODEL_KINDS, MulticlassModel
 from .errors import (
     CorruptModel,
     DataError,
-    DimensionMismatch,
+    FingerprintMismatch,
     ParseError,
     UnknownLabel,
     VersionMismatch,
 )
-from .features import FeatureConfig
+from .features import FeatureConfig, config_fingerprint
 from .poses import POSE_TEMPLATES, rotation_about_y
 from .skeleton import (
     JOINT_NAMES,
     LABEL_NAMES,
-    NUM_CLASSES,
     NUM_JOINTS,
     PostureLabel,
     Skeleton,
@@ -135,8 +134,11 @@ def save_dataset(ds: LabeledDataset, path, generator: dict | None = None) -> Non
 
 def load_dataset(path) -> LabeledDataset:
     """Parse and validate a dataset file; every error carries its line number."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ParseError(data.count(b"\n", 0, e.start) + 1, "not UTF-8 text") from None
     if not lines:
         raise ParseError(1, "empty dataset file")
     try:
@@ -256,6 +258,11 @@ class ModelFile:
     feature_config: FeatureConfig
     dataset_fingerprint: str = ""
 
+    def __post_init__(self):
+        if config_fingerprint(self.feature_config) != self.model.fingerprint:
+            raise FingerprintMismatch(f"the {self.feature_config.name} features do not have "
+                                      f"the model's fingerprint {self.model.fingerprint}")
+
 
 # The fields every model shares sit at the top level of the file, the others
 # under "params": model field name -> top-level key.
@@ -264,16 +271,12 @@ _TOP_LEVEL_FIELDS = {
     "fingerprint": "feature_fingerprint",
     "seed": "seed",
 }
-_UNSAVED_FIELDS = ("objective_trace",)  # solver instrumentation, not a parameter
-_CLASS_INDEX_FIELDS = ("pairs", "classes", "labels")  # hold PostureLabel indices
 
 
 @functools.cache  # get_type_hints re-evaluates string annotations per call
 def _saved_fields(cls) -> tuple[tuple[str, object], ...]:
     hints = get_type_hints(cls)
-    return tuple(
-        (f.name, hints[f.name]) for f in fields(cls) if f.name not in _UNSAVED_FIELDS
-    )
+    return tuple((f.name, hints[f.name]) for f in fields(cls) if f.metadata.get("saved", True))
 
 
 def _item_types(tp, items) -> tuple:
@@ -367,15 +370,11 @@ def model_file_from_dict(doc: dict) -> ModelFile:
         cfg = _decode(FeatureConfig, doc["feature_config"])
         cls = MODEL_KINDS.get(str(doc["kind"]))
         if cls is None:
-            raise CorruptModel(f"unknown model kind {doc['kind']!r}")
+            raise ValueError(f"unknown model kind {doc['kind']!r}")
         shared = {name: doc[key] for name, key in _TOP_LEVEL_FIELDS.items()}
         model = _decode(cls, {**doc["params"], **shared})
-        for name in _CLASS_INDEX_FIELDS:
-            index = np.asarray(getattr(model, name, ()), dtype=np.int64)
-            if not ((index >= 0) & (index < NUM_CLASSES)).all():
-                raise ValueError(f"{name} holds a class index outside 0-{NUM_CLASSES - 1}")
         return ModelFile(model, cfg, str(doc.get("dataset_fingerprint", "")))
-    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatch) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, DataError) as e:
         raise CorruptModel(f"malformed model file: {e}") from None
 
 
@@ -389,4 +388,6 @@ def load_model(path) -> ModelFile:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise CorruptModel(f"unreadable model file: {e.msg}") from None
+    except UnicodeDecodeError:
+        raise CorruptModel("unreadable model file: not UTF-8 text") from None
     return model_file_from_dict(doc)

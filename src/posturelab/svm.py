@@ -36,7 +36,7 @@ returned, flagged with converged=False.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.typing as npt
@@ -62,10 +62,10 @@ class BinarySvmModel:
     converged: bool
     n_passes: int = 0  # pair updates made by the solver
     kkt_violations: int = 0
-    objective_trace: tuple[float, ...] | None = None
+    objective_trace: tuple[float, ...] | None = field(default=None, metadata={"saved": False})
 
     def __post_init__(self):
-        if self.support_vectors.shape[0] != self.dual_coef.shape[0]:
+        if self.dual_coef.shape != self.support_vectors.shape[:1]:
             raise ValueError("expected one dual coefficient per support vector")
 
     @property
@@ -83,13 +83,6 @@ def decision_function(model: BinarySvmModel, X: np.ndarray) -> np.ndarray:
             f"expected {model.dim} features, got {X.shape[1]}"
         )
     return model.kernel.gram(X, model.support_vectors) @ model.dual_coef + model.bias
-
-
-def svm_decision(model: BinarySvmModel, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatch("expected a single feature vector")
-    return float(decision_function(model, x[None, :])[0])
 
 
 def kkt_violation_count(

@@ -16,11 +16,10 @@ import pytest
 from conftest import random_rotation, random_skeleton
 from posturelab.classifiers import (
     ClassifierSpec,
-    knn1_predict,
-    knn1_train,
     predict_batch,
+    predict_label,
     train_classifier,
-    vote_from_decisions,
+    vote_batch,
 )
 from posturelab.dataset import (
     ModelFile,
@@ -209,7 +208,7 @@ def test_oracle_equivalences():
         pairs = tuple((a, b) for a in range(5) for b in range(a + 1, 5))
         for _ in range(500):
             decisions = rng.normal(size=len(pairs))
-            winner, votes, _ = vote_from_decisions(pairs, decisions)
+            (winner,), (votes,), _ = vote_batch(pairs, decisions[None, :])
             tally = {k: 0 for k in range(5)}
             favor = {k: 0.0 for k in range(5)}
             for (a, b), d in zip(pairs, decisions):
@@ -226,11 +225,11 @@ def test_oracle_equivalences():
     with criterion("oracle: 1-NN vs exhaustive linear scan on 300 queries"):
         X = rng.normal(size=(150, 6)) + rng.integers(0, 5, 150)[:, None]
         y = rng.integers(0, 5, 150)
-        model = knn1_train(X, y)
+        model = train_classifier(X, y, ClassifierSpec("knn1"))
         Z = model.standardizer.transform(X)
         for _ in range(300):
             q = rng.normal(scale=2.0, size=6)
-            got = int(knn1_predict(model, q))
+            got = int(predict_label(model, q))
             qs = model.standardizer.transform(q)
             best_i, best_d = 0, None
             for i in range(len(Z)):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,11 @@ from posturelab.classifiers import (
     Knn1Model,
     Standardizer,
     fit_standardizer,
-    knn1_predict,
-    knn1_train,
-    lda_train,
-    ovo_predict,
     ovo_train,
     predict_batch,
     predict_label,
-    qda_train,
     train_classifier,
     vote_batch,
-    vote_from_decisions,
 )
 from posturelab.errors import (
     DimensionMismatch,
@@ -29,6 +25,8 @@ from posturelab.errors import (
 from posturelab.features import FeatureVector
 from posturelab.kernels import linear_kernel, polynomial_kernel
 from posturelab.skeleton import PostureLabel
+
+LDA, QDA, KNN1 = (ClassifierSpec(name) for name in ("lda", "qda", "knn1"))
 
 
 def gaussian_blobs(rng, centers, n_per, spread=0.3):
@@ -98,7 +96,7 @@ class TestVoting:
                 decisions.append(-1.0)
             else:
                 decisions.append(1.0)
-        winner, votes, _ = vote_from_decisions(self.PAIRS, decisions)
+        (winner,), (votes,), _ = vote_batch(self.PAIRS, np.array([decisions]))
         assert winner == 2
         assert votes[2] == 4
 
@@ -114,7 +112,7 @@ class TestVoting:
             (3, 4): 0.5,
         }
         decisions = [table[p] for p in self.PAIRS]
-        winner, votes, margins = vote_from_decisions(self.PAIRS, decisions)
+        (winner,), (votes,), (margins,) = vote_batch(self.PAIRS, np.array([decisions]))
         assert list(votes[:3]) == [3, 3, 3]
         assert margins[0] == margins[1] == margins[2]
         assert winner == 0
@@ -128,7 +126,7 @@ class TestVoting:
             (2, 3): 1.0, (2, 4): 1.0, (3, 4): 1.0,
         }
         decisions = [table[p] for p in self.PAIRS]
-        winner, votes, margins = vote_from_decisions(self.PAIRS, decisions)
+        (winner,), (votes,), (margins,) = vote_batch(self.PAIRS, np.array([decisions]))
         assert votes[0] == votes[1] == 3
         assert margins[1] > margins[0]
         assert winner == 1
@@ -136,7 +134,7 @@ class TestVoting:
     def test_brute_force_oracle_500_tables(self, rng):
         for _ in range(500):
             decisions = rng.normal(size=len(self.PAIRS))
-            winner, votes, margins = vote_from_decisions(self.PAIRS, decisions)
+            (winner,), (votes,), (margins,) = vote_batch(self.PAIRS, np.array([decisions]))
             expected, tally, favor, _, _ = duel_tally(self.PAIRS, decisions)
             assert winner == expected
             assert votes.tolist() == tally
@@ -167,8 +165,8 @@ class TestVoting:
         for _ in range(100):
             decisions = rng.normal(size=len(self.PAIRS))
             factor = float(rng.uniform(0.1, 10.0))
-            w1, v1, _ = vote_from_decisions(self.PAIRS, decisions)
-            w2, v2, _ = vote_from_decisions(self.PAIRS, decisions * factor)
+            (w1,), (v1,), _ = vote_batch(self.PAIRS, np.array([decisions]))
+            (w2,), (v2,), _ = vote_batch(self.PAIRS, np.array([decisions * factor]))
             assert w1 == w2
             assert np.array_equal(v1, v2)
 
@@ -187,7 +185,7 @@ class TestOvo:
         y = np.where(y == 0, 0, 2)  # Standing vs Sitting
         model = ovo_train(X, y, linear_kernel(), seed=0)
         assert len(model.machines) == 1
-        label, votes = ovo_predict(model, np.array([5.0, 5.0]))
+        label = predict_label(model, np.array([5.0, 5.0]))
         assert label == PostureLabel.Sitting
         assert isinstance(label, PostureLabel)
 
@@ -200,13 +198,6 @@ class TestOvo:
         X, y = gaussian_blobs(rng, centers, 15)
         model = ovo_train(X, y, linear_kernel(), seed=1)
         assert np.array_equal(predict_batch(model, X), y)
-
-    def test_vote_table_keys_are_labels(self, rng):
-        X, y = gaussian_blobs(rng, np.eye(5) * 4.0, 8)
-        model = ovo_train(X, y, linear_kernel(), seed=0)
-        _, votes = ovo_predict(model, X[0])
-        assert set(votes.keys()) == set(PostureLabel)
-        assert sum(votes.values()) == 10
 
     def test_overflowing_rows_are_a_numeric_error(self, rng):
         # (1 + x.y / scale^2)^2 overflows; no RuntimeWarning escapes
@@ -229,7 +220,7 @@ class TestDiscriminants:
         Xb = -Xa
         X = np.vstack([Xa, Xb])
         y = np.array([0] * 4 + [1] * 4)
-        model = lda_train(X, y)
+        model = train_classifier(X, y, LDA)
         assert predict_label(model, np.array([2.0, 0.0])) == PostureLabel.Standing
         assert predict_label(model, np.array([-2.0, 0.0])) == PostureLabel.Bending
         # points straddling the boundary split by sign of x1
@@ -243,8 +234,8 @@ class TestDiscriminants:
         cloud = rng.normal(size=(60, 3)) @ np.diag([1.0, 0.4, 2.0])
         X = np.vstack([cloud, cloud + np.array([4.0, 0.0, 0.0]), cloud + np.array([0.0, 5.0, 0.0])])
         y = np.array([0] * 60 + [1] * 60 + [2] * 60)
-        lda = lda_train(X, y)
-        qda = qda_train(X, y)
+        lda = train_classifier(X, y, LDA)
+        qda = train_classifier(X, y, QDA)
         queries = rng.normal(scale=3.0, size=(200, 3))
         assert np.array_equal(predict_batch(lda, queries), predict_batch(qda, queries))
 
@@ -252,15 +243,15 @@ class TestDiscriminants:
         X = np.array([[0.0, 0.0], [1.0, 1.0], [1.2, 0.8]])
         y = np.array([0, 1, 1])
         with pytest.raises(SingleClass):
-            lda_train(X, y)
+            train_classifier(X, y, LDA)
         with pytest.raises(SingleClass):
-            qda_train(X, y)
+            train_classifier(X, y, QDA)
 
     def test_priors_follow_training_frequencies(self, rng):
         X, y = gaussian_blobs(rng, [[0.0, 0.0], [8.0, 8.0]], 10)
         X = np.vstack([X, rng.normal(scale=0.3, size=(30, 2))])
         y = np.concatenate([y, np.zeros(30, dtype=int)])
-        model = lda_train(X, y)
+        model = train_classifier(X, y, LDA)
         assert np.exp(model.log_priors[0]) == pytest.approx(40 / 50)
         assert np.exp(model.log_priors[1]) == pytest.approx(10 / 50)
 
@@ -268,25 +259,25 @@ class TestDiscriminants:
 class TestKnn1:
     def test_training_point_maps_to_its_label(self, rng):
         X, y = gaussian_blobs(rng, [[0.0, 0.0], [4.0, 4.0]], 12)
-        model = knn1_train(X, y)
+        model = train_classifier(X, y, KNN1)
         for i in (0, 5, 20):
-            assert int(knn1_predict(model, X[i])) == y[i]
+            assert int(predict_label(model, X[i])) == y[i]
 
     def test_exact_tie_takes_lower_record_index(self):
         # symmetric records survive standardization; the origin is exactly
         # equidistant from all four, so record 0 wins
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         y = np.array([3, 1, 0, 0])
-        model = knn1_train(X, y)
-        assert knn1_predict(model, np.array([0.0, 0.0])) == PostureLabel.Walking
+        model = train_classifier(X, y, KNN1)
+        assert predict_label(model, np.array([0.0, 0.0])) == PostureLabel.Walking
 
     def test_brute_force_oracle_300_queries(self, rng):
         X, y = gaussian_blobs(rng, np.eye(4)[:, :3] * 3.0, 25)
-        model = knn1_train(X, y)
+        model = train_classifier(X, y, KNN1)
         Z = model.standardizer.transform(X)
         for _ in range(300):
             q = rng.normal(scale=2.0, size=3)
-            got = int(knn1_predict(model, q))
+            got = int(predict_label(model, q))
             qs = model.standardizer.transform(q)
             best, best_d = None, None
             for i in range(len(Z)):
@@ -297,7 +288,7 @@ class TestKnn1:
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyTrainingSet):
-            knn1_train(np.empty((0, 2)), np.empty(0, dtype=int))
+            train_classifier(np.empty((0, 2)), np.empty(0, dtype=int), KNN1)
 
     @staticmethod
     def row_loop(model, X):
@@ -330,7 +321,7 @@ class TestKnn1:
             tight = offset + rng.normal(scale=1e-9, size=(50, 6))  # expansion is blind
             yield f"tight {offset:g}", self.unscaled(tight, np.arange(50) % 5), tight[::-1]
         X = rng.normal(size=(120, 4)) * [1.0, 1e-6, 1e6, 0.0] + 1e3
-        model = knn1_train(np.vstack([X, X[:30]]), np.arange(150) % 5)
+        model = train_classifier(np.vstack([X, X[:30]]), np.arange(150) % 5, KNN1)
         yield "trained, scaled columns", model, np.vstack([X, X + 1e-7])
 
     def test_adversarial_inputs_match_row_loop(self, rng):
@@ -341,16 +332,16 @@ class TestKnn1:
 class TestFingerprints:
     def test_mismatched_fingerprint_rejected(self, rng):
         X, y = gaussian_blobs(rng, [[0.0, 0.0], [4.0, 4.0]], 8)
-        model = knn1_train(X, y, fingerprint="aaa")
+        model = train_classifier(X, y, KNN1, "aaa")
         fv = FeatureVector(X[0], fingerprint="bbb")
         with pytest.raises(FingerprintMismatch):
-            knn1_predict(model, fv)
+            predict_label(model, fv)
 
     def test_matching_fingerprint_accepted(self, rng):
         X, y = gaussian_blobs(rng, [[0.0, 0.0], [4.0, 4.0]], 8)
-        model = knn1_train(X, y, fingerprint="aaa")
+        model = train_classifier(X, y, KNN1, "aaa")
         fv = FeatureVector(X[0], fingerprint="aaa")
-        assert int(knn1_predict(model, fv)) == y[0]
+        assert int(predict_label(model, fv)) == y[0]
 
 
 class TestPredictionPaths:
@@ -406,6 +397,17 @@ class TestTrainDispatch:
         for bad_X, bad_y in ((X, y[:-1]), (X, y[:, None]), (X[:, 0], y), (X[None], y)):
             with pytest.raises(DimensionMismatch):
                 train_classifier(bad_X, bad_y, spec)
+
+    @pytest.mark.parametrize(
+        "name, field, change",
+        [("lda", "log_priors", lambda v: v[:-1]), ("qda", "classes", lambda v: v[::-1]),
+         ("knn1", "labels", lambda v: v + 5), ("svm_quadratic", "pairs", lambda v: v[1:])],
+    )
+    def test_model_checks_its_fields_wherever_built(self, rng, name, field, change):
+        X, y = gaussian_blobs(rng, np.eye(5) * 6.0, 6)
+        model = train_classifier(X, y, ClassifierSpec(name))
+        with pytest.raises((ValueError, DimensionMismatch)):
+            dataclasses.replace(model, **{field: change(getattr(model, field))})
 
     def test_unknown_classifier_rejected(self):
         with pytest.raises(ValueError):

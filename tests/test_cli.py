@@ -68,6 +68,61 @@ CLASS_INDEX_EDITS = {
 }
 
 
+def _with_array(obj: dict, key: str, change) -> None:
+    """Replace the payload obj[key] with change(its array)."""
+    obj[key] = payload(change(unpayload(obj[key]).copy()), obj[key]["dtype"])
+
+
+def _param(key: str, change):
+    """Edit of a model file: params[key] becomes change(its array)."""
+    return lambda doc: _with_array(doc["params"], key, change)
+
+
+def _negated_first(a: np.ndarray) -> np.ndarray:
+    a[0] = -a[0]
+    return a
+
+
+SHORT, NARROW, EMPTY = (lambda a: a[:-1]), (lambda a: a[:, :-1]), (lambda a: a[:0])
+SVM = "svm_quadratic"
+
+# Hand edits that make a model file contradict itself: id -> (classifier,
+# edit(doc)). Each must be refused at load as a malformed model file.
+MALFORMED_MODELS = {
+    "lda-log-priors-short": ("lda", _param("log_priors", SHORT)),
+    "lda-means-short": ("lda", _param("means", SHORT)),
+    "lda-precision-narrow": ("lda", _param("precision", NARROW)),
+    "lda-classes-short": ("lda", lambda d: d["params"]["classes"].pop()),
+    "qda-precisions-short": ("qda", _param("precisions", SHORT)),
+    "qda-log-dets-short": ("qda", _param("log_dets", SHORT)),
+    "qda-means-narrow": ("qda", _param("means", NARROW)),
+    "knn1-labels-short": ("knn1", _param("labels", SHORT)),
+    "knn1-points-narrow": ("knn1", _param("points", NARROW)),
+    "knn1-no-points": ("knn1", lambda d: (_param("points", EMPTY)(d), _param("labels", EMPTY)(d))),
+    "svm-pairs-short": (SVM, lambda d: d["params"]["pairs"].pop()),
+    "svm-no-machines": (SVM, lambda d: d["params"].update(pairs=[], machines=[])),
+    "svm-kernel-scale-of-one-machine": (
+        SVM, lambda d: d["params"]["machines"][3]["kernel"].update(scale=1.0)),
+    "svm-linear-kernel-of-one-machine": (
+        SVM, lambda d: d["params"]["machines"][3]["kernel"].update(kind="linear")),
+    "svm-pair-of-one-class": (SVM, lambda d: d["params"]["pairs"].__setitem__(0, [1, 1])),
+    "svm-support-vectors-wide": (SVM, lambda d: _with_array(
+        d["params"]["machines"][3], "support_vectors", lambda a: np.hstack([a, a[:, :1]]))),
+    "negative-std": ("lda", lambda d: _with_array(d["standardizer"], "std", _negated_first)),
+    "feature-config-changed": ("lda", lambda d: d["feature_config"].update(use_angles=False)),
+    "feature-fingerprint-changed": ("knn1", lambda d: d.update(feature_fingerprint="0" * 16)),
+}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A 100-record dataset and a model file of each kind in MALFORMED_MODELS."""
+    root = tmp_path_factory.mktemp("trained")
+    data = root / "ds.jsonl"
+    assert run(["synth", "--seed", "7", "--per-class", "20", "--out", str(data)]) == 0
+    return data, {name: _train(root, data, name) for name in ("lda", "qda", "knn1", SVM)}
+
+
 def _train(tmp_path, dataset_path, name: str):
     path = tmp_path / f"{name}.json"
     argv = ["train", "--data", str(dataset_path), "--model-out", str(path), "--classifier", name]
@@ -296,6 +351,26 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "line 5" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [("data", "line 1: not UTF-8 text"), ("data-line-4", "line 4: not UTF-8 text"),
+         ("model", "unreadable model file: not UTF-8 text"), ("config", "config file")],
+        ids=["data", "data-line-4", "model", "config"],
+    )
+    def test_file_that_is_not_utf8_is_exit_2(self, tmp_path, dataset_path, capsys, case, message):
+        bad = tmp_path / "bad"
+        if case == "data-line-4":
+            lines = dataset_path.read_bytes().splitlines(keepends=True)
+            bad.write_bytes(b"".join(lines[:3]) + b"\xff" + b"".join(lines[3:]))
+        else:
+            bad.write_bytes(b"\xff{}\n")
+        argv = {"model": ["predict", "--model", str(bad), "--data", str(dataset_path)],
+                "config": ["--config", str(bad), "featurize", "--data", str(dataset_path)]}
+        assert run(argv.get(case, ["featurize", "--data", str(bad)])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {message}") and err.endswith("not UTF-8 text\n")
+        assert err.count("\n") == 1
+
     def test_split_without_test_records_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "tiny.jsonl"
         assert run(["synth", "--seed", "0", "--per-class", "7", "--out", str(path)]) == 0
@@ -417,6 +492,34 @@ class TestModelFiles:
         assert self.predict(path, dataset_path, tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: malformed model file") and err.count("\n") == 1
+
+    @staticmethod
+    def edited(model_path, tmp_path, edit):
+        path = tmp_path / "edited.json"
+        path.write_text(model_path.read_text())
+        _edit_model(path, edit)
+        return path
+
+    @pytest.mark.parametrize("case", MALFORMED_MODELS)
+    def test_self_contradicting_model_is_exit_2(self, tmp_path, trained, capsys, case):
+        data, models = trained
+        name, edit = MALFORMED_MODELS[case]
+        path = self.edited(models[name], tmp_path, edit)
+        capsys.readouterr()
+        assert self.predict(path, data, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed model file: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_qda_precision_not_positive_definite_is_exit_3(self, tmp_path, trained, capsys):
+        # a precision's Cholesky factor is taken at the first prediction, not at load
+        data, models = trained
+        path = self.edited(models["qda"], tmp_path, _param("precisions", _negated_first))
+        load_model(path)
+        capsys.readouterr()
+        assert self.predict(path, data, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric failure: class 0 precision is singular even after regularization\n"
 
     @pytest.mark.parametrize("version", [1, 0, "2", None])
     def test_other_version_is_exit_2(self, tmp_path, dataset_path, capsys, version):

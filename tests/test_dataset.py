@@ -37,7 +37,7 @@ from posturelab.errors import (
     UnknownLabel,
     VersionMismatch,
 )
-from posturelab.features import FeatureConfig, extract, extract_matrix
+from posturelab.features import FeatureConfig, config_fingerprint, extract, extract_matrix
 from posturelab.skeleton import JOINT_NAMES, validate_skeleton
 
 
@@ -489,6 +489,8 @@ class TestModelFile:
             ("svm_quadratic", lambda p: p["machines"][0].update(dual_coef=[])),
             ("svm_quadratic", lambda p: p["machines"][0].pop("dual_coef")),
             ("svm_quadratic", lambda p: p["machines"][0]["kernel"].pop("scale")),
+            ("svm_quadratic", lambda p: p["machines"][0].update(
+                dual_coef=payload(unpayload(p["machines"][0]["dual_coef"])[:, None]))),
         ],
         ids=[
             "array-as-string",
@@ -500,6 +502,7 @@ class TestModelFile:
             "support-vectors-without-coefficients",
             "missing-machine-key",
             "missing-kernel-key",
+            "dual-coefficients-as-a-column",
         ],
     )
     def test_malformed_params_are_corrupt(self, tmp_path, name, corrupt):
@@ -537,7 +540,7 @@ class TestModelFile:
         floats = np.array([-0.0, 0.0, 5e-324, -2.2e-310, 1.7e308, -1.7e308, 0.1])
         model = Knn1Model(
             standardizer=Standardizer(floats, np.abs(floats) + 1.0),
-            fingerprint="fp",
+            fingerprint=config_fingerprint(FeatureConfig()),
             seed=3,
             points=np.stack([floats, floats[::-1]]),
             labels=np.array([4, 0]),

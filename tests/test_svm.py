@@ -10,7 +10,6 @@ from posturelab.svm import (
     decision_function,
     kkt_violation_count,
     smo_train,
-    svm_decision,
 )
 
 XOR_X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
@@ -132,12 +131,12 @@ class TestAnalyticTwoPoint:
         assert model.converged
 
     def test_decision_is_identity(self, model):
-        assert svm_decision(model, np.array([0.0])) == pytest.approx(0.0, abs=1e-9)
-        assert svm_decision(model, np.array([2.0])) == pytest.approx(2.0, abs=1e-9)
+        assert decision_function(model, np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-9)
+        assert decision_function(model, np.array([2.0]))[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_dimension_mismatch(self, model):
         with pytest.raises(DimensionMismatch):
-            svm_decision(model, np.array([1.0, 2.0]))
+            decision_function(model, np.array([1.0, 2.0]))
 
 
 class TestXor:
@@ -178,7 +177,7 @@ class TestSmoContract:
             c=1.0,
             converged=True,
         )
-        assert svm_decision(m, np.array([3.0, 4.0])) == 0.75
+        assert decision_function(m, np.array([3.0, 4.0]))[0] == 0.75
 
     def test_determinism(self, rng):
         X, y = random_binary_problem(rng)
