@@ -19,6 +19,7 @@ the model has predicted.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,6 +95,28 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
     return Standardizer(mean, std)
 
 
+class _VotePlan(NamedTuple):
+    """What a one-vs-one vote needs to know of its pairs, computed once."""
+
+    a: np.ndarray  # (P,) the class that a non-negative decision votes for
+    b: np.ndarray  # (P,) the class that a negative decision votes for
+    duel: np.ndarray  # (K, R) each class's pair indices in pair order; P pads
+    sign: np.ndarray  # (K, R) +1.0 where the class is a, -1.0 where it is b
+
+
+@functools.cache
+def _vote_plan(pairs: tuple[tuple[int, int], ...]) -> _VotePlan:
+    duels = [[] for _ in range(NUM_CLASSES)]  # per class: (pair index, sign)
+    for p, (a, b) in enumerate(pairs):
+        duels[a].append((p, 1.0))
+        duels[b].append((p, -1.0))
+    rounds = max(map(len, duels))
+    pad = [(len(pairs), 1.0)]  # the zero column that vote_batch appends
+    table = np.array([d + pad * (rounds - len(d)) for d in duels]).reshape(NUM_CLASSES, rounds, 2)
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return _VotePlan(a, b, table[..., 0].astype(np.int64), table[..., 1])
+
+
 def vote_batch(
     pairs: Sequence[tuple[int, int]], decisions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,14 +131,18 @@ def vote_batch(
     Returns (winner per row, votes per row and class, margin sum per row and
     class).
     """
-    # the class that each duel's vote goes to
-    voted = np.where(decisions >= 0.0, *np.reshape(pairs, (-1, 2)).T)
+    plan = _vote_plan(tuple(pairs))
+    voted = np.where(decisions >= 0.0, plan.a, plan.b)
     votes = (voted[:, :, None] == np.arange(NUM_CLASSES)).sum(axis=1)
-    margins = np.zeros((NUM_CLASSES, decisions.shape[0]))
-    for (a, b), d in zip(pairs, decisions.T):
-        margins[a] += d
-        margins[b] -= d
-    margins = margins.T
+    # Round r adds each class's r-th duel, so every sum runs in pair order
+    # from zero, as the loop `margins[a] += d; margins[b] -= d` over the
+    # pairs does (x - d is x + (-d)). A padded entry adds the appended
+    # column's +0.0, which changes no sum: one started at +0.0 is never -0.0.
+    padded = np.concatenate([decisions, np.zeros((decisions.shape[0], 1))], axis=1)
+    signed = padded[:, plan.duel] * plan.sign
+    margins = np.zeros((decisions.shape[0], NUM_CLASSES))
+    for r in range(plan.duel.shape[1]):
+        margins += signed[:, :, r]
     tied = votes == votes.max(axis=1, keepdims=True)
     tied_margins = np.where(tied, margins, -np.inf)
     top = tied & ~(tied_margins < tied_margins.max(axis=1, keepdims=True))
@@ -160,6 +187,27 @@ class MulticlassModel:
         raise TypeError(f"not a multiclass model: {type(self)!r}")
 
 
+def _union_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(rows, axis=0, return_inverse=True) for finite float rows,
+    without its sort of every row as a structured record: a dict of row
+    bytes finds the distinct rows, then Python's list comparison orders only
+    those, column by column by value, as np.unique orders them.
+
+    Adding +0.0 turns -0.0 into 0.0, so rows equal by value share bytes and
+    merge, as np.unique merges them. Returns (distinct rows in lexicographic
+    order, each input row's index among them).
+    """
+    rows = np.ascontiguousarray(rows + 0.0)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    slot: dict[bytes, int] = {}
+    group = np.array([slot.setdefault(key, len(slot)) for key in keys.tolist()], dtype=np.int64)
+    distinct = np.empty((len(slot), rows.shape[1]))
+    distinct[group] = rows  # the rows of one group have equal bytes
+    listed = distinct.tolist()
+    order = np.array(sorted(range(len(listed)), key=listed.__getitem__), dtype=np.int64)
+    return distinct[order], np.argsort(order)[group]
+
+
 @dataclass(frozen=True)
 class OvoSvmModel(MulticlassModel):
     pairs: tuple[tuple[int, int], ...] = ()
@@ -191,11 +239,10 @@ class OvoSvmModel(MulticlassModel):
         non-finite value (a degenerate kernel scale, overflowing rows) is a
         NumericError.
         """
-        svs = np.concatenate([m.support_vectors for m in self.machines])
-        union, rows = np.unique(svs, axis=0, return_inverse=True)
+        union, rows = _union_rows(np.concatenate([m.support_vectors for m in self.machines]))
         cols = np.repeat(np.arange(len(self.machines)), [m.dual_coef.size for m in self.machines])
         coefs = np.zeros((union.shape[0], len(self.machines)))
-        np.add.at(coefs, (rows.ravel(), cols), np.concatenate([m.dual_coef for m in self.machines]))
+        np.add.at(coefs, (rows, cols), np.concatenate([m.dual_coef for m in self.machines]))
         biases = np.array([m.bias for m in self.machines])
         kernel = self.machines[0].kernel
 
@@ -555,5 +602,7 @@ def predict_batch(model: MulticlassModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatch("expected an (n, d) matrix")
+    if not np.isfinite(X).all():
+        raise NumericError("feature rows must be finite")
     return model.scorer(model.standardizer.transform(X))
 

@@ -31,6 +31,7 @@ from .classifiers import MODEL_KINDS, MulticlassModel
 from .errors import (
     CorruptModel,
     DataError,
+    DimensionMismatch,
     FingerprintMismatch,
     ParseError,
     UnknownLabel,
@@ -262,6 +263,10 @@ class ModelFile:
         if config_fingerprint(self.feature_config) != self.model.fingerprint:
             raise FingerprintMismatch(f"the {self.feature_config.name} features do not have "
                                       f"the model's fingerprint {self.model.fingerprint}")
+        if self.feature_config.length != self.model.dim:
+            raise DimensionMismatch(f"the {self.feature_config.name} features have "
+                                    f"{self.feature_config.length} values, the model "
+                                    f"{self.model.dim}")
 
 
 # The fields every model shares sit at the top level of the file, the others

@@ -7,6 +7,7 @@ SpineMid), a proxy for the person's height.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
@@ -84,6 +85,7 @@ class FeatureConfig:
         raise ValueError(f"unknown feature set {features!r}")
 
 
+@functools.cache  # per frame it would rebuild and re-hash the same string
 def config_fingerprint(cfg: FeatureConfig) -> str:
     """Stable hash of (feature config, joint order, bone topology).
 
@@ -122,14 +124,22 @@ def _spine_lengths(pos: np.ndarray) -> np.ndarray:
     """
     d = pos[..., JointId.SpineShoulder, :] - pos[..., JointId.SpineMid, :]
     length = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
-    bad = np.flatnonzero(length < NORMALIZER_FLOOR_M)
-    if bad.size:
-        record = f"record {bad[0]}: " if length.ndim else ""
-        raise DegenerateNormalizer(
-            f"{record}spine segment length {length.flat[bad[0]]:.3e} m "
-            f"is below {NORMALIZER_FLOOR_M} m"
-        )
-    return length
+    short = length < NORMALIZER_FLOOR_M
+    if not short.any():
+        return length
+    bad = np.flatnonzero(short)
+    record = f"record {bad[0]}: " if length.ndim else ""
+    raise DegenerateNormalizer(
+        f"{record}spine segment length {length.flat[bad[0]]:.3e} m "
+        f"is below {NORMALIZER_FLOOR_M} m"
+    )
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1) of real x without its dispatch: the same
+    multiply, add.reduce and sqrt that norm runs for real input, so the same
+    bits."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _angles_at(pos: np.ndarray, ia, iv, ib) -> tuple[np.ndarray, int]:
@@ -138,13 +148,15 @@ def _angles_at(pos: np.ndarray, ia, iv, ib) -> tuple[np.ndarray, int]:
     Degenerate entries (a ray at or below the segment floor) yield 0 and are
     counted instead of raising, so one bad joint cannot discard a whole vector.
     """
-    u = pos[..., ia, :] - pos[..., iv, :]
-    v = pos[..., ib, :] - pos[..., iv, :]
-    nu = np.linalg.norm(u, axis=-1)
-    nv = np.linalg.norm(v, axis=-1)
+    vertex = pos.take(iv, axis=-2)  # take gathers what [..., iv, :] does, faster
+    u = pos.take(ia, axis=-2) - vertex
+    v = pos.take(ib, axis=-2) - vertex
+    nu = _norms(u)
+    nv = _norms(v)
     ok = (nu > SEGMENT_FLOOR) & (nv > SEGMENT_FLOOR)
     denom = np.where(ok, nu * nv, 1.0)
-    cosine = np.clip(np.einsum("...ij,...ij->...i", u, v) / denom, -1.0, 1.0)
+    cosine = np.einsum("...ij,...ij->...i", u, v) / denom
+    np.minimum(np.maximum(cosine, -1.0, out=cosine), 1.0, out=cosine)  # clip, undispatched
     angles = np.where(ok, np.arccos(cosine), 0.0)
     return angles, int(np.count_nonzero(~ok))
 
@@ -154,8 +166,8 @@ def _values(pos: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     the same bits for a record either way: distances, then angles."""
     parts = []
     if cfg.use_distances:
-        diffs = pos[..., _PAIR_I, :] - pos[..., _PAIR_J, :]
-        parts.append(np.linalg.norm(diffs, axis=-1) / _spine_lengths(pos)[..., None])
+        diffs = pos.take(_PAIR_I, axis=-2) - pos.take(_PAIR_J, axis=-2)
+        parts.append(_norms(diffs) / _spine_lengths(pos)[..., None])
     if cfg.use_angles:
         parts.append(_angles_at(pos, *_ANGLE_TRIPLES[cfg.angle_mode])[0])
     return np.concatenate(parts, axis=-1)
@@ -164,11 +176,12 @@ def _values(pos: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
 def _finite(values: np.ndarray) -> np.ndarray:
     """values, or NumericError naming the first record (row) with a non-finite
     entry: finite coordinates so large that the geometry overflows."""
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=-1))
-    if bad.size:
-        record = f"record {bad[0]}: " if values.ndim > 1 else ""
-        raise NumericError(f"{record}feature values overflow; the coordinates are too large")
-    return values
+    finite = np.isfinite(values)
+    if finite.all():
+        return values
+    bad = np.flatnonzero(~finite.all(axis=-1))
+    record = f"record {bad[0]}: " if values.ndim > 1 else ""
+    raise NumericError(f"{record}feature values overflow; the coordinates are too large")
 
 
 def normalizer(skel: Skeleton) -> float:

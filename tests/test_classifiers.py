@@ -13,6 +13,7 @@ from posturelab.classifiers import (
     predict_batch,
     predict_label,
     train_classifier,
+    _union_rows,
     vote_batch,
 )
 from posturelab.errors import (
@@ -160,6 +161,16 @@ class TestVoting:
                 margin_ties += len(top) > 1
         if len(pairs) > 1:  # one duel has one winner
             assert vote_ties > 100 and margin_ties > 100
+
+    @pytest.mark.parametrize("pairs", [PAIRS, ((0, 2), (0, 4), (2, 4)), ((1, 3),)])
+    def test_margins_are_the_pair_order_loop_bit_for_bit(self, rng, pairs):
+        # exact zeros of both signs, and values whose sums depend on their order
+        table = rng.choice([-0.3, -0.1, -0.0, 0.0, 0.1, 0.2, 0.7, 1e-17], size=(3000, len(pairs)))
+        margins = np.zeros((5, table.shape[0]))
+        for (a, b), d in zip(pairs, table.T):
+            margins[a] += d
+            margins[b] -= d
+        assert vote_batch(pairs, table)[2].tobytes() == np.ascontiguousarray(margins.T).tobytes()
 
     def test_winner_invariant_under_positive_rescaling(self, rng):
         for _ in range(100):
@@ -344,6 +355,23 @@ class TestFingerprints:
         assert int(predict_label(model, fv)) == y[0]
 
 
+class TestUnionRows:
+    @pytest.mark.parametrize("shape", [(1, 1), (40, 3), (300, 7), (200, 40)])
+    def test_matches_numpy_unique_over_rows(self, rng, shape):
+        base = rng.choice([-1.5, 0.0, 0.25, 2.0], size=shape)  # many equal rows
+        rows = np.vstack([base, base[::3], rng.normal(size=(5, shape[1]))])
+        rows = rows[rng.permutation(len(rows))]
+        union, inverse = _union_rows(rows)
+        expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert union.tobytes() == expected.tobytes()
+        assert inverse.tobytes() == expected_inverse.ravel().astype(np.int64).tobytes()
+
+    def test_negative_zero_merges_with_zero(self):
+        union, inverse = _union_rows(np.array([[0.0, 1.0], [-0.0, 1.0], [-1.0, 0.0]]))
+        assert union.tobytes() == np.array([[-1.0, 0.0], [0.0, 1.0]]).tobytes()
+        assert inverse.tolist() == [1, 1, 0]
+
+
 class TestPredictionPaths:
     @pytest.fixture
     def noisy_blobs(self, rng):
@@ -377,6 +405,18 @@ class TestPredictionPaths:
             predict_label(model, X[:2])
         with pytest.raises(DimensionMismatch):
             predict_label(model, X[0, :-1])
+
+    @pytest.mark.parametrize("name", CLASSIFIER_NAMES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_a_numeric_error_for_every_kind(self, noisy_blobs, name, bad):
+        X, y = noisy_blobs
+        model = train_classifier(X, y, ClassifierSpec(name, seed=3), "fp")
+        row = X[0].copy()
+        row[1] = bad
+        with pytest.raises(NumericError, match="feature rows must be finite"):
+            predict_label(model, FeatureVector(row, fingerprint="fp"))
+        with pytest.raises(NumericError, match="feature rows must be finite"):
+            predict_batch(model, np.vstack([X[:3], row]))
 
 
 class TestTrainDispatch:

@@ -111,6 +111,10 @@ MALFORMED_MODELS = {
     "negative-std": ("lda", lambda d: _with_array(d["standardizer"], "std", _negated_first)),
     "feature-config-changed": ("lda", lambda d: d["feature_config"].update(use_angles=False)),
     "feature-fingerprint-changed": ("knn1", lambda d: d.update(feature_fingerprint="0" * 16)),
+    # consistent in itself, but one feature narrower than its feature config
+    "lda-narrower-than-features": ("lda", lambda d: (
+        _with_array(d["standardizer"], "mean", SHORT), _with_array(d["standardizer"], "std", SHORT),
+        _param("means", NARROW)(d), _param("precision", lambda a: a[:-1, :-1])(d))),
 }
 
 

@@ -537,7 +537,9 @@ class TestModelFile:
             load_model(path)
 
     def test_arrays_round_trip_bit_exact(self, tmp_path):
-        floats = np.array([-0.0, 0.0, 5e-324, -2.2e-310, 1.7e308, -1.7e308, 0.1])
+        # the seven special floats tiled across the config's 329 features
+        floats = np.tile([-0.0, 0.0, 5e-324, -2.2e-310, 1.7e308, -1.7e308, 0.1], 47)
+        assert floats.size == FeatureConfig().length
         model = Knn1Model(
             standardizer=Standardizer(floats, np.abs(floats) + 1.0),
             fingerprint=config_fingerprint(FeatureConfig()),

@@ -1,9 +1,11 @@
-"""Pinned outputs: the sha256 of every file a short CLI pipeline writes.
+"""Pinned outputs: the sha256 of every file a short CLI pipeline writes, and
+of the feature matrix and fingerprint of each feature configuration.
 
-A refactor that moves one byte of a dataset file, a grid report, a model file
-or a prediction fails here, even when the result is self-consistent. The
-table was generated before model types checked their own fields, and those
-checks left it unchanged.
+A refactor that moves one byte of a dataset file, a grid report, a model file,
+a prediction or a feature value fails here, even when the result is
+self-consistent. The pipeline table was generated before model types checked
+their own fields, and those checks left it unchanged; the feature table was
+generated before the single-row feature path dropped numpy's dispatch layers.
 
 A float may round differently on another numpy or BLAS build. CI prints
 numpy's version and build configuration before the tests, so that such a
@@ -12,7 +14,13 @@ failure can be traced to its cause.
 import hashlib
 import json
 
+import numpy as np
+import pytest
+from conftest import random_skeleton
+
 from posturelab.cli import run
+from posturelab.features import FeatureConfig, config_fingerprint, extract_matrix
+from posturelab.skeleton import JointId, Skeleton
 
 PINNED = {
     "synth": "f5f6adbdbbe1c8a52efa7991321540f7ad4978e011576f1b15b611cacd052c45",
@@ -60,3 +68,40 @@ def pipeline_hashes(tmp_path) -> dict[str, str]:
 
 def test_pipeline_outputs_match_pinned_hashes(tmp_path):
     assert pipeline_hashes(tmp_path) == PINNED
+
+
+# (feature set, angle mode) -> (fingerprint, sha256 of the extract_matrix
+# bytes of feature_stack()). Distances do not depend on the angle mode.
+EXTRACT_PINNED = {
+    ("distances", "adjacent"): (
+        "1edfa0f34a9073ac", "9daec8110483e9f340c24f6d299d54521b097e083ffdd56acb4caef738799ed8"),
+    ("angles", "adjacent"): (
+        "b45713a08d1ed75a", "abf6f6f3a98b57017aa7e1cc2aeb42b7efb5bb428a9bb44889f5bd4ae9927664"),
+    ("combined", "adjacent"): (
+        "1e9e062406bb5287", "f92b3034801aad74875bc8ca7a68cd2ab71411f01a55a14536fc257a8510aeb8"),
+    ("distances", "all_triples"): (
+        "63ef0e0264369621", "9daec8110483e9f340c24f6d299d54521b097e083ffdd56acb4caef738799ed8"),
+    ("angles", "all_triples"): (
+        "e9abb9aa31a77a3f", "27b904bd89b77dd88f590a081ad9ea135c101cd179509dd12e5537a846c4d235"),
+    ("combined", "all_triples"): (
+        "dcb0ca5fb4ff0fdb", "5d5a126799480ee7b9255a6c6b29d4e2ec5ed968c48d5340402ac9970e567f43"),
+}
+
+
+def feature_stack() -> list[Skeleton]:
+    """64 seeded random skeletons; in record 5 Head sits on Neck, a degenerate ray."""
+    rng = np.random.default_rng(2018)
+    skeletons = [random_skeleton(rng) for _ in range(64)]
+    pos = skeletons[5].positions.copy()
+    pos[JointId.Head] = pos[JointId.Neck]
+    skeletons[5] = Skeleton(pos)
+    return skeletons
+
+
+@pytest.mark.parametrize("features_set, mode", EXTRACT_PINNED)
+def test_feature_matrix_and_fingerprint_match_pinned(features_set, mode):
+    cfg = FeatureConfig.from_name(features_set, mode)
+    X, fingerprint = extract_matrix(feature_stack(), cfg)
+    assert X.shape == (64, cfg.length)
+    assert (fingerprint, config_fingerprint(cfg)) == (EXTRACT_PINNED[features_set, mode][0],) * 2
+    assert sha256(X.tobytes()) == EXTRACT_PINNED[features_set, mode][1]

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import posturelab.classifiers as classifiers
+import posturelab.features as features
 from posturelab.cli import run
+from posturelab.dataset import load_dataset, load_model
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -35,10 +38,20 @@ def test_probes_install_record_and_restore(tracer, tmp_path):
                     "--model-out", str(model)]) == 0
         assert run(["predict", "--model", str(model), "--data", str(path),
                     "--out", str(tmp_path / "pred.jsonl")]) == 0
+        # one live frame, through the module attributes that the probes replace
+        mf = load_model(model)
+        frame = features.extract(load_dataset(path).skeletons()[0], mf.feature_config)
+        classifiers.predict_label(mf.model, frame)
     finally:
         probes.remove()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
     for name in ("dataset.synth", "dataset.load", "evaluation.split", "features.extract_matrix",
                  "classifiers.train.svm_quadratic", "dataset.load_model.svm_quadratic",
-                 "classifiers.predict_batch.svm_quadratic", "kernels.gram"):
+                 "classifiers.predict_batch.svm_quadratic", "kernels.gram",
+                 "features.extract", "features.fingerprint", "classifiers.predict_label"):
         assert name in tr.names
+    # the frame's spans nest as classify-frame's per-layer metrics expect
+    spans = [(tr.names[tr.name[i]], tr.parent[i]) for i in range(len(tr.start))]
+    nested = {(name, spans[parent][0]) for name, parent in spans if parent >= 0}
+    assert ("features.fingerprint", "features.extract") in nested
+    assert ("kernels.gram", "classifiers.predict_label") in nested
