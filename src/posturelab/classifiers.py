@@ -366,9 +366,8 @@ class Knn1Model(MulticlassModel):
                 approx = size - 2.0 * (Z @ points.T)
                 slack = rel * size + np.finfo(np.float64).tiny  # tiny: underflow
                 bound = (approx + slack).min(axis=1, keepdims=True)
-                rows, cols = np.nonzero(~(approx - slack > bound))  # NaN: keep
+                rows, cols = np.nonzero(~(approx - slack > bound))
                 d2 = ((points[cols] - Z[rows]) ** 2).sum(axis=1)
-                d2[np.isnan(d2)] = -np.inf  # np.argmin takes the first NaN
                 order = np.lexsort((cols, d2, rows))
                 first = order[np.flatnonzero(np.diff(rows, prepend=-1))]
                 out[lo : lo + Z.shape[0]] = labels[cols[first]]
@@ -579,13 +578,8 @@ def train_classifier(
 
 
 def ovo_train(
-    X: np.ndarray,
-    y: np.ndarray,
-    kernel: KernelSpec,
-    c: float = 1.0,
-    tol: float = 1e-3,
-    seed: int = 0,
-    fingerprint: str = "",
+    X: np.ndarray, y: np.ndarray, kernel: KernelSpec, c: float = ClassifierSpec.c,
+    tol: float = ClassifierSpec.tol, seed: int = 0, fingerprint: str = "",
 ) -> OvoSvmModel:
     """One-vs-one SVM with this kernel. The solver is deterministic: seed is
     only recorded in the model."""
@@ -604,5 +598,9 @@ def predict_batch(model: MulticlassModel, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("expected an (n, d) matrix")
     if not np.isfinite(X).all():
         raise NumericError("feature rows must be finite")
-    return model.scorer(model.standardizer.transform(X))
+    try:  # finite rows so large that standardizing or scoring them overflows
+        with np.errstate(over="raise", invalid="raise"):
+            return model.scorer(model.standardizer.transform(X))
+    except FloatingPointError:
+        raise NumericError("feature rows overflow when scored") from None
 

@@ -13,9 +13,14 @@ import os
 import sys
 from pathlib import Path
 
-from .classifiers import CLASSIFIER_NAMES, ClassifierSpec, predict_batch, train_classifier
+from .classifiers import (
+    AUTO_SCALE_FACTOR,
+    CLASSIFIER_NAMES,
+    ClassifierSpec,
+    predict_batch,
+    train_classifier,
+)
 from .dataset import (
-    LabeledDataset,
     ModelFile,
     SynthSpec,
     load_dataset,
@@ -27,13 +32,14 @@ from .dataset import (
 from .errors import DataError, NonConvergence, NumericError
 from .evaluation import (
     GRID_CLASSIFIERS,
+    STRATIFY_MODES,
     SplitSpec,
     evaluate,
     evaluate_grid,
     render_grid,
     render_report,
 )
-from .features import AngleMode, FeatureConfig, extract_matrix
+from .features import FEATURE_SETS, AngleMode, FeatureConfig, extract_matrix
 from .skeleton import LABEL_NAMES
 
 SEED_ENV_VAR = "POSTURELAB_SEED"
@@ -53,51 +59,59 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _shown(value) -> str:
+    """A default as help text: a number as %g, a sequence comma-separated."""
+    if isinstance(value, tuple):
+        return ",".join(map(_shown, value))
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
 def _build_parser() -> _Parser:
+    """Flag names and help only: the spec that a command builds from a value
+    owns its default, cast and check, whether a flag or the config gives it."""
     parser = _Parser(prog="posturelab", description=__doc__)
     parser.add_argument("--config", help="JSON file with default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(p, flag, what, default, one_of=()):
+        listed = f": {', '.join(one_of)}" if one_of else ""
+        p.add_argument(flag, help=f"{what}{listed} (default {_shown(default)})")
+
     def add_seed(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
+        add(p, "--seed", "master seed", f"${SEED_ENV_VAR} or 0")
+
+    def add_angle_mode(p):
+        add(p, "--angle-mode", "angle enumeration", FeatureConfig.angle_mode.value, AngleMode)
 
     def add_features(p):
-        p.add_argument("--features", choices=("distances", "angles", "combined"),
-                       default=None, help="feature set (default combined)")
-        p.add_argument("--angle-mode", choices=("adjacent", "all_triples"),
-                       default=None, help="angle enumeration (default adjacent)")
+        add(p, "--features", "feature set", FeatureConfig().name, FEATURE_SETS)
+        add_angle_mode(p)
 
     def add_hyperparameters(p):
-        p.add_argument("--c", type=float, default=None, help="SVM box constraint")
-        p.add_argument("--tol", type=float, default=None, help="SMO KKT tolerance")
-        p.add_argument("--kernel-scale", type=float, default=None,
-                       help="polynomial kernel scale (default: 4*sqrt(n_features))")
+        add(p, "--c", "SVM box constraint", ClassifierSpec.c)
+        add(p, "--tol", "SMO KKT tolerance", ClassifierSpec.tol)
+        auto = f"{AUTO_SCALE_FACTOR:g}*sqrt(n_features)"
+        add(p, "--kernel-scale", "polynomial kernel scale", auto)
 
     def add_classifier(p):
-        p.add_argument("--classifier", choices=CLASSIFIER_NAMES, default=None,
-                       help="classifier (default svm_quadratic)")
+        add(p, "--classifier", "classifier", ClassifierSpec.name, CLASSIFIER_NAMES)
         add_hyperparameters(p)
 
     def add_split(p):
-        p.add_argument("--train-fraction", type=float, default=None,
-                       help="train fraction (default 0.8)")
-        p.add_argument("--stratify", choices=("label", "label_participant"),
-                       default=None, help="stratification mode (default label)")
+        add(p, "--train-fraction", "train fraction", SplitSpec.train_fraction)
+        add(p, "--stratify", "stratification mode", SplitSpec.stratify_by, STRATIFY_MODES)
         p.add_argument("--resubstitution", action="store_true",
                        help="train and test on the full dataset (oracle mode)")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     add_seed(p)
-    p.add_argument("--per-class", type=int, default=None, help="records per class")
-    p.add_argument("--noise", type=float, default=None, help="joint noise stddev (m)")
-    p.add_argument("--scale-min", type=float, default=None)
-    p.add_argument("--scale-max", type=float, default=None)
-    p.add_argument("--orientations", default=None,
-                   help="comma-separated degrees, e.g. 0,90,180,270")
-    p.add_argument("--distances", default=None,
-                   help="comma-separated meters, e.g. 1,2,3,4")
-    p.add_argument("--participants", type=int, default=None)
+    add(p, "--per-class", "records per class", SynthSpec.per_class)
+    add(p, "--noise", "joint noise stddev in m", SynthSpec.noise_std_m)
+    add(p, "--scale-min", "smallest participant body scale", SynthSpec.scale_range[0])
+    add(p, "--scale-max", "largest participant body scale", SynthSpec.scale_range[1])
+    add(p, "--orientations", "comma-separated degrees", SynthSpec.orientations_deg)
+    add(p, "--distances", "comma-separated meters", SynthSpec.distances_m)
+    add(p, "--participants", "number of participants", SynthSpec.participants)
     p.add_argument("--out", required=True, help="output dataset path")
 
     p = sub.add_parser("featurize", help="extract feature vectors to JSON lines")
@@ -125,17 +139,17 @@ def _build_parser() -> _Parser:
     add_classifier(p)
     add_split(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=_FORMATS["evaluate"], default=None)
+    add(p, "--format", "report format", _FORMATS["evaluate"][0], _FORMATS["evaluate"])
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("grid", help="classifier-by-featureset accuracy grid")
     add_seed(p)
     add_hyperparameters(p)
     add_split(p)
-    p.add_argument("--angle-mode", choices=("adjacent", "all_triples"), default=None)
-    p.add_argument("--classifiers", default=None,
-                   help=f"comma-separated subset of {','.join(CLASSIFIER_NAMES)}")
-    p.add_argument("--format", choices=_FORMATS["grid"], default=None)
+    add_angle_mode(p)
+    add(p, "--classifiers", f"comma-separated subset of {_shown(CLASSIFIER_NAMES)}",
+        GRID_CLASSIFIERS)
+    add(p, "--format", "report format", _FORMATS["grid"][0], _FORMATS["grid"])
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="-")
     return parser
@@ -165,8 +179,8 @@ class _Resolver:
         self.config = config
 
     def get(self, key: str, default, cast=lambda value: value):
-        """cast of the value; a value cast rejects is a usage error naming
-        the key. Where the default is None, a null value is unset."""
+        """cast of a flag's string or a config's JSON value alike, or a usage
+        error naming the key; where the default is None, a null is unset."""
         value = getattr(self.args, key.replace("-", "_"), None)
         if value is None:
             value = self.config.get(key, default)
@@ -181,8 +195,9 @@ class _Resolver:
 
 def _integer(value) -> int:
     """int of an integral number or numeral; 2.9, inf and null are rejected."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
+    if (isinstance(value, str) and not value.strip().lstrip("+-").isdecimal()
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value} is not an integer")
     return int(value)
 
 
@@ -200,91 +215,85 @@ def _parse_list(raw, cast=float) -> tuple:
     return tuple(cast(v.strip()) for v in str(raw).split(",") if v.strip())
 
 
-def _usage_errors(build):
-    """Decorates a spec builder: a rejected or wrong-typed value is a usage error."""
-    def wrapper(r: _Resolver, *args):
-        try:
-            return build(r, *args)
-        except (TypeError, ValueError) as e:
-            raise UsageError(str(e)) from None
-    return wrapper
+def _spec(build, **values):
+    """build(**values); a value that its check rejects is a usage error."""
+    try:
+        return build(**values)
+    except (TypeError, ValueError) as e:
+        raise UsageError(str(e)) from None
 
 
-@_usage_errors
 def _format(r: _Resolver) -> str:
-    fmt = r.get("format", "text")
     choices = _FORMATS[r.args.command]
+    fmt = r.get("format", choices[0])
     if fmt not in choices:
-        raise ValueError(f"unknown format {fmt!r}; choose from {choices}")
+        raise UsageError(f"unknown format {fmt!r}; choose from {choices}")
     return fmt
 
 
-@_usage_errors
 def _angle_mode(r: _Resolver) -> AngleMode:
-    return r.get("angle-mode", "adjacent", AngleMode)
+    return r.get("angle-mode", FeatureConfig.angle_mode, AngleMode)
 
 
-@_usage_errors
 def _feature_config(r: _Resolver) -> FeatureConfig:
-    return FeatureConfig.from_name(r.get("features", "combined"), _angle_mode(r))
+    return _spec(FeatureConfig.from_name, features=r.get("features", FeatureConfig().name),
+                 angle_mode=_angle_mode(r))
 
 
-@_usage_errors
 def _classifier_spec(r: _Resolver, name: str | None = None) -> ClassifierSpec:
     """The spec of classifier name, else of the --classifier value."""
-    return ClassifierSpec(
-        name=r.get("classifier", "svm_quadratic") if name is None else name,
-        c=r.get("c", 1.0, float),
-        tol=r.get("tol", 1e-3, float),
-        kernel_scale=r.get("kernel-scale", None, float),
+    return _spec(
+        ClassifierSpec,
+        name=r.get("classifier", ClassifierSpec.name) if name is None else name,
+        c=r.get("c", ClassifierSpec.c, float),
+        tol=r.get("tol", ClassifierSpec.tol, float),
+        kernel_scale=r.get("kernel-scale", ClassifierSpec.kernel_scale, float),
         seed=r.seed(),
     )
 
 
-@_usage_errors
 def _split_spec(r: _Resolver) -> SplitSpec:
-    return SplitSpec(
-        train_fraction=r.get("train-fraction", 0.8, float),
+    return _spec(
+        SplitSpec,
+        train_fraction=r.get("train-fraction", SplitSpec.train_fraction, float),
         seed=r.seed(),
-        stratify_by=r.get("stratify", "label"),
-        resubstitution=bool(getattr(r.args, "resubstitution", False)),
+        stratify_by=r.get("stratify", SplitSpec.stratify_by),
+        resubstitution=r.args.resubstitution,
     )
 
 
-def _load_data(path: str) -> LabeledDataset:
-    if not Path(path).exists():
-        raise DataError(f"dataset file not found: {path}")
-    return load_dataset(path)
-
-
-@_usage_errors
 def _synth_spec(r: _Resolver) -> SynthSpec:
-    return SynthSpec(
+    lo, hi = SynthSpec.scale_range
+    return _spec(
+        SynthSpec,
         seed=r.seed(),
-        per_class=r.get("per-class", 208, _integer),
-        orientations_deg=r.get("orientations", "0,90,180,270", _parse_list),
-        distances_m=r.get("distances", "1,2,3,4", _parse_list),
-        noise_std_m=r.get("noise", 0.02, float),
-        scale_range=(r.get("scale-min", 0.85, float), r.get("scale-max", 1.15, float)),
-        participants=r.get("participants", 13, _integer),
+        per_class=r.get("per-class", SynthSpec.per_class, _integer),
+        orientations_deg=r.get("orientations", SynthSpec.orientations_deg, _parse_list),
+        distances_m=r.get("distances", SynthSpec.distances_m, _parse_list),
+        noise_std_m=r.get("noise", SynthSpec.noise_std_m, float),
+        scale_range=(r.get("scale-min", lo, float), r.get("scale-max", hi, float)),
+        participants=r.get("participants", SynthSpec.participants, _integer),
     )
+
+
+def _existing(path: str, what: str) -> str:
+    if not Path(path).exists():
+        raise DataError(f"{what} file not found: {path}")
+    return path
 
 
 def _cmd_synth(r: _Resolver) -> int:
     spec = _synth_spec(r)
     ds = synth_generate(spec)
     save_dataset(ds, r.args.out, generator=spec.to_dict())
-    print(
-        f"wrote {len(ds)} records ({spec.per_class} per class) to {r.args.out} "
-        f"[fingerprint {ds.fingerprint}]",
-        file=sys.stderr,
-    )
+    print(f"wrote {len(ds)} records ({spec.per_class} per class) to {r.args.out} "
+          f"[fingerprint {ds.fingerprint}]", file=sys.stderr)
     return 0
 
 
 def _cmd_featurize(r: _Resolver) -> int:
-    ds = _load_data(r.args.data)
     cfg = _feature_config(r)
+    ds = load_dataset(_existing(r.args.data, "dataset"))
     X, fingerprint = extract_matrix(ds.skeletons(), cfg)
     names = [*LABEL_NAMES, None]  # label -1 (unlabeled) reads the last
     lines = [
@@ -297,9 +306,8 @@ def _cmd_featurize(r: _Resolver) -> int:
 
 
 def _cmd_train(r: _Resolver) -> int:
-    ds = _load_data(r.args.data)
-    cfg = _feature_config(r)
-    spec = _classifier_spec(r)
+    cfg, spec = _feature_config(r), _classifier_spec(r)
+    ds = load_dataset(_existing(r.args.data, "dataset"))
     X, fingerprint = extract_matrix(ds.skeletons(), cfg)
     model = train_classifier(X, ds.label_indices(), spec, fingerprint)
     bad = model.nonconverged
@@ -316,10 +324,8 @@ def _cmd_train(r: _Resolver) -> int:
 
 
 def _cmd_predict(r: _Resolver) -> int:
-    if not Path(r.args.model).exists():
-        raise DataError(f"model file not found: {r.args.model}")
-    mf = load_model(r.args.model)
-    ds = _load_data(r.args.data)
+    mf = load_model(_existing(r.args.model, "model"))
+    ds = load_dataset(_existing(r.args.data, "dataset"))
     X, _ = extract_matrix(ds.skeletons(), mf.feature_config)  # ModelFile checks the fingerprint
     labels = {k: json.dumps(name) for k, name in enumerate(LABEL_NAMES)}
     # the bytes of json.dumps({"index": i, "label": name}, sort_keys=True)
@@ -332,27 +338,23 @@ def _cmd_predict(r: _Resolver) -> int:
 
 
 def _cmd_evaluate(r: _Resolver) -> int:
-    fmt = _format(r)
-    ds = _load_data(r.args.data)
-    report = evaluate(ds, _feature_config(r), _classifier_spec(r), _split_spec(r))
+    fmt, cfg, spec, split = _format(r), _feature_config(r), _classifier_spec(r), _split_spec(r)
+    report = evaluate(load_dataset(_existing(r.args.data, "dataset")), cfg, spec, split)
     _write_out(r.args.out, render_report(report, fmt))
     return 0
 
 
-@_usage_errors
 def _grid_specs(r: _Resolver) -> list[ClassifierSpec]:
     """A spec per grid row: --classifiers names the rows, the other flags tune each."""
-    names = r.get("classifiers", None)
-    names = GRID_CLASSIFIERS if names is None else _parse_list(names, str)
-    if not names:
-        raise ValueError("classifiers: no classifier named")
-    return [_classifier_spec(r, name) for name in names]
+    names = r.get("classifiers", None, lambda raw: _parse_list(raw, str))
+    if names == ():
+        raise UsageError("classifiers: no classifier named")
+    return [_classifier_spec(r, name) for name in names or GRID_CLASSIFIERS]
 
 
 def _cmd_grid(r: _Resolver) -> int:
-    fmt = _format(r)
-    ds = _load_data(r.args.data)
-    reports = evaluate_grid(ds, _grid_specs(r), _split_spec(r), _angle_mode(r))
+    fmt, specs, split, mode = _format(r), _grid_specs(r), _split_spec(r), _angle_mode(r)
+    reports = evaluate_grid(load_dataset(_existing(r.args.data, "dataset")), specs, split, mode)
     if fmt == "json":
         docs = [rep.to_dict() for rep in reports]
         _write_out(r.args.out, json.dumps(docs, sort_keys=True) + "\n")
@@ -372,11 +374,9 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _load_config(args.config)
-        return _COMMANDS[args.command](_Resolver(args, config))
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](_Resolver(args, _load_config(args.config)))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -52,7 +52,8 @@ class SplitSpec:
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must be in (0, 1)")
         if self.stratify_by not in STRATIFY_MODES:
-            raise ValueError(f"stratify_by must be one of {STRATIFY_MODES}")
+            raise ValueError(f"unknown stratify mode {self.stratify_by!r}; "
+                             f"choose from {STRATIFY_MODES}")
 
 
 def stratified_split(

@@ -39,12 +39,19 @@ class AngleMode(str, Enum):
     ADJACENT = "adjacent"
     ALL_TRIPLES = "all_triples"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown angle mode {value!r}; choose from {tuple(m.value for m in cls)}")
+
 
 # (endpoint, vertex, endpoint) joint rows per mode; a triple i < j < k has vertex j.
 _ANGLE_TRIPLES = {
     AngleMode.ADJACENT: np.array(ADJACENT_ANGLE_TRIPLES).T,
     AngleMode.ALL_TRIPLES: np.array(list(combinations(range(NUM_JOINTS), 3))).T,
 }
+
+# Feature set name -> (use_distances, use_angles)
+FEATURE_SETS = {"distances": (True, False), "angles": (False, True), "combined": (True, True)}
 
 
 @dataclass(frozen=True)
@@ -69,20 +76,14 @@ class FeatureConfig:
 
     @property
     def name(self) -> str:
-        if self.use_distances and self.use_angles:
-            return "combined"
-        return "distances" if self.use_distances else "angles"
+        families = (self.use_distances, self.use_angles)
+        return next(name for name, sets in FEATURE_SETS.items() if sets == families)
 
     @staticmethod
-    def from_name(features: str, angle_mode: str = "adjacent") -> "FeatureConfig":
-        mode = AngleMode(angle_mode)
-        if features == "distances":
-            return FeatureConfig(True, False, mode)
-        if features == "angles":
-            return FeatureConfig(False, True, mode)
-        if features == "combined":
-            return FeatureConfig(True, True, mode)
-        raise ValueError(f"unknown feature set {features!r}")
+    def from_name(features: str, angle_mode: str = AngleMode.ADJACENT) -> "FeatureConfig":
+        if not (isinstance(features, str) and features in FEATURE_SETS):
+            raise ValueError(f"unknown feature set {features!r}; choose from {tuple(FEATURE_SETS)}")
+        return FeatureConfig(*FEATURE_SETS[features], angle_mode)
 
 
 @functools.cache  # per frame it would rebuild and re-hash the same string

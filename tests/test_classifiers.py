@@ -418,6 +418,17 @@ class TestPredictionPaths:
         with pytest.raises(NumericError, match="feature rows must be finite"):
             predict_batch(model, np.vstack([X[:3], row]))
 
+    @pytest.mark.parametrize("name", CLASSIFIER_NAMES)
+    def test_overflowing_finite_row_is_a_numeric_error_for_every_kind(self, noisy_blobs, name):
+        X, y = noisy_blobs
+        model = train_classifier(X, y, ClassifierSpec(name, seed=3), "fp")
+        huge = np.full(X.shape[1], 1.5e308)
+        message = "SVM decision values are not finite" if "svm" in name else "overflow"
+        with pytest.raises(NumericError, match=message):
+            predict_batch(model, np.vstack([X[:3], huge]))
+        with pytest.raises(NumericError, match=message):
+            predict_label(model, FeatureVector(huge, fingerprint="fp"))
+
 
 class TestTrainDispatch:
     @pytest.mark.parametrize(

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import payload, unpayload
+from posturelab.classifiers import CLASSIFIER_NAMES
 from posturelab.cli import run
 from posturelab.dataset import SynthSpec, load_model, save_dataset, synth_generate
 from posturelab.errors import CorruptModel
+from posturelab.evaluation import STRATIFY_MODES
+from posturelab.features import FEATURE_SETS, AngleMode
 from posturelab.skeleton import LABEL_NAMES
 
 
@@ -191,6 +194,33 @@ REJECTED_SPEC_VALUES = {
     "grid-flag-prefix": (["grid", "--classifier", "lda"], None, None),
 }
 
+# Flags of each command; a choice flag's help names its accepted values.
+COMMAND_FLAGS = {
+    "synth": ("--seed", "--per-class", "--noise", "--scale-min", "--scale-max",
+              "--orientations", "--distances", "--participants", "--out"),
+    "featurize": ("--features", "--angle-mode", "--data", "--out"),
+    "train": ("--seed", "--features", "--angle-mode", "--classifier", "--c", "--tol",
+              "--kernel-scale", "--data", "--model-out", "--allow-nonconverged"),
+    "predict": ("--model", "--data", "--out"),
+    "evaluate": ("--seed", "--features", "--angle-mode", "--classifier", "--c", "--tol",
+                 "--kernel-scale", "--train-fraction", "--stratify", "--resubstitution",
+                 "--data", "--format", "--out"),
+    "grid": ("--seed", "--c", "--tol", "--kernel-scale", "--train-fraction", "--stratify",
+             "--resubstitution", "--angle-mode", "--classifiers", "--format", "--data", "--out"),
+}
+FORMATS = {"evaluate": ("text", "csv", "json"), "grid": ("text", "json")}
+# Accepted values of each choice flag but --format, whose values are the command's FORMATS
+CHOICE_VALUES = {
+    "--features": tuple(FEATURE_SETS),
+    "--angle-mode": tuple(mode.value for mode in AngleMode),
+    "--classifier": CLASSIFIER_NAMES,
+    "--classifiers": CLASSIFIER_NAMES,
+    "--stratify": STRATIFY_MODES,
+}
+# A command that takes each choice key, for rejecting a value of it
+CHOICE_COMMANDS = {"features": "evaluate", "angle-mode": "featurize", "classifier": "evaluate",
+                   "stratify": "evaluate", "format": "grid"}
+
 # Cases above whose config value has the wrong kind: the message names the key.
 WRONG_KIND_CONFIG_CASES = (
     "config-per-class-null", "config-noise-object", "config-seed-null",
@@ -247,25 +277,78 @@ class TestUsageErrors:
         assert run(["evaluate", "--data", str(dataset_path), flag, "0"]) == 1
         assert "usage error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv, config, seed_env", REJECTED_SPEC_VALUES.values(), ids=REJECTED_SPEC_VALUES
-    )
-    def test_rejected_spec_value_is_usage_error(
-        self, tmp_path, dataset_path, capsys, monkeypatch, argv, config, seed_env
-    ):
+    @staticmethod
+    def run_case(tmp_path, monkeypatch, case: str, files: list) -> int:
+        """run of a REJECTED_SPEC_VALUES case, given its file arguments."""
+        argv, config, seed_env = REJECTED_SPEC_VALUES[case]
         if seed_env is not None:
             monkeypatch.setenv("POSTURELAB_SEED", seed_env)
         prefix = []
         if config is not None:
             (tmp_path / "config.json").write_text(json.dumps(config))
             prefix = ["--config", str(tmp_path / "config.json")]
+        return run([*prefix, *argv, *files])
+
+    @pytest.mark.parametrize("case", REJECTED_SPEC_VALUES)
+    def test_rejected_spec_value_is_usage_error(
+        self, tmp_path, dataset_path, capsys, monkeypatch, case
+    ):
         out = tmp_path / "out.jsonl"
-        files = ["--out", str(out)] if argv[0] == "synth" else ["--data", str(dataset_path)]
+        synth = REJECTED_SPEC_VALUES[case][0][0] == "synth"
+        files = ["--out", str(out)] if synth else ["--data", str(dataset_path)]
         capsys.readouterr()
-        assert run([*prefix, *argv, *files]) == 1
+        assert self.run_case(tmp_path, monkeypatch, case, files) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:")
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case", [case for case, (argv, *_) in REJECTED_SPEC_VALUES.items() if argv[0] != "synth"]
+    )
+    def test_rejected_spec_value_wins_over_missing_data(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        capsys.readouterr()
+        files = ["--data", str(tmp_path / "missing.jsonl")]
+        assert self.run_case(tmp_path, monkeypatch, case, files) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key", CHOICE_COMMANDS)
+    def test_rejected_choice_names_the_accepted_values(
+        self, tmp_path, dataset_path, capsys, key, source
+    ):
+        argv = [CHOICE_COMMANDS[key]]
+        accepted = FORMATS[argv[0]] if key == "format" else CHOICE_VALUES[f"--{key}"]
+        flags = [f"--{key}", "bogus"]
+        if source == "config":
+            (tmp_path / "config.json").write_text(json.dumps({key: "bogus"}))
+            argv, flags = ["--config", str(tmp_path / "config.json"), *argv], []
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([*argv, *flags, "--data", str(dataset_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "'bogus'" in err and str(accepted) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("per-class", 2.9), ("participants", "x"), ("seed", 1.5), ("noise", "abc"),
+         ("orientations", "0,x"), ("scale-min", "2")],
+    )
+    def test_flag_and_config_value_share_one_message(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out.jsonl"
+        (tmp_path / "config.json").write_text(json.dumps({key: value}))
+        errs = []
+        for argv in (["synth", f"--{key}", str(value)],
+                     ["--config", str(tmp_path / "config.json"), "synth"]):
+            capsys.readouterr()
+            assert run([*argv, "--out", str(out)]) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and errs[0].startswith("usage error:")
         assert not out.exists()
 
     @pytest.mark.parametrize("case", WRONG_KIND_CONFIG_CASES)
@@ -305,12 +388,15 @@ class TestUsageErrors:
         for cmd in ("synth", "featurize", "train", "predict", "evaluate", "grid"):
             assert cmd in out
 
-    def test_subcommand_help_lists_flags(self, capsys):
-        assert run(["evaluate", "--help"]) == 0
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_subcommand_help_lists_flags(self, capsys, command):
+        assert run([command, "--help"]) == 0
         out = capsys.readouterr().out
-        for flag in ("--data", "--classifier", "--features", "--seed",
-                     "--train-fraction", "--stratify", "--format", "--out"):
+        for flag in COMMAND_FLAGS[command]:
             assert flag in out
+            values = FORMATS[command] if flag == "--format" else CHOICE_VALUES.get(flag, ())
+            for value in values:
+                assert value in out, (flag, value)
 
 
 class TestDataErrors:
