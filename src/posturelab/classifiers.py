@@ -36,13 +36,16 @@ from .errors import (
     FingerprintMismatch,
     NumericError,
     SingleClass,
+    choose,
 )
 from .features import FeatureVector
 from .kernels import KernelSpec, linear_kernel, polynomial_kernel
 from .skeleton import NUM_CLASSES, PostureLabel
 # The benchmark's tracer wraps decision_function (the one-machine reference for
 # OvoSvmModel.decisions), smo_train and ovo_train as attributes of this module.
-from .svm import BinarySvmModel, decision_function, smo_train  # noqa: F401
+from .svm import (  # noqa: F401
+    DEFAULT_C, DEFAULT_TOL, BinarySvmModel, decision_function, smo_train,
+)
 
 COVARIANCE_RIDGE = 1e-6  # lambda in Sigma + lambda * (trace/d) * I
 ZERO_STD_FLOOR = 1e-12  # features with stddev below this are stored with std 1
@@ -506,16 +509,15 @@ class ClassifierSpec:
     """
 
     name: str = "svm_quadratic"
-    c: float = 1.0
-    tol: float = 1e-3
+    c: float = DEFAULT_C
+    tol: float = DEFAULT_TOL
     kernel_scale: float | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.name not in CLASSIFIERS:
-            raise ValueError(
-                f"unknown classifier {self.name!r}; choose from {CLASSIFIER_NAMES}"
-            )
+        choose("classifier", self.name, CLASSIFIERS)
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
         # Every classifier's report writes these values, and JSON has no
         # infinity or NaN; only the SVMs use them, so only they need them > 0.
         for key in ("c", "tol", "kernel_scale"):
@@ -579,7 +581,7 @@ def train_classifier(
 
 def ovo_train(
     X: np.ndarray, y: np.ndarray, kernel: KernelSpec, c: float = ClassifierSpec.c,
-    tol: float = ClassifierSpec.tol, seed: int = 0, fingerprint: str = "",
+    tol: float = ClassifierSpec.tol, seed: int = ClassifierSpec.seed, fingerprint: str = "",
 ) -> OvoSvmModel:
     """One-vs-one SVM with this kernel. The solver is deterministic: seed is
     only recorded in the model."""

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Diagnostics go to stderr; results go to files or stdout. A config file
-(--config, JSON) may supply defaults; explicit flags take precedence, and the
-POSTURELAB_SEED environment variable supplies the default seed.
+(--config, JSON) may supply defaults, keyed by any command's flag names
+without the dashes; explicit flags take precedence, and the POSTURELAB_SEED
+environment variable supplies the default seed.
 """
 from __future__ import annotations
 
@@ -29,9 +30,11 @@ from .dataset import (
     save_model,
     synth_generate,
 )
-from .errors import DataError, NonConvergence, NumericError
+from .errors import DataError, NonConvergence, NumericError, choose
 from .evaluation import (
     GRID_CLASSIFIERS,
+    GRID_FORMATS,
+    REPORT_FORMATS,
     STRATIFY_MODES,
     SplitSpec,
     evaluate,
@@ -43,7 +46,7 @@ from .features import FEATURE_SETS, AngleMode, FeatureConfig, extract_matrix
 from .skeleton import LABEL_NAMES
 
 SEED_ENV_VAR = "POSTURELAB_SEED"
-_FORMATS = {"evaluate": ("text", "csv", "json"), "grid": ("text", "json")}
+_FORMATS = {"evaluate": REPORT_FORMATS, "grid": GRID_FORMATS}
 
 
 class UsageError(Exception):
@@ -155,7 +158,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path: str | None) -> dict:
+def _config_keys(parser: argparse.ArgumentParser) -> tuple[str, ...]:
+    """The flags of every command, without dashes: one config file may serve
+    all the commands, each reading the keys of its own flags."""
+    (commands,) = [action.choices for action in parser._actions if action.dest == "command"]
+    return tuple(dict.fromkeys(
+        flag.lstrip("-") for command in commands.values() for action in command._actions
+        if action.dest != "help" for flag in action.option_strings
+    ))
+
+
+def _load_config(path: str | None, parser: argparse.ArgumentParser) -> dict:
+    """The config file's JSON object; a key that is no command's flag is a usage error."""
     if not path:
         return {}
     try:
@@ -168,6 +182,9 @@ def _load_config(path: str | None) -> dict:
         raise DataError(f"config file {path}: not UTF-8 text") from None
     if not isinstance(config, dict):
         raise DataError(f"config file {path}: expected a JSON object")
+    keys = _config_keys(parser)
+    for key in config:
+        _spec(choose, what="config key", value=key, choices=keys)
     return config
 
 
@@ -225,10 +242,7 @@ def _spec(build, **values):
 
 def _format(r: _Resolver) -> str:
     choices = _FORMATS[r.args.command]
-    fmt = r.get("format", choices[0])
-    if fmt not in choices:
-        raise UsageError(f"unknown format {fmt!r}; choose from {choices}")
-    return fmt
+    return _spec(choose, what="format", value=r.get("format", choices[0]), choices=choices)
 
 
 def _angle_mode(r: _Resolver) -> AngleMode:
@@ -355,11 +369,7 @@ def _grid_specs(r: _Resolver) -> list[ClassifierSpec]:
 def _cmd_grid(r: _Resolver) -> int:
     fmt, specs, split, mode = _format(r), _grid_specs(r), _split_spec(r), _angle_mode(r)
     reports = evaluate_grid(load_dataset(_existing(r.args.data, "dataset")), specs, split, mode)
-    if fmt == "json":
-        docs = [rep.to_dict() for rep in reports]
-        _write_out(r.args.out, json.dumps(docs, sort_keys=True) + "\n")
-    else:
-        _write_out(r.args.out, render_grid(reports))
+    _write_out(r.args.out, render_grid(reports, fmt))
     return 0
 
 
@@ -375,8 +385,9 @@ _COMMANDS = {
 
 def run(argv) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](_Resolver(args, _load_config(args.config)))
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        return _COMMANDS[args.command](_Resolver(args, _load_config(args.config, parser)))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     UnknownLabel,
     VersionMismatch,
+    choose,
 )
 from .features import FeatureConfig, config_fingerprint
 from .poses import POSE_TEMPLATES, rotation_about_y
@@ -210,6 +211,8 @@ class SynthSpec:
     participants: int = 13
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
         if min(self.per_class, self.participants) < 1:
             raise ValueError("per_class and participants must be positive")
         if not (math.isfinite(self.noise_std_m) and self.noise_std_m >= 0):
@@ -373,9 +376,7 @@ def model_file_from_dict(doc: dict) -> ModelFile:
         raise VersionMismatch(doc.get("version"), MODEL_VERSION, "retrain the model")
     try:
         cfg = _decode(FeatureConfig, doc["feature_config"])
-        cls = MODEL_KINDS.get(str(doc["kind"]))
-        if cls is None:
-            raise ValueError(f"unknown model kind {doc['kind']!r}")
+        cls = MODEL_KINDS[choose("model kind", doc["kind"], MODEL_KINDS)]
         shared = {name: doc[key] for name, key in _TOP_LEVEL_FIELDS.items()}
         model = _decode(cls, {**doc["params"], **shared})
         return ModelFile(model, cfg, str(doc.get("dataset_fingerprint", "")))

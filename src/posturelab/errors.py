@@ -2,7 +2,7 @@
 
 Two families matter for the CLI exit-code contract: DataError (malformed or
 insufficient input, exit 2) and NumericError (a computation that cannot
-proceed, exit 3).
+proceed, exit 3). choose is the one rejection of an unknown name.
 """
 from __future__ import annotations
 
@@ -105,3 +105,10 @@ class DegenerateCovariance(NumericError):
 
 class NonConvergence(NumericError):
     pass
+
+
+def choose(what: str, value, choices) -> str:
+    """value if it is a str among the names choices holds; else a ValueError listing them."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise ValueError(f"unknown {what} {value!r}; choose from {tuple(choices)}")

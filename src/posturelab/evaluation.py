@@ -16,11 +16,13 @@ import numpy as np
 
 from .classifiers import ClassifierSpec, MulticlassModel, predict_batch, train_classifier
 from .dataset import LabeledDataset, encode
-from .errors import ClassTooSmall, EmptyInput, LengthMismatch
+from .errors import ClassTooSmall, EmptyInput, LengthMismatch, UnknownLabel, choose
 from .features import FeatureConfig, extract_matrix
 from .skeleton import LABEL_NAMES, NUM_CLASSES, PostureLabel
 
 STRATIFY_MODES = ("label", "label_participant")
+REPORT_FORMATS = ("text", "csv", "json")  # the default first
+GRID_FORMATS = ("text", "json")
 
 REPORT_VERSION = 1
 
@@ -49,11 +51,11 @@ class SplitSpec:
     resubstitution: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must be in (0, 1)")
-        if self.stratify_by not in STRATIFY_MODES:
-            raise ValueError(f"unknown stratify mode {self.stratify_by!r}; "
-                             f"choose from {STRATIFY_MODES}")
+        choose("stratify mode", self.stratify_by, STRATIFY_MODES)
 
 
 def stratified_split(
@@ -137,15 +139,26 @@ class ConfusionMatrix:
         return np.floor(raw * 10.0 + 0.5) / 10.0  # round_half_up: raw is never negative
 
 
+def _class_indices(labels: np.ndarray) -> np.ndarray:
+    """labels as int64 class indices; a label that is not an integer in 0-4
+    (-1, 5 or 1.7) is an UnknownLabel."""
+    known = np.zeros(labels.shape, dtype=bool)
+    if labels.dtype.kind in "iu":
+        known = (labels >= 0) & (labels < NUM_CLASSES)
+    if not known.all():
+        raise UnknownLabel(labels[~known][0].item())
+    return labels.astype(np.int64, copy=False)
+
+
 def confusion_matrix(truth, pred) -> ConfusionMatrix:
-    truth = np.asarray([int(t) for t in truth], dtype=np.int64)
-    pred = np.asarray([int(p) for p in pred], dtype=np.int64)
+    truth, pred = np.asarray(truth), np.asarray(pred)
     if truth.shape[0] != pred.shape[0]:
         raise LengthMismatch(
             f"{truth.shape[0]} truth labels vs {pred.shape[0]} predictions"
         )
     if truth.shape[0] == 0:
         raise EmptyInput("cannot build a confusion matrix from no labels")
+    truth, pred = _class_indices(truth), _class_indices(pred)
     counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(counts, (truth, pred), 1)
     return ConfusionMatrix(counts)
@@ -362,14 +375,13 @@ def parse_csv_report(text: str) -> dict:
     }
 
 
-def render_report(report: EvaluationReport, fmt: str = "text", include_timings: bool = True) -> str:
+def render_report(report: EvaluationReport, fmt: str, include_timings: bool = True) -> str:
+    fmt = choose("format", fmt, REPORT_FORMATS)
     if fmt == "text":
         return render_text(report)
-    if fmt == "json":
-        return json.dumps(report.to_dict(include_timings), sort_keys=True) + "\n"
     if fmt == "csv":
         return render_csv(report, include_timings)
-    raise ValueError(f"unknown report format {fmt!r}")
+    return json.dumps(report.to_dict(include_timings), sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +392,7 @@ def evaluate_grid(
     ds: LabeledDataset,
     classifiers: Sequence[ClassifierSpec],
     split: SplitSpec,
-    angle_mode: str = "adjacent",
+    angle_mode: str = FeatureConfig.angle_mode,
 ) -> list[EvaluationReport]:
     """Evaluate every (classifier, feature set) cell, a row per classifier spec.
 
@@ -398,23 +410,21 @@ def evaluate_grid(
     ]
 
 
-def render_grid(reports: list[EvaluationReport]) -> str:
-    """Accuracy grid, classifiers down the rows and feature sets across.
+def render_grid(reports: list[EvaluationReport], fmt: str = GRID_FORMATS[0]) -> str:
+    """Accuracy grid, classifiers down the rows and feature sets across, or
+    the JSON list of the reports' documents.
 
     A cell whose model holds a non-converged binary SVM is marked with *.
     """
-    feature_names = []
-    classifier_names = []
-    cells = {}
-    for r in reports:
-        fname = r.features.name
-        cname = r.classifier.name
-        if fname not in feature_names:
-            feature_names.append(fname)
-        if cname not in classifier_names:
-            classifier_names.append(cname)
-        mark = "*" if r.nonconverged_machines else ""
-        cells[(cname, fname)] = _format_pct(100.0 * r.accuracy) + mark
+    if choose("format", fmt, GRID_FORMATS) == "json":
+        return json.dumps([r.to_dict() for r in reports], sort_keys=True) + "\n"
+    cells = {
+        (r.classifier.name, r.features.name):
+            _format_pct(100.0 * r.accuracy) + ("*" if r.nonconverged_machines else "")
+        for r in reports
+    }
+    classifier_names = list(dict.fromkeys(cname for cname, _ in cells))
+    feature_names = list(dict.fromkeys(fname for _, fname in cells))
     width = 12
     lines = [
         f"{'classifier':<16}" + "".join(f"{name:>{width}}" for name in feature_names)

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateNormalizer, NumericError, ZeroLengthSegment
+from .errors import DegenerateNormalizer, NumericError, ZeroLengthSegment, choose
 from .skeleton import (
     ADJACENT_ANGLE_TRIPLES,
     BONES,
@@ -41,7 +41,7 @@ class AngleMode(str, Enum):
 
     @classmethod
     def _missing_(cls, value):
-        raise ValueError(f"unknown angle mode {value!r}; choose from {tuple(m.value for m in cls)}")
+        choose("angle mode", value, [m.value for m in cls])  # raises: value is no mode
 
 
 # (endpoint, vertex, endpoint) joint rows per mode; a triple i < j < k has vertex j.
@@ -80,10 +80,11 @@ class FeatureConfig:
         return next(name for name, sets in FEATURE_SETS.items() if sets == families)
 
     @staticmethod
-    def from_name(features: str, angle_mode: str = AngleMode.ADJACENT) -> "FeatureConfig":
-        if not (isinstance(features, str) and features in FEATURE_SETS):
-            raise ValueError(f"unknown feature set {features!r}; choose from {tuple(FEATURE_SETS)}")
-        return FeatureConfig(*FEATURE_SETS[features], angle_mode)
+    def from_name(features: str, angle_mode: str = angle_mode) -> "FeatureConfig":
+        """The config of a FEATURE_SETS name; in the class body, angle_mode is
+        the field's default."""
+        families = FEATURE_SETS[choose("feature set", features, FEATURE_SETS)]
+        return FeatureConfig(*families, angle_mode)
 
 
 @functools.cache  # per frame it would rebuild and re-hash the same string

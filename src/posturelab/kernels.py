@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import choose
+
 LINEAR = "linear"
 POLYNOMIAL = "poly"
 
@@ -24,8 +26,7 @@ class KernelSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in (LINEAR, POLYNOMIAL):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        choose("kernel kind", self.kind, (LINEAR, POLYNOMIAL))
         if self.kind == POLYNOMIAL and self.degree < 2:
             raise ValueError("polynomial degree must be >= 2")
         if self.scale <= 0:

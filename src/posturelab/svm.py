@@ -48,6 +48,9 @@ from .kernels import KernelSpec
 # selection; floor of the pair curvature K_ii + K_jj - 2 K_ij.
 _BOUND_EPS = 1e-11
 _TAU = 1e-12
+# Default box constraint C and KKT tolerance, of the solver and of ClassifierSpec.
+DEFAULT_C = 1.0
+DEFAULT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,8 @@ def smo_train(
     X: np.ndarray,
     y: np.ndarray,
     kernel: KernelSpec,
-    c: float = 1.0,
-    tol: float = 1e-3,
+    c: float = DEFAULT_C,
+    tol: float = DEFAULT_TOL,
     record_objective: bool = False,
     max_total_passes: int = 2000,
 ) -> BinarySvmModel:

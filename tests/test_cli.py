@@ -192,6 +192,13 @@ REJECTED_SPEC_VALUES = {
     "grid-no-classifiers": (["grid", "--classifiers", ","], None, None),
     "config-grid-no-classifiers": (["grid"], {"classifiers": []}, None),
     "grid-flag-prefix": (["grid", "--classifier", "lda"], None, None),
+    "synth-seed-negative": (["synth", "--seed", "-1"], None, None),
+    "evaluate-seed-negative": (["evaluate", "--seed", "-1"], None, None),
+    "config-seed-negative": (["evaluate"], {"seed": -2}, None),
+    "grid-seed-env-negative": (["grid"], None, "-3"),
+    "config-classifier-list": (["evaluate"], {"classifier": ["lda"]}, None),
+    "config-key-typo": (["synth"], {"per-class": 3, "seeed": 5}, None),
+    "config-key-underscore": (["evaluate"], {"per_class": 3}, None),
 }
 
 # Flags of each command; a choice flag's help names its accepted values.
@@ -362,6 +369,30 @@ class TestUsageErrors:
         assert run(["--config", str(tmp_path / "config.json"), *argv, *files]) == 1
         (key,) = config
         assert capsys.readouterr().err.startswith(f"usage error: {key}: ")
+
+    def test_train_rejects_negative_seed_before_writing(self, tmp_path, dataset_path, capsys):
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        argv = ["train", "--seed", "-1", "--data", str(dataset_path), "--model-out", str(model)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "usage error: seed must not be negative, got -1\n"
+        assert not model.exists()
+
+    def test_config_key_typo_is_named(self, tmp_path, capsys):
+        (tmp_path / "config.json").write_text(json.dumps({"per-class": 3, "seeed": 5}))
+        out = tmp_path / "out.jsonl"
+        capsys.readouterr()
+        assert run(["--config", str(tmp_path / "config.json"), "synth", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "usage error: unknown config key 'seeed'; choose from ('seed', 'per-class',"
+        )
+
+    def test_config_keys_of_other_commands_are_accepted(self, tmp_path):
+        config = {"per-class": 3, "features": "angles", "classifier": "lda", "format": "csv"}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "out.jsonl"
+        assert run(["--config", str(tmp_path / "config.json"), "synth", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 15
 
     def test_svm_hyperparameters_do_not_constrain_lda(self, dataset_path):
         args = ["evaluate", "--data", str(dataset_path), "--classifier", "lda"]

@@ -6,7 +6,7 @@ import pytest
 
 from posturelab.classifiers import ClassifierSpec, fit_standardizer
 from posturelab.dataset import SynthSpec, synth_generate
-from posturelab.errors import ClassTooSmall, EmptyInput, LengthMismatch
+from posturelab.errors import ClassTooSmall, EmptyInput, LengthMismatch, UnknownLabel
 from posturelab.evaluation import (
     GRID_CLASSIFIERS,
     SplitSpec,
@@ -107,6 +107,18 @@ class TestConfusionMatrix:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             confusion_matrix([], [])
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(UnknownLabel, match="-1"):
+            confusion_matrix([-1, 0], [0, 0])
+
+    def test_label_above_range_rejected(self):
+        with pytest.raises(UnknownLabel, match="5"):
+            confusion_matrix([0], [5])
+
+    def test_fractional_label_rejected(self):
+        with pytest.raises(UnknownLabel, match="1.7"):
+            confusion_matrix([1.7], [1])
 
     def test_accuracy_identities(self, rng):
         truth = rng.integers(0, 5, 200)
