@@ -36,6 +36,7 @@ from .errors import (
     FingerprintMismatch,
     NumericError,
     SingleClass,
+    check_seed,
     choose,
 )
 from .features import FeatureVector
@@ -101,8 +102,8 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
 class _VotePlan(NamedTuple):
     """What a one-vs-one vote needs to know of its pairs, computed once."""
 
-    a: np.ndarray  # (P,) the class that a non-negative decision votes for
-    b: np.ndarray  # (P,) the class that a negative decision votes for
+    wins: np.ndarray  # (P, K) +1 at a, -1 at b: what a non-negative decision moves
+    base: np.ndarray  # (K,) the votes when every decision is negative: b's pair count
     duel: np.ndarray  # (K, R) each class's pair indices in pair order; P pads
     sign: np.ndarray  # (K, R) +1.0 where the class is a, -1.0 where it is b
 
@@ -110,14 +111,54 @@ class _VotePlan(NamedTuple):
 @functools.cache
 def _vote_plan(pairs: tuple[tuple[int, int], ...]) -> _VotePlan:
     duels = [[] for _ in range(NUM_CLASSES)]  # per class: (pair index, sign)
+    wins, base = np.zeros((len(pairs), NUM_CLASSES)), np.zeros(NUM_CLASSES)
     for p, (a, b) in enumerate(pairs):
         duels[a].append((p, 1.0))
         duels[b].append((p, -1.0))
+        wins[p, a], wins[p, b] = 1.0, -1.0
+        base[b] += 1.0
     rounds = max(map(len, duels))
-    pad = [(len(pairs), 1.0)]  # the zero column that vote_batch appends
+    pad = [(len(pairs), 1.0)]  # the zero column that _margin_sums appends
     table = np.array([d + pad * (rounds - len(d)) for d in duels]).reshape(NUM_CLASSES, rounds, 2)
-    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return _VotePlan(a, b, table[..., 0].astype(np.int64), table[..., 1])
+    return _VotePlan(wins, base, table[..., 0].astype(np.int64), table[..., 1])
+
+
+def _votes(plan: _VotePlan, decisions: np.ndarray) -> np.ndarray:
+    """(n, K) vote counts: a non-negative decision moves the vote of its pair
+    from b to a. The sums are of at most P ones, so exact in any order."""
+    return (decisions >= 0.0) @ plan.wins + plan.base
+
+
+def _margin_sums(plan: _VotePlan, decisions: np.ndarray) -> np.ndarray:
+    """(n, K) sums of the signed decision values in each class's favor.
+
+    Round r adds each class's r-th duel, so every sum runs in pair order from
+    zero, as the loop `margins[a] += d; margins[b] -= d` over the pairs does
+    (x - d is x + (-d)). A padded entry adds the appended column's +0.0,
+    which changes no sum: one started at +0.0 is never -0.0.
+    """
+    padded = np.concatenate([decisions, np.zeros((decisions.shape[0], 1))], axis=1)
+    signed = padded[:, plan.duel] * plan.sign
+    margins = np.zeros((decisions.shape[0], NUM_CLASSES))
+    for r in range(plan.duel.shape[1]):
+        margins += signed[:, :, r]
+    return margins
+
+
+def _winners(plan: _VotePlan, decisions: np.ndarray) -> np.ndarray:
+    """The voting rule: the most votes wins; a shared top count goes to the
+    largest margin sum among the tied classes, then to the lowest class
+    index. Margins are summed only for the rows whose top count is shared."""
+    votes = _votes(plan, decisions)
+    winners = votes.argmax(axis=1)  # the first top count: right unless shared
+    ranked = np.sort(votes, axis=1)
+    shared = (ranked[:, -1] == ranked[:, -2]).nonzero()[0]
+    if shared.size:
+        tied = votes[shared] == ranked[shared, -1:]
+        margins = np.where(tied, _margin_sums(plan, decisions[shared]), -np.inf)
+        top = tied & ~(margins < margins.max(axis=1, keepdims=True))
+        winners[shared] = np.argmax(top, axis=1)
+    return winners
 
 
 def vote_batch(
@@ -132,24 +173,11 @@ def vote_batch(
     takes its additions in pair order.
 
     Returns (winner per row, votes per row and class, margin sum per row and
-    class).
+    class). A model's scorer takes the winners alone, by the same rule.
     """
     plan = _vote_plan(tuple(pairs))
-    voted = np.where(decisions >= 0.0, plan.a, plan.b)
-    votes = (voted[:, :, None] == np.arange(NUM_CLASSES)).sum(axis=1)
-    # Round r adds each class's r-th duel, so every sum runs in pair order
-    # from zero, as the loop `margins[a] += d; margins[b] -= d` over the
-    # pairs does (x - d is x + (-d)). A padded entry adds the appended
-    # column's +0.0, which changes no sum: one started at +0.0 is never -0.0.
-    padded = np.concatenate([decisions, np.zeros((decisions.shape[0], 1))], axis=1)
-    signed = padded[:, plan.duel] * plan.sign
-    margins = np.zeros((decisions.shape[0], NUM_CLASSES))
-    for r in range(plan.duel.shape[1]):
-        margins += signed[:, :, r]
-    tied = votes == votes.max(axis=1, keepdims=True)
-    tied_margins = np.where(tied, margins, -np.inf)
-    top = tied & ~(tied_margins < tied_margins.max(axis=1, keepdims=True))
-    return np.argmax(top, axis=1), votes, margins
+    votes = _votes(plan, decisions).astype(np.int64)
+    return _winners(plan, decisions), votes, _margin_sums(plan, decisions)
 
 
 def _check_indices(name: str, index) -> None:
@@ -260,8 +288,8 @@ class OvoSvmModel(MulticlassModel):
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
-        decisions, pairs = self.decisions, self.pairs
-        return lambda Xs: vote_batch(pairs, decisions(Xs))[0]
+        decisions, plan = self.decisions, _vote_plan(self.pairs)
+        return lambda Xs: _winners(plan, decisions(Xs))
 
 
 def _check_gaussian(model) -> tuple[int, int]:
@@ -516,8 +544,7 @@ class ClassifierSpec:
 
     def __post_init__(self):
         choose("classifier", self.name, CLASSIFIERS)
-        if self.seed < 0:
-            raise ValueError(f"seed must not be negative, got {self.seed}")
+        check_seed(self.seed)
         # Every classifier's report writes these values, and JSON has no
         # infinity or NaN; only the SVMs use them, so only they need them > 0.
         for key in ("c", "tol", "kernel_scale"):
@@ -588,9 +615,12 @@ def ovo_train(
     return _train(OvoSvmModel, _ovo_fit, X, y, fingerprint, seed, kernel=kernel, c=c, tol=tol)
 
 
+_POSTURES = tuple(PostureLabel)  # indexed, not called: an enum call is a lookup by value
+
+
 def predict_label(model: MulticlassModel, x) -> PostureLabel:
     """Label of one feature vector: predict_batch on a one-row matrix."""
-    return PostureLabel(int(predict_batch(model, _feature_row(model, x))[0]))
+    return _POSTURES[predict_batch(model, _feature_row(model, x))[0]]
 
 
 def predict_batch(model: MulticlassModel, X: np.ndarray) -> np.ndarray:

@@ -211,8 +211,9 @@ class _Resolver:
 
 
 def _integer(value) -> int:
-    """int of an integral number or numeral; 2.9, inf and null are rejected."""
-    if (isinstance(value, str) and not value.strip().lstrip("+-").isdecimal()
+    """int of an integral number or numeral; 2.9, inf, true and null are rejected."""
+    if (isinstance(value, bool)
+            or isinstance(value, str) and not value.strip().lstrip("+-").isdecimal()
             or isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value} is not an integer")
     return int(value)

@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     UnknownLabel,
     VersionMismatch,
+    check_seed,
     choose,
 )
 from .features import FeatureConfig, config_fingerprint
@@ -211,8 +212,7 @@ class SynthSpec:
     participants: int = 13
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must not be negative, got {self.seed}")
+        check_seed(self.seed)
         if min(self.per_class, self.participants) < 1:
             raise ValueError("per_class and participants must be positive")
         if not (math.isfinite(self.noise_std_m) and self.noise_std_m >= 0):
@@ -339,9 +339,14 @@ def _decode_array(dtype: np.dtype, doc) -> np.ndarray:
     return arr
 
 
+# The JSON values that a scalar field takes, by exact type: a bool is no
+# number, and a float field takes an integer as JSON writes it.
+_JSON_SCALARS = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
 def _decode(tp, doc):
-    """Inverse of encode; array dtypes come from the annotation, and a
-    non-finite float is rejected."""
+    """Inverse of encode; array dtypes come from the annotation. A scalar must
+    have its field's JSON type, and a non-finite float is rejected."""
     if is_dataclass(tp):
         return tp(**{name: _decode(t, doc[name]) for name, t in _saved_fields(tp)})
     if get_origin(tp) is np.ndarray:
@@ -349,6 +354,8 @@ def _decode(tp, doc):
     if get_origin(tp) is tuple:
         types = _item_types(tp, doc)
         return tuple(_decode(t, v) for t, v in zip(types, doc, strict=True))
+    if tp in _JSON_SCALARS and type(doc) not in _JSON_SCALARS[tp]:
+        raise ValueError(f"expected a {tp.__name__}, got {doc!r}")
     value = tp(doc)
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"non-finite number {value!r}")

@@ -2,7 +2,8 @@
 
 Two families matter for the CLI exit-code contract: DataError (malformed or
 insufficient input, exit 2) and NumericError (a computation that cannot
-proceed, exit 3). choose is the one rejection of an unknown name.
+proceed, exit 3). choose is the one rejection of an unknown name; integer
+and check_seed reject a value that is no integer or no seed.
 """
 from __future__ import annotations
 
@@ -112,3 +113,16 @@ def choose(what: str, value, choices) -> str:
     if isinstance(value, str) and value in choices:
         return value
     raise ValueError(f"unknown {what} {value!r}; choose from {tuple(choices)}")
+
+
+def integer(what: str, value) -> int:
+    """value if it is an int and not a bool; else a ValueError naming what."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """A seed is a non-negative integer, the one kind that numpy's generators take."""
+    if integer("seed", seed) < 0:
+        raise ValueError(f"seed must not be negative, got {seed}")

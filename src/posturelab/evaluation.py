@@ -16,7 +16,9 @@ import numpy as np
 
 from .classifiers import ClassifierSpec, MulticlassModel, predict_batch, train_classifier
 from .dataset import LabeledDataset, encode
-from .errors import ClassTooSmall, EmptyInput, LengthMismatch, UnknownLabel, choose
+from .errors import (
+    ClassTooSmall, EmptyInput, LengthMismatch, UnknownLabel, check_seed, choose,
+)
 from .features import FeatureConfig, extract_matrix
 from .skeleton import LABEL_NAMES, NUM_CLASSES, PostureLabel
 
@@ -51,8 +53,7 @@ class SplitSpec:
     resubstitution: bool = False
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must not be negative, got {self.seed}")
+        check_seed(self.seed)
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must be in (0, 1)")
         choose("stratify mode", self.stratify_by, STRATIFY_MODES)

@@ -33,6 +33,12 @@ _BLOCK = 64  # records per extract_matrix step: ~4 MB per all_triples temporary
 
 # Lexicographic (i, j) pairs with i < j; row order of the distance features.
 _PAIR_I, _PAIR_J = np.triu_indices(NUM_JOINTS, k=1)
+# _PAIR_OF[i, j]: the distance feature of joints i and j, in either order.
+_PAIR_OF = np.zeros((NUM_JOINTS, NUM_JOINTS), dtype=np.int64)
+_PAIR_OF[_PAIR_I, _PAIR_J] = _PAIR_OF[_PAIR_J, _PAIR_I] = np.arange(NUM_DISTANCE_FEATURES)
+# pos[i] - pos[j] of this pair is the spine vector SpineShoulder - SpineMid
+# or its negation, which has the same length bits.
+_SPINE_PAIR = int(_PAIR_OF[JointId.SpineShoulder, JointId.SpineMid])
 
 
 class AngleMode(str, Enum):
@@ -49,6 +55,11 @@ _ANGLE_TRIPLES = {
     AngleMode.ADJACENT: np.array(ADJACENT_ANGLE_TRIPLES).T,
     AngleMode.ALL_TRIPLES: np.array(list(combinations(range(NUM_JOINTS), 3))).T,
 }
+# The distance features of each mode's two rays (endpoint a to vertex, endpoint
+# b to vertex): |a - v| and |v - a| have the same bits, so a ray's norm is the
+# norm of its pair's difference.
+_RAY_PAIRS = {mode: (_PAIR_OF[ia, iv], _PAIR_OF[ib, iv])
+              for mode, (ia, iv, ib) in _ANGLE_TRIPLES.items()}
 
 # Feature set name -> (use_distances, use_angles)
 FEATURE_SETS = {"distances": (True, False), "angles": (False, True), "combined": (True, True)}
@@ -117,14 +128,19 @@ class FeatureVector:
         object.__setattr__(self, "values", vals)
 
 
-def _spine_lengths(pos: np.ndarray) -> np.ndarray:
-    """SpineShoulder-SpineMid lengths; DegenerateNormalizer below 1e-6 m.
+def _spine(pos: np.ndarray) -> np.ndarray:
+    return pos[..., JointId.SpineShoulder, :] - pos[..., JointId.SpineMid, :]
+
+
+def _spine_lengths(d: np.ndarray) -> np.ndarray:
+    """Lengths of spine vectors d (..., 3), SpineShoulder - SpineMid or its
+    negation; DegenerateNormalizer below 1e-6 m.
 
     For a stack, the error names the first degenerate record's index. The
     length is a matmul: norm(axis=-1) and einsum differ from the norm of one
-    3-vector in the last bit.
+    3-vector in the last bit. (-d).(-d) is d.d, so either sign gives the same
+    bits.
     """
-    d = pos[..., JointId.SpineShoulder, :] - pos[..., JointId.SpineMid, :]
     length = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
     short = length < NORMALIZER_FLOOR_M
     if not short.any():
@@ -144,34 +160,39 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def _angles_at(pos: np.ndarray, ia, iv, ib) -> tuple[np.ndarray, int]:
-    """Angles at vertex joints iv toward endpoint joints ia and ib.
+def _angles_at(pos: np.ndarray, ia, iv, ib, norms=None) -> tuple[np.ndarray, np.ndarray]:
+    """Angles at vertex joints iv toward endpoint joints ia and ib, and the
+    mask of the entries that are not degenerate.
 
-    Degenerate entries (a ray at or below the segment floor) yield 0 and are
-    counted instead of raising, so one bad joint cannot discard a whole vector.
+    norms, when given, are the rays' lengths with the bits _norms gives them.
+    Degenerate entries (a ray at or below the segment floor) yield 0 instead
+    of raising, so one bad joint cannot discard a whole vector.
     """
     vertex = pos.take(iv, axis=-2)  # take gathers what [..., iv, :] does, faster
     u = pos.take(ia, axis=-2) - vertex
     v = pos.take(ib, axis=-2) - vertex
-    nu = _norms(u)
-    nv = _norms(v)
+    nu, nv = (_norms(u), _norms(v)) if norms is None else norms
     ok = (nu > SEGMENT_FLOOR) & (nv > SEGMENT_FLOOR)
     denom = np.where(ok, nu * nv, 1.0)
     cosine = np.einsum("...ij,...ij->...i", u, v) / denom
     np.minimum(np.maximum(cosine, -1.0, out=cosine), 1.0, out=cosine)  # clip, undispatched
-    angles = np.where(ok, np.arccos(cosine), 0.0)
-    return angles, int(np.count_nonzero(~ok))
+    return np.where(ok, np.arccos(cosine), 0.0), ok
 
 
 def _values(pos: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """Feature values of positions (..., 25, 3), one skeleton or a stack, with
-    the same bits for a record either way: distances, then angles."""
-    parts = []
+    the same bits for a record either way: distances, then angles. With
+    distances, the spine vector and the angle rays' norms come from the pair
+    differences and their norms."""
+    parts, norms = [], None
     if cfg.use_distances:
         diffs = pos.take(_PAIR_I, axis=-2) - pos.take(_PAIR_J, axis=-2)
-        parts.append(_norms(diffs) / _spine_lengths(pos)[..., None])
+        lengths = _norms(diffs)
+        parts.append(lengths / _spine_lengths(diffs[..., _SPINE_PAIR, :])[..., None])
+        if cfg.use_angles:
+            norms = [lengths.take(rays, axis=-1) for rays in _RAY_PAIRS[cfg.angle_mode]]
     if cfg.use_angles:
-        parts.append(_angles_at(pos, *_ANGLE_TRIPLES[cfg.angle_mode])[0])
+        parts.append(_angles_at(pos, *_ANGLE_TRIPLES[cfg.angle_mode], norms)[0])
     return np.concatenate(parts, axis=-1)
 
 
@@ -191,7 +212,7 @@ def normalizer(skel: Skeleton) -> float:
 
     Raises DegenerateNormalizer when shorter than 1e-6 m.
     """
-    return float(_spine_lengths(skel.positions))
+    return float(_spine_lengths(_spine(skel.positions)))
 
 
 def pairwise_distances(skel: Skeleton) -> np.ndarray:
@@ -208,8 +229,8 @@ def joint_angle(a, b, c) -> float:
     Raises ZeroLengthSegment if either ray is shorter than 1e-9.
     """
     pos = np.array([a, b, c], dtype=np.float64)
-    angles, degenerate = _angles_at(pos, [0], [1], [2])
-    if degenerate:
+    angles, ok = _angles_at(pos, [0], [1], [2])
+    if not ok.all():
         raise ZeroLengthSegment(
             f"a ray at the angle vertex is not longer than {SEGMENT_FLOOR}"
         )
@@ -225,7 +246,8 @@ def angle_features(
     ALL_TRIPLES: one angle per joint triple {i < j < k}, vertex at j; 2300
     entries in lexicographic triple order.
     """
-    return _angles_at(skel.positions, *_ANGLE_TRIPLES[AngleMode(mode)])
+    angles, ok = _angles_at(skel.positions, *_ANGLE_TRIPLES[AngleMode(mode)])
+    return angles, int(np.count_nonzero(~ok))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
@@ -243,7 +265,7 @@ def extract_matrix(skeletons, cfg: FeatureConfig) -> tuple[np.ndarray, str]:
     fingerprint = config_fingerprint(cfg)
     pos = np.array([s.positions for s in skeletons]).reshape(-1, NUM_JOINTS, 3)
     if cfg.use_distances:
-        _spine_lengths(pos)  # names a degenerate record by its stack index
+        _spine_lengths(_spine(pos))  # names a degenerate record by its stack index
     X = np.empty((len(pos), cfg.length))
     for lo in range(0, len(pos), _BLOCK):
         X[lo : lo + _BLOCK] = _values(pos[lo : lo + _BLOCK], cfg)

@@ -9,11 +9,12 @@ ClassifierSpec resolves an unset scale to 4 * sqrt(n_features).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import choose
+from .errors import choose, integer
 
 LINEAR = "linear"
 POLYNOMIAL = "poly"
@@ -27,15 +28,13 @@ class KernelSpec:
 
     def __post_init__(self):
         choose("kernel kind", self.kind, (LINEAR, POLYNOMIAL))
-        if self.kind == POLYNOMIAL and self.degree < 2:
+        if integer("kernel degree", self.degree) < 2 and self.kind == POLYNOMIAL:
             raise ValueError("polynomial degree must be >= 2")
-        if self.scale <= 0:
-            raise ValueError("kernel scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"kernel scale must be finite and positive, got {self.scale!r}")
 
     def gram(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Kernel matrix K[i, j] = K(X[i], Y[j])."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+        """Kernel matrix K[i, j] = K(X[i], Y[j]) of 2-D float64 matrices."""
         dots = X @ Y.T
         if self.kind == LINEAR:
             return dots

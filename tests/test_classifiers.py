@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from posturelab import classifiers
 from posturelab.classifiers import (
     CLASSIFIER_NAMES,
     ClassifierSpec,
@@ -23,7 +24,8 @@ from posturelab.errors import (
     NumericError,
     SingleClass,
 )
-from posturelab.features import FeatureVector
+from posturelab.dataset import SynthSpec, synth_generate
+from posturelab.features import FeatureConfig, FeatureVector, extract, extract_matrix
 from posturelab.kernels import linear_kernel, polynomial_kernel
 from posturelab.skeleton import PostureLabel
 
@@ -52,6 +54,27 @@ def duel_tally(pairs, decisions):
     tied = [k for k in range(5) if votes[k] == max(votes)]
     top = [k for k in tied if favor[k] == max(favor[k] for k in tied)]
     return min(top), votes, favor, tied, top
+
+
+def tie_tables(rng, pairs):
+    """Decision tables rich in vote ties and in margin ties."""
+    return [
+        rng.normal(size=(500, len(pairs))),
+        rng.choice([-1.0, 0.0, 1.0], size=(2000, len(pairs))),
+        # sums of these depend on the order of additions
+        rng.choice([-0.3, -0.1, 0.0, 0.1, 0.2, 0.7], size=(2000, len(pairs))),
+    ]
+
+
+def table_scorer(rng, pairs):
+    """The scorer of a one-vs-one model over the classes of pairs, fed decision
+    tables as its rows: it votes on them as on its machines' decisions."""
+    classes = sorted({k for pair in pairs for k in pair})
+    X, y = gaussian_blobs(rng, np.eye(len(classes)) * 4.0, 6)
+    model = ovo_train(X, np.asarray(classes)[y], linear_kernel())
+    assert model.pairs == pairs
+    vars(model)["decisions"] = lambda table: table  # the cached property's slot
+    return model.scorer
 
 
 class TestStandardizer:
@@ -143,14 +166,8 @@ class TestVoting:
 
     @pytest.mark.parametrize("pairs", [PAIRS, ((0, 2), (0, 4), (2, 4)), ((1, 3),)])
     def test_vote_batch_matches_oracle_row_by_row(self, rng, pairs):
-        tables = [
-            rng.normal(size=(500, len(pairs))),
-            rng.choice([-1.0, 0.0, 1.0], size=(2000, len(pairs))),
-            # sums of these depend on the order of additions
-            rng.choice([-0.3, -0.1, 0.0, 0.1, 0.2, 0.7], size=(2000, len(pairs))),
-        ]
         vote_ties = margin_ties = 0
-        for table in tables:
+        for table in tie_tables(rng, pairs):
             winners, votes, margins = vote_batch(pairs, table)
             for row, winner, row_votes, row_margins in zip(table, winners, votes, margins):
                 expected, tally, favor, tied, top = duel_tally(pairs, row)
@@ -161,6 +178,40 @@ class TestVoting:
                 margin_ties += len(top) > 1
         if len(pairs) > 1:  # one duel has one winner
             assert vote_ties > 100 and margin_ties > 100
+
+    @pytest.mark.parametrize("pairs", [PAIRS, ((0, 2), (0, 4), (2, 4)), ((1, 3),)])
+    def test_scorer_winners_are_the_full_rule(self, rng, pairs):
+        # the oracle sums every row's margins; the scorer only those of ties
+        scorer = table_scorer(rng, pairs)
+        vote_ties = margin_ties = 0
+        for table in tie_tables(rng, pairs):
+            for row, winner in zip(table, scorer(table)):
+                expected, _, _, tied, top = duel_tally(pairs, row)
+                assert winner == expected
+                vote_ties += len(tied) > 1
+                margin_ties += len(top) > 1
+        if len(pairs) > 1:
+            assert vote_ties > 100 and margin_ties > 100
+
+    def test_margins_are_summed_only_for_vote_ties(self, rng, monkeypatch):
+        summed = []
+
+        def spy(plan, decisions):
+            summed.append(decisions.copy())
+            return margin_sums(plan, decisions)
+
+        margin_sums = classifiers._margin_sums
+        monkeypatch.setattr(classifiers, "_margin_sums", spy)
+        scorer = table_scorer(rng, self.PAIRS)
+        scorer(np.ones((50, len(self.PAIRS))))  # votes 4, 3, 2, 1, 0: no tie
+        assert summed == []
+        tables = tie_tables(rng, self.PAIRS)
+        for table in tables:
+            scorer(table)
+        tied = [row for table in tables for row in table
+                if len(duel_tally(self.PAIRS, row)[3]) > 1]
+        # each row with a vote tie is summed once, in row order, and no other
+        assert np.array_equal(np.concatenate(summed), np.array(tied))
 
     @pytest.mark.parametrize("pairs", [PAIRS, ((0, 2), (0, 4), (2, 4)), ((1, 3),)])
     def test_margins_are_the_pair_order_loop_bit_for_bit(self, rng, pairs):
@@ -389,6 +440,23 @@ class TestPredictionPaths:
             label = predict_label(model, FeatureVector(row, fingerprint="fp"))
             assert isinstance(label, PostureLabel)
             assert int(label) == expected
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        """Combined features of a noisy synthetic set, and held-out skeletons."""
+        cfg = FeatureConfig.from_name("combined")
+        train = synth_generate(SynthSpec(seed=5, per_class=12, noise_std_m=0.08))
+        X, fingerprint = extract_matrix(train.skeletons(), cfg)
+        held = synth_generate(SynthSpec(seed=6, per_class=20, noise_std_m=0.08)).skeletons()
+        return X, train.label_indices(), fingerprint, cfg, held
+
+    @pytest.mark.parametrize("name", CLASSIFIER_NAMES)
+    def test_frame_labels_equal_predict_batch(self, frames, name):
+        # a frame is extract then predict_label, one skeleton at a time
+        X, y, fingerprint, cfg, held = frames
+        model = train_classifier(X, y, ClassifierSpec(name), fingerprint)
+        batch = predict_batch(model, extract_matrix(held, cfg)[0])
+        assert [predict_label(model, extract(s, cfg)) for s in held] == batch.tolist()
 
     @pytest.mark.parametrize("name", CLASSIFIER_NAMES)
     def test_fingerprint_mismatch_for_every_kind(self, noisy_blobs, name):

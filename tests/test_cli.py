@@ -121,6 +121,32 @@ MALFORMED_MODELS = {
 }
 
 
+def _machine(**values):
+    """Edit of an SVM model file: the first machine's fields become values."""
+    return lambda doc: doc["params"]["machines"][0].update(values)
+
+
+# Scalars of the wrong JSON type: id -> (classifier, edit(doc)). An int field
+# takes an integer, a float field a number, a bool field a bool; no value is
+# coerced into its field's type.
+WRONGLY_TYPED_SCALARS = {
+    "degree-float": (SVM, lambda d: d["params"]["machines"][0]["kernel"].update(degree=2.5)),
+    "degree-bool": (SVM, lambda d: d["params"]["machines"][0]["kernel"].update(degree=True)),
+    "degree-string": (SVM, lambda d: d["params"]["machines"][0]["kernel"].update(degree="2")),
+    "scale-string": (SVM, lambda d: d["params"]["machines"][0]["kernel"].update(scale="4")),
+    "converged-string": (SVM, _machine(converged="false")),
+    "converged-int": (SVM, _machine(converged=1)),
+    "bias-string": (SVM, _machine(bias="0.5")),
+    "bias-bool": (SVM, _machine(bias=True)),
+    "n-passes-float": (SVM, _machine(n_passes=3.0)),
+    "seed-float": ("lda", lambda d: d.update(seed=1.9)),
+    "seed-bool": ("lda", lambda d: d.update(seed=False)),
+    "seed-string": ("knn1", lambda d: d.update(seed="0")),
+    "class-string": ("lda", lambda d: d["params"]["classes"].__setitem__(0, "0")),
+    "use-angles-int": ("qda", lambda d: d["feature_config"].update(use_angles=1)),
+}
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A 100-record dataset and a model file of each kind in MALFORMED_MODELS."""
@@ -175,6 +201,8 @@ REJECTED_SPEC_VALUES = {
     "config-classifiers-number": (["grid"], {"classifiers": 3}, None),
     "config-per-class-fraction": (["synth"], {"per-class": 2.9}, None),
     "config-seed-fraction": (["synth"], {"seed": 1.7}, None),
+    "config-seed-bool": (["evaluate"], {"seed": True}, None),
+    "config-per-class-bool": (["synth"], {"per-class": True}, None),
     "config-participants-fraction": (["synth"], {"participants": 3.5}, None),
     "config-per-class-infinite": (["synth"], {"per-class": float("inf")}, None),
     "config-noise-beyond-float": (["synth"], {"noise": 10**400}, None),
@@ -233,7 +261,8 @@ WRONG_KIND_CONFIG_CASES = (
     "config-per-class-null", "config-noise-object", "config-seed-null",
     "config-train-fraction-list", "config-seed-list", "config-per-class-fraction",
     "config-seed-fraction", "config-participants-fraction", "config-per-class-infinite",
-    "config-noise-beyond-float", "config-angle-mode-number",
+    "config-noise-beyond-float", "config-angle-mode-number", "config-seed-bool",
+    "config-per-class-bool",
 )
 
 
@@ -631,6 +660,24 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert err.startswith("data error: malformed model file: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", WRONGLY_TYPED_SCALARS)
+    def test_wrongly_typed_scalar_is_exit_2(self, tmp_path, trained, capsys, case):
+        data, models = trained
+        name, edit = WRONGLY_TYPED_SCALARS[case]
+        path = self.edited(models[name], tmp_path, edit)
+        capsys.readouterr()
+        assert self.predict(path, data, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed model file: expected a ")
+        assert err.count("\n") == 1
+
+    def test_float_field_takes_a_json_integer(self, tmp_path, trained):
+        data, models = trained
+        path = self.edited(models[SVM], tmp_path, _machine(bias=0, c=1))
+        machine = load_model(path).model.machines[0]
+        assert (machine.bias, machine.c) == (0.0, 1.0) and type(machine.bias) is float
+        assert self.predict(path, data, tmp_path) == 0
 
     def test_qda_precision_not_positive_definite_is_exit_3(self, tmp_path, trained, capsys):
         # a precision's Cholesky factor is taken at the first prediction, not at load

@@ -27,6 +27,26 @@ def small_dataset(seed=7, per_class=10, noise=0.02):
     return synth_generate(SynthSpec(seed=seed, per_class=per_class, noise_std_m=noise))
 
 
+# Every seed is a non-negative int, and not a bool: (spec, seed) -> message.
+REJECTED_SEEDS = {
+    "split-fraction": (SplitSpec, 1.5, "seed must be an integer, got 1.5"),
+    "split-bool": (SplitSpec, True, "seed must be an integer, got True"),
+    "split-string": (SplitSpec, "1", "seed must be an integer, got '1'"),
+    "synth-fraction": (SynthSpec, 1.5, "seed must be an integer, got 1.5"),
+    "synth-negative": (SynthSpec, -1, "seed must not be negative, got -1"),
+    "classifier-fraction": (ClassifierSpec, 1.5, "seed must be an integer, got 1.5"),
+    "classifier-bool": (ClassifierSpec, False, "seed must be an integer, got False"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_SEEDS)
+def test_specs_reject_a_seed_that_is_no_integer(case):
+    spec, seed, message = REJECTED_SEEDS[case]
+    with pytest.raises(ValueError) as e:
+        spec(seed=seed)
+    assert str(e.value) == message
+
+
 class TestStratifiedSplit:
     def test_paper_sized_dataset_splits_832_208(self):
         ds = synth_generate(SynthSpec(seed=1, per_class=208))

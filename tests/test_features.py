@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -167,8 +168,6 @@ class TestAngleFeatures:
         vals, bad = angle_features(s, AngleMode.ALL_TRIPLES)
         assert bad >= 1
         # pick the triple (Neck, Head, ShoulderLeft): vertex Head, ray to Neck
-        from itertools import combinations
-
         triples = list(combinations(range(NUM_JOINTS), 3))
         idx = triples.index((int(JointId.Neck), int(JointId.Head), int(JointId.ShoulderLeft)))
         assert vals[idx] == 0.0
@@ -183,8 +182,6 @@ class TestAngleFeatures:
             SpineShoulder=[0, 1, 0],
         )
         vals, _ = angle_features(s, AngleMode.ALL_TRIPLES)
-        from itertools import combinations
-
         triples = list(combinations(range(NUM_JOINTS), 3))
         idx = triples.index(
             (int(JointId.SpineBase), int(JointId.SpineMid), int(JointId.Neck))
@@ -226,6 +223,31 @@ class TestExtract:
         for row, s in zip(X, skeletons):
             assert np.array_equal(row, extract(s, cfg).values)
         assert np.flatnonzero((X == 0.0).any(axis=1)).tolist() == [3]
+
+    @pytest.mark.parametrize("mode", ["adjacent", "all_triples"])
+    def test_combined_is_distances_then_angles_bit_for_bit(self, rng, mode):
+        # combined takes the rays' norms and the spine from the pair
+        # differences; angles alone computes its own. Row 3 has Head on Neck.
+        skeletons = [random_skeleton(rng) for _ in range(20)]
+        pos = skeletons[3].positions.copy()
+        pos[JointId.Head] = pos[JointId.Neck]
+        skeletons[3] = Skeleton(pos)
+        configs = [FeatureConfig.from_name(name, mode) for name in ("distances", "angles")]
+        combined = FeatureConfig.from_name("combined", mode)
+        for s in skeletons:
+            parts = np.concatenate([extract(s, cfg).values for cfg in configs])
+            assert extract(s, combined).values.tobytes() == parts.tobytes()
+        X, _ = extract_matrix(skeletons, combined)
+        parts = np.hstack([extract_matrix(skeletons, cfg)[0] for cfg in configs])
+        assert X.tobytes() == parts.tobytes()
+        # the zero ray degenerates exactly the triples with Head and Neck on one ray
+        triples = {"adjacent": ADJACENT_ANGLE_TRIPLES,
+                   "all_triples": combinations(range(NUM_JOINTS), 3)}[mode]
+        head_neck = {int(JointId.Head), int(JointId.Neck)}
+        expected = sum(head_neck in ({a, v}, {b, v}) for a, v, b in triples)
+        _, degenerate = angle_features(skeletons[3], mode)
+        assert degenerate == expected > 0
+        assert np.count_nonzero(X[3, 300:] == 0.0) == degenerate
 
     @pytest.mark.parametrize("features_set", ["distances", "angles", "combined"])
     @pytest.mark.parametrize("mode", ["adjacent", "all_triples"])

@@ -114,6 +114,19 @@ class TestKernels:
         with pytest.raises(ValueError):
             KernelSpec("poly", 2, scale=0.0)
 
+    @pytest.mark.parametrize("kind", ["linear", "poly"])
+    @pytest.mark.parametrize("degree, scale, message", [
+        (2.5, 1.0, "kernel degree must be an integer, got 2.5"),
+        (True, 1.0, "kernel degree must be an integer, got True"),
+        (2, float("nan"), "kernel scale must be finite and positive, got nan"),
+        (2, float("inf"), "kernel scale must be finite and positive, got inf"),
+        (2, -1.0, "kernel scale must be finite and positive, got -1.0"),
+    ])
+    def test_degree_is_an_integer_and_scale_finite_positive(self, kind, degree, scale, message):
+        with pytest.raises(ValueError) as e:
+            KernelSpec(kind, degree, scale)
+        assert str(e.value) == message
+
 
 class TestAnalyticTwoPoint:
     """X = {+1 at 1, -1 at -1}: the dual solves to alpha = (1/2, 1/2), b = 0."""
