@@ -38,6 +38,7 @@ from .errors import (
     SingleClass,
     check_seed,
     choose,
+    real,
 )
 from .features import FeatureVector
 from .kernels import KernelSpec, linear_kernel, polynomial_kernel
@@ -102,25 +103,18 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
 class _VotePlan(NamedTuple):
     """What a one-vs-one vote needs to know of its pairs, computed once."""
 
+    pairs: tuple[tuple[int, int], ...]
     wins: np.ndarray  # (P, K) +1 at a, -1 at b: what a non-negative decision moves
     base: np.ndarray  # (K,) the votes when every decision is negative: b's pair count
-    duel: np.ndarray  # (K, R) each class's pair indices in pair order; P pads
-    sign: np.ndarray  # (K, R) +1.0 where the class is a, -1.0 where it is b
 
 
 @functools.cache
 def _vote_plan(pairs: tuple[tuple[int, int], ...]) -> _VotePlan:
-    duels = [[] for _ in range(NUM_CLASSES)]  # per class: (pair index, sign)
     wins, base = np.zeros((len(pairs), NUM_CLASSES)), np.zeros(NUM_CLASSES)
     for p, (a, b) in enumerate(pairs):
-        duels[a].append((p, 1.0))
-        duels[b].append((p, -1.0))
         wins[p, a], wins[p, b] = 1.0, -1.0
         base[b] += 1.0
-    rounds = max(map(len, duels))
-    pad = [(len(pairs), 1.0)]  # the zero column that _margin_sums appends
-    table = np.array([d + pad * (rounds - len(d)) for d in duels]).reshape(NUM_CLASSES, rounds, 2)
-    return _VotePlan(wins, base, table[..., 0].astype(np.int64), table[..., 1])
+    return _VotePlan(pairs, wins, base)
 
 
 def _votes(plan: _VotePlan, decisions: np.ndarray) -> np.ndarray:
@@ -130,18 +124,12 @@ def _votes(plan: _VotePlan, decisions: np.ndarray) -> np.ndarray:
 
 
 def _margin_sums(plan: _VotePlan, decisions: np.ndarray) -> np.ndarray:
-    """(n, K) sums of the signed decision values in each class's favor.
-
-    Round r adds each class's r-th duel, so every sum runs in pair order from
-    zero, as the loop `margins[a] += d; margins[b] -= d` over the pairs does
-    (x - d is x + (-d)). A padded entry adds the appended column's +0.0,
-    which changes no sum: one started at +0.0 is never -0.0.
-    """
-    padded = np.concatenate([decisions, np.zeros((decisions.shape[0], 1))], axis=1)
-    signed = padded[:, plan.duel] * plan.sign
+    """(n, K) sums of the signed decision values in each class's favor, each
+    taken in pair order from zero."""
     margins = np.zeros((decisions.shape[0], NUM_CLASSES))
-    for r in range(plan.duel.shape[1]):
-        margins += signed[:, :, r]
+    for p, (a, b) in enumerate(plan.pairs):
+        margins[:, a] += decisions[:, p]
+        margins[:, b] -= decisions[:, p]
     return margins
 
 
@@ -547,14 +535,10 @@ class ClassifierSpec:
         check_seed(self.seed)
         # Every classifier's report writes these values, and JSON has no
         # infinity or NaN; only the SVMs use them, so only they need them > 0.
+        svm = CLASSIFIERS[self.name].degree is not None
         for key in ("c", "tol", "kernel_scale"):
-            value = getattr(self, key)
-            if value is None:
-                continue
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
-            if CLASSIFIERS[self.name].degree is not None and not value > 0.0:
-                raise ValueError(f"{key} must be positive, got {value!r}")
+            if getattr(self, key) is not None:
+                real(key, getattr(self, key), positive=svm)
 
     def resolve_scale(self, n_features: int) -> float:
         if self.kernel_scale is not None:

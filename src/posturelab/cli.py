@@ -30,7 +30,7 @@ from .dataset import (
     save_model,
     synth_generate,
 )
-from .errors import DataError, NonConvergence, NumericError, choose
+from .errors import DataError, NonConvergence, NumericError, boolean, choose
 from .evaluation import (
     GRID_CLASSIFIERS,
     GRID_FORMATS,
@@ -80,6 +80,10 @@ def _build_parser() -> _Parser:
         listed = f": {', '.join(one_of)}" if one_of else ""
         p.add_argument(flag, help=f"{what}{listed} (default {_shown(default)})")
 
+    def add_switch(p, flag, what):
+        # None when absent, so that the config is consulted
+        p.add_argument(flag, action="store_const", const=True, help=what)
+
     def add_seed(p):
         add(p, "--seed", "master seed", f"${SEED_ENV_VAR} or 0")
 
@@ -103,8 +107,7 @@ def _build_parser() -> _Parser:
     def add_split(p):
         add(p, "--train-fraction", "train fraction", SplitSpec.train_fraction)
         add(p, "--stratify", "stratification mode", SplitSpec.stratify_by, STRATIFY_MODES)
-        p.add_argument("--resubstitution", action="store_true",
-                       help="train and test on the full dataset (oracle mode)")
+        add_switch(p, "--resubstitution", "train and test on the full dataset (oracle mode)")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     add_seed(p)
@@ -128,8 +131,7 @@ def _build_parser() -> _Parser:
     add_classifier(p)
     p.add_argument("--data", required=True)
     p.add_argument("--model-out", required=True)
-    p.add_argument("--allow-nonconverged", action="store_true",
-                   help="save the model even if SMO left KKT violations")
+    add_switch(p, "--allow-nonconverged", "save the model even if SMO left KKT violations")
 
     p = sub.add_parser("predict", help="predict labels with a saved model")
     p.add_argument("--model", required=True)
@@ -219,6 +221,11 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _switch(value) -> bool:
+    """A switch: true when its flag is given, else the config's JSON bool."""
+    return boolean("a switch", value)
+
+
 def _write_out(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -273,7 +280,7 @@ def _split_spec(r: _Resolver) -> SplitSpec:
         train_fraction=r.get("train-fraction", SplitSpec.train_fraction, float),
         seed=r.seed(),
         stratify_by=r.get("stratify", SplitSpec.stratify_by),
-        resubstitution=r.args.resubstitution,
+        resubstitution=r.get("resubstitution", SplitSpec.resubstitution, _switch),
     )
 
 
@@ -309,7 +316,7 @@ def _cmd_synth(r: _Resolver) -> int:
 def _cmd_featurize(r: _Resolver) -> int:
     cfg = _feature_config(r)
     ds = load_dataset(_existing(r.args.data, "dataset"))
-    X, fingerprint = extract_matrix(ds.skeletons(), cfg)
+    X, fingerprint = extract_matrix(ds.positions, cfg)
     names = [*LABEL_NAMES, None]  # label -1 (unlabeled) reads the last
     lines = [
         json.dumps({"index": i, "label": names[y], "fingerprint": fingerprint,
@@ -322,12 +329,13 @@ def _cmd_featurize(r: _Resolver) -> int:
 
 def _cmd_train(r: _Resolver) -> int:
     cfg, spec = _feature_config(r), _classifier_spec(r)
+    allow_nonconverged = r.get("allow-nonconverged", False, _switch)
     ds = load_dataset(_existing(r.args.data, "dataset"))
-    X, fingerprint = extract_matrix(ds.skeletons(), cfg)
+    X, fingerprint = extract_matrix(ds.positions, cfg)
     model = train_classifier(X, ds.label_indices(), spec, fingerprint)
     bad = model.nonconverged
     if bad:
-        if not r.args.allow_nonconverged:
+        if not allow_nonconverged:
             raise NonConvergence(
                 f"{bad} of {len(model.machines)} binary SVMs left KKT violations; "
                 "re-run with --allow-nonconverged to save anyway"
@@ -341,7 +349,7 @@ def _cmd_train(r: _Resolver) -> int:
 def _cmd_predict(r: _Resolver) -> int:
     mf = load_model(_existing(r.args.model, "model"))
     ds = load_dataset(_existing(r.args.data, "dataset"))
-    X, _ = extract_matrix(ds.skeletons(), mf.feature_config)  # ModelFile checks the fingerprint
+    X, _ = extract_matrix(ds.positions, mf.feature_config)  # ModelFile checks the fingerprint
     labels = {k: json.dumps(name) for k, name in enumerate(LABEL_NAMES)}
     # the bytes of json.dumps({"index": i, "label": name}, sort_keys=True)
     lines = [

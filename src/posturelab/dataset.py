@@ -38,6 +38,9 @@ from .errors import (
     VersionMismatch,
     check_seed,
     choose,
+    finite_real,
+    integer,
+    real,
 )
 from .features import FeatureConfig, config_fingerprint
 from .poses import POSE_TEMPLATES, rotation_about_y
@@ -47,7 +50,6 @@ from .skeleton import (
     NUM_JOINTS,
     PostureLabel,
     Skeleton,
-    finite_real,
     label_from_name,
     validate_skeleton,
 )
@@ -213,16 +215,18 @@ class SynthSpec:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if min(self.per_class, self.participants) < 1:
-            raise ValueError("per_class and participants must be positive")
-        if not (math.isfinite(self.noise_std_m) and self.noise_std_m >= 0):
-            raise ValueError("noise stddev must be a finite number >= 0")
-        if not 0 < self.scale_range[0] <= self.scale_range[1] < math.inf:
-            raise ValueError("scale range must be finite and satisfy 0 < min <= max")
+        for name in ("per_class", "participants"):
+            if integer(name, getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not real("noise_std_m", self.noise_std_m) >= 0:
+            raise ValueError(f"noise_std_m must not be negative, got {self.noise_std_m}")
+        lo, hi = (real("scale_range", v, positive=True) for v in self.scale_range)
+        if not lo <= hi:
+            raise ValueError(f"scale_range must satisfy min <= max, got {self.scale_range}")
         for name in ("orientations_deg", "distances_m"):
-            values = tuple(sorted(float(v) for v in getattr(self, name)))
-            if not (values and all(map(math.isfinite, values))):
-                raise ValueError(f"{name} must be finite and not empty")
+            values = tuple(sorted(float(real(name, v)) for v in getattr(self, name)))
+            if not values:
+                raise ValueError(f"{name} must not be empty")
             object.__setattr__(self, name, values)
 
     def to_dict(self) -> dict:

@@ -2,10 +2,14 @@
 
 Two families matter for the CLI exit-code contract: DataError (malformed or
 insufficient input, exit 2) and NumericError (a computation that cannot
-proceed, exit 3). choose is the one rejection of an unknown name; integer
-and check_seed reject a value that is no integer or no seed.
+proceed, exit 3). choose is the one rejection of an unknown name; integer,
+real, boolean and check_seed reject a value that is no integer, no finite
+number, no bool or no seed.
 """
 from __future__ import annotations
+
+import sys
+from numbers import Real
 
 
 class PostureLabError(Exception):
@@ -120,6 +124,27 @@ def integer(what: str, value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def finite_real(value) -> bool:
+    """True for a real number (not a string) of finite float magnitude."""
+    return isinstance(value, Real) and abs(value) <= sys.float_info.max
+
+
+def real(what: str, value, positive: bool = False):
+    """value if finite_real holds for it, it is not a bool and, where asked,
+    it is positive; else a ValueError naming what."""
+    if finite_real(value) and not isinstance(value, bool) and (value > 0 or not positive):
+        return value
+    raise ValueError(f"{what} must be {'finite and positive' if positive else 'a finite number'}, "
+                     f"got {value!r}")
+
+
+def boolean(what: str, value) -> bool:
+    """value if it is a bool; else a ValueError naming what."""
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be true or false, got {value!r}")
 
 
 def check_seed(seed) -> None:

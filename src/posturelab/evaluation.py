@@ -17,7 +17,7 @@ import numpy as np
 from .classifiers import ClassifierSpec, MulticlassModel, predict_batch, train_classifier
 from .dataset import LabeledDataset, encode
 from .errors import (
-    ClassTooSmall, EmptyInput, LengthMismatch, UnknownLabel, check_seed, choose,
+    ClassTooSmall, EmptyInput, LengthMismatch, UnknownLabel, boolean, check_seed, choose, real,
 )
 from .features import FeatureConfig, extract_matrix
 from .skeleton import LABEL_NAMES, NUM_CLASSES, PostureLabel
@@ -54,9 +54,10 @@ class SplitSpec:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if not (0.0 < self.train_fraction < 1.0):
+        if not (0.0 < real("train_fraction", self.train_fraction) < 1.0):
             raise ValueError("train_fraction must be in (0, 1)")
         choose("stratify mode", self.stratify_by, STRATIFY_MODES)
+        boolean("resubstitution", self.resubstitution)
 
 
 def stratified_split(
@@ -228,7 +229,7 @@ def evaluate(
 ) -> EvaluationReport:
     """Extract features, fit on the train partition only, score the test one.
 
-    extracted, if given, is extract_matrix(ds.skeletons(), cfg) computed by
+    extracted, if given, is extract_matrix(ds.positions, cfg) computed by
     the caller, which then skips the extraction.
 
     No test observation influences any fitted parameter: the standardizer
@@ -236,7 +237,7 @@ def evaluate(
     """
     t0 = time.perf_counter()
     if extracted is None:
-        extracted = extract_matrix(ds.skeletons(), cfg)
+        extracted = extract_matrix(ds.positions, cfg)
     X, fingerprint = extracted
     y = ds.label_indices()
     t_extract = time.perf_counter()
@@ -402,8 +403,7 @@ def evaluate_grid(
     runs them sequentially so that the whole grid is one deterministic pass.
     """
     configs = [FeatureConfig.from_name(f, angle_mode) for f in GRID_FEATURE_SETS]
-    skeletons = ds.skeletons()
-    extracted = [extract_matrix(skeletons, cfg) for cfg in configs]
+    extracted = [extract_matrix(ds.positions, cfg) for cfg in configs]
     return [
         evaluate(ds, cfg, spec, split, X)
         for spec in classifiers

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateNormalizer, NumericError, ZeroLengthSegment, choose
+from .errors import DegenerateNormalizer, NumericError, ZeroLengthSegment, boolean, choose
 from .skeleton import (
     ADJACENT_ANGLE_TRIPLES,
     BONES,
@@ -74,7 +74,8 @@ class FeatureConfig:
     angle_mode: AngleMode = AngleMode.ADJACENT
 
     def __post_init__(self):
-        if not (self.use_distances or self.use_angles):
+        families = [boolean(name, getattr(self, name)) for name in ("use_distances", "use_angles")]
+        if not any(families):
             raise ValueError("at least one feature family must be enabled")
         object.__setattr__(self, "angle_mode", AngleMode(self.angle_mode))
 
@@ -258,12 +259,13 @@ def extract(skel: Skeleton, cfg: FeatureConfig) -> FeatureVector:
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
 def extract_matrix(skeletons, cfg: FeatureConfig) -> tuple[np.ndarray, str]:
-    """(n, d) matrix whose row i equals extract(skeletons[i], cfg).values.
+    """(n, d) matrix whose row i equals extract(skeletons[i], cfg).values, of
+    an (n, 25, 3) positions stack or a sequence of Skeletons.
 
     The matrix is C-ordered: the standardizer's column sums depend on it.
     """
     fingerprint = config_fingerprint(cfg)
-    pos = np.array([s.positions for s in skeletons]).reshape(-1, NUM_JOINTS, 3)
+    pos = np.asarray(skeletons, dtype=np.float64).reshape(-1, NUM_JOINTS, 3)
     if cfg.use_distances:
         _spine_lengths(_spine(pos))  # names a degenerate record by its stack index
     X = np.empty((len(pos), cfg.length))

@@ -9,12 +9,11 @@ ClassifierSpec resolves an unset scale to 4 * sqrt(n_features).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import choose, integer
+from .errors import choose, integer, real
 
 LINEAR = "linear"
 POLYNOMIAL = "poly"
@@ -30,8 +29,7 @@ class KernelSpec:
         choose("kernel kind", self.kind, (LINEAR, POLYNOMIAL))
         if integer("kernel degree", self.degree) < 2 and self.kind == POLYNOMIAL:
             raise ValueError("polynomial degree must be >= 2")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"kernel scale must be finite and positive, got {self.scale!r}")
+        real("kernel scale", self.scale, positive=True)
 
     def gram(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Kernel matrix K[i, j] = K(X[i], Y[j]) of 2-D float64 matrices."""

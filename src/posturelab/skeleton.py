@@ -6,15 +6,13 @@ confusion matrix layout depend on them, as does the dataset file format
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import IntEnum
-from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MissingJoint, NonFiniteCoordinate, UnknownLabel
+from .errors import MissingJoint, NonFiniteCoordinate, UnknownLabel, finite_real
 
 
 class JointId(IntEnum):
@@ -163,6 +161,10 @@ class Skeleton:
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The positions: a sequence of skeletons converts as an (n, 25, 3) stack."""
+        return np.array(self.positions, dtype=dtype, copy=copy)
+
     def __getitem__(self, j: JointId) -> np.ndarray:
         return self.positions[int(j)]
 
@@ -179,11 +181,6 @@ class Skeleton:
         if translation is not None:
             pos = pos + np.asarray(translation, dtype=np.float64)
         return Skeleton(pos)
-
-
-def finite_real(value) -> bool:
-    """True for a real number (not a string) of finite float magnitude."""
-    return isinstance(value, Real) and abs(value) <= sys.float_info.max
 
 
 def validate_skeleton(

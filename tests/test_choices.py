@@ -1,5 +1,6 @@
 """Every named choice of the package rejects an unknown name with one message:
-unknown <what> '<name>'; choose from <the accepted names>."""
+unknown <what> '<name>'; choose from <the accepted names>. Every spec field
+rejects a value of the wrong type with a message that names the field."""
 import json
 from types import SimpleNamespace
 
@@ -108,3 +109,26 @@ def test_choose_rejects_a_value_that_is_no_string(value):
 
 def test_choose_returns_an_accepted_name():
     assert choose("classifier", "qda", dict.fromkeys(CLASSIFIERS)) == "qda"
+
+
+# Mistyped spec fields: id -> (the field as its message names it, the construction)
+MISTYPED_FIELDS = {
+    "synth-per-class-fraction": ("per_class", lambda: SynthSpec(per_class=2.5)),
+    "synth-participants-fraction": ("participants", lambda: SynthSpec(participants=2.5)),
+    "synth-per-class-bool": ("per_class", lambda: SynthSpec(per_class=True)),
+    "synth-noise-bool": ("noise_std_m", lambda: SynthSpec(noise_std_m=True)),
+    "synth-orientation-bool": ("orientations_deg", lambda: SynthSpec(orientations_deg=(True,))),
+    "synth-orientation-string": ("orientations_deg", lambda: SynthSpec(orientations_deg=("90",))),
+    "split-resubstitution-string": ("resubstitution", lambda: SplitSpec(resubstitution="no")),
+    "features-distances-int": ("use_distances", lambda: FeatureConfig(use_distances=0)),
+    "features-angles-string": ("use_angles", lambda: FeatureConfig(use_angles="no")),
+    "classifier-c-bool": ("c", lambda: ClassifierSpec(c=True)),
+    "kernel-scale-bool": ("kernel scale", lambda: KernelSpec("poly", 2, True)),
+}
+
+
+@pytest.mark.parametrize("case", MISTYPED_FIELDS)
+def test_mistyped_spec_field_is_rejected_by_name(case):
+    field, build = MISTYPED_FIELDS[case]
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        build()

@@ -1,4 +1,5 @@
 import base64
+import functools
 import json
 import warnings
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import payload, unpayload
+from posturelab import classifiers
 from posturelab.classifiers import CLASSIFIER_NAMES
 from posturelab.cli import run
 from posturelab.dataset import SynthSpec, load_model, save_dataset, synth_generate
@@ -227,6 +229,8 @@ REJECTED_SPEC_VALUES = {
     "config-classifier-list": (["evaluate"], {"classifier": ["lda"]}, None),
     "config-key-typo": (["synth"], {"per-class": 3, "seeed": 5}, None),
     "config-key-underscore": (["evaluate"], {"per_class": 3}, None),
+    "config-resubstitution-string": (["evaluate"], {"resubstitution": "yes"}, None),
+    "config-resubstitution-number": (["grid", "--classifiers", "lda"], {"resubstitution": 1}, None),
 }
 
 # Flags of each command; a choice flag's help names its accepted values.
@@ -262,7 +266,7 @@ WRONG_KIND_CONFIG_CASES = (
     "config-train-fraction-list", "config-seed-list", "config-per-class-fraction",
     "config-seed-fraction", "config-participants-fraction", "config-per-class-infinite",
     "config-noise-beyond-float", "config-angle-mode-number", "config-seed-bool",
-    "config-per-class-bool",
+    "config-per-class-bool", "config-resubstitution-string", "config-resubstitution-number",
 )
 
 
@@ -710,6 +714,60 @@ class TestModelFiles:
             assert line == json.dumps({"index": i, "label": doc["label"]}, sort_keys=True)
             labels.add(doc["label"])
         assert labels == set(LABEL_NAMES)
+
+
+class TestSwitches:
+    """A switch flag and its config key: true when the flag is given, else
+    the config's JSON bool, else false."""
+
+    @staticmethod
+    def config(tmp_path, **values) -> list[str]:
+        (tmp_path / "config.json").write_text(json.dumps(values))
+        return ["--config", str(tmp_path / "config.json")]
+
+    @pytest.mark.parametrize("command", ["evaluate", "grid"])
+    def test_config_true_sets_resubstitution(self, tmp_path, dataset_path, capsys, command):
+        argv = [command, "--data", str(dataset_path), "--format", "json", "--out", "-"]
+        if command == "grid":
+            argv += ["--classifiers", "lda"]
+        capsys.readouterr()
+        assert run([*self.config(tmp_path, resubstitution=True), *argv]) == 0
+        docs = json.loads(capsys.readouterr().out)
+        for doc in docs if command == "grid" else [docs]:
+            assert doc["split"]["resubstitution"] is True
+            assert doc["split"]["n_train"] == doc["split"]["n_test"] == 100
+
+    @pytest.fixture
+    def nonconverging(self, monkeypatch):
+        """SMO without an update budget: every machine keeps its KKT violations."""
+        budgetless = functools.partial(classifiers.smo_train, max_total_passes=0)
+        monkeypatch.setattr(classifiers, "smo_train", budgetless)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_allow_nonconverged_saves_the_model(
+        self, tmp_path, dataset_path, capsys, nonconverging, source
+    ):
+        model = tmp_path / "model.json"
+        argv = ["train", "--data", str(dataset_path), "--model-out", str(model)]
+        assert run(argv) == 3 and not model.exists()
+        if source == "flag":
+            argv.append("--allow-nonconverged")
+        else:
+            argv = [*self.config(tmp_path, **{"allow-nonconverged": True}), *argv]
+        capsys.readouterr()
+        assert run(argv) == 0 and model.exists()
+        assert "warning: 10 binary SVMs not converged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["yes", 1, None])
+    def test_allow_nonconverged_takes_only_a_bool(self, tmp_path, dataset_path, capsys, value):
+        model = tmp_path / "model.json"
+        argv = ["train", "--data", str(dataset_path), "--model-out", str(model)]
+        capsys.readouterr()
+        assert run([*self.config(tmp_path, **{"allow-nonconverged": value}), *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: allow-nonconverged: a switch must be true or false, got {value!r}\n"
+        )
+        assert not model.exists()
 
 
 class TestPipeline:

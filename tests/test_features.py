@@ -261,6 +261,18 @@ class TestExtract:
         X, _ = extract_matrix([random_skeleton(rng) for _ in range(70)], cfg)
         assert X.flags.c_contiguous
 
+    @pytest.mark.parametrize("features_set", ["distances", "angles", "combined"])
+    def test_skeletons_convert_as_their_positions_stack(self, rng, features_set):
+        cfg = FeatureConfig.from_name(features_set)
+        skeletons = [random_skeleton(rng) for _ in range(70)]
+        stack = np.stack([s.positions for s in skeletons])
+        assert np.asarray(skeletons).tobytes() == stack.tobytes()
+        assert np.asarray(skeletons[0], copy=False) is skeletons[0].positions
+        assert np.asarray(skeletons[0], copy=True).flags.writeable
+        X, fingerprint = extract_matrix(skeletons, cfg)
+        Y, stack_fingerprint = extract_matrix(stack, cfg)
+        assert X.tobytes() == Y.tobytes() and fingerprint == stack_fingerprint
+
     def test_degenerate_spine_in_stack_names_record(self, rng):
         skeletons = [random_skeleton(rng) for _ in range(80)]
         pos = skeletons[70].positions.copy()
