@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .classifiers import (
     AUTO_SCALE_FACTOR,
@@ -62,156 +63,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _shown(value) -> str:
-    """A default as help text: a number as %g, a sequence comma-separated."""
-    if isinstance(value, tuple):
-        return ",".join(map(_shown, value))
-    return f"{value:g}" if isinstance(value, float) else str(value)
-
-
-def _build_parser() -> _Parser:
-    """Flag names and help only: the spec that a command builds from a value
-    owns its default, cast and check, whether a flag or the config gives it."""
-    parser = _Parser(prog="posturelab", description=__doc__)
-    parser.add_argument("--config", help="JSON file with default flag values")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(p, flag, what, default, one_of=()):
-        listed = f": {', '.join(one_of)}" if one_of else ""
-        p.add_argument(flag, help=f"{what}{listed} (default {_shown(default)})")
-
-    def add_switch(p, flag, what):
-        # None when absent, so that the config is consulted
-        p.add_argument(flag, action="store_const", const=True, help=what)
-
-    def add_seed(p):
-        add(p, "--seed", "master seed", f"${SEED_ENV_VAR} or 0")
-
-    def add_angle_mode(p):
-        add(p, "--angle-mode", "angle enumeration", FeatureConfig.angle_mode.value, AngleMode)
-
-    def add_features(p):
-        add(p, "--features", "feature set", FeatureConfig().name, FEATURE_SETS)
-        add_angle_mode(p)
-
-    def add_hyperparameters(p):
-        add(p, "--c", "SVM box constraint", ClassifierSpec.c)
-        add(p, "--tol", "SMO KKT tolerance", ClassifierSpec.tol)
-        auto = f"{AUTO_SCALE_FACTOR:g}*sqrt(n_features)"
-        add(p, "--kernel-scale", "polynomial kernel scale", auto)
-
-    def add_classifier(p):
-        add(p, "--classifier", "classifier", ClassifierSpec.name, CLASSIFIER_NAMES)
-        add_hyperparameters(p)
-
-    def add_split(p):
-        add(p, "--train-fraction", "train fraction", SplitSpec.train_fraction)
-        add(p, "--stratify", "stratification mode", SplitSpec.stratify_by, STRATIFY_MODES)
-        add_switch(p, "--resubstitution", "train and test on the full dataset (oracle mode)")
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    add_seed(p)
-    add(p, "--per-class", "records per class", SynthSpec.per_class)
-    add(p, "--noise", "joint noise stddev in m", SynthSpec.noise_std_m)
-    add(p, "--scale-min", "smallest participant body scale", SynthSpec.scale_range[0])
-    add(p, "--scale-max", "largest participant body scale", SynthSpec.scale_range[1])
-    add(p, "--orientations", "comma-separated degrees", SynthSpec.orientations_deg)
-    add(p, "--distances", "comma-separated meters", SynthSpec.distances_m)
-    add(p, "--participants", "number of participants", SynthSpec.participants)
-    p.add_argument("--out", required=True, help="output dataset path")
-
-    p = sub.add_parser("featurize", help="extract feature vectors to JSON lines")
-    add_features(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", default="-", help="output path or - for stdout")
-
-    p = sub.add_parser("train", help="fit a classifier on a full dataset")
-    add_seed(p)
-    add_features(p)
-    add_classifier(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--model-out", required=True)
-    add_switch(p, "--allow-nonconverged", "save the model even if SMO left KKT violations")
-
-    p = sub.add_parser("predict", help="predict labels with a saved model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", default="-")
-
-    p = sub.add_parser("evaluate", help="split, fit, score, and report")
-    add_seed(p)
-    add_features(p)
-    add_classifier(p)
-    add_split(p)
-    p.add_argument("--data", required=True)
-    add(p, "--format", "report format", _FORMATS["evaluate"][0], _FORMATS["evaluate"])
-    p.add_argument("--out", default="-")
-
-    p = sub.add_parser("grid", help="classifier-by-featureset accuracy grid")
-    add_seed(p)
-    add_hyperparameters(p)
-    add_split(p)
-    add_angle_mode(p)
-    add(p, "--classifiers", f"comma-separated subset of {_shown(CLASSIFIER_NAMES)}",
-        GRID_CLASSIFIERS)
-    add(p, "--format", "report format", _FORMATS["grid"][0], _FORMATS["grid"])
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", default="-")
-    return parser
-
-
-def _config_keys(parser: argparse.ArgumentParser) -> tuple[str, ...]:
-    """The flags of every command, without dashes: one config file may serve
-    all the commands, each reading the keys of its own flags."""
-    (commands,) = [action.choices for action in parser._actions if action.dest == "command"]
-    return tuple(dict.fromkeys(
-        flag.lstrip("-") for command in commands.values() for action in command._actions
-        if action.dest != "help" for flag in action.option_strings
-    ))
-
-
-def _load_config(path: str | None, parser: argparse.ArgumentParser) -> dict:
-    """The config file's JSON object; a key that is no command's flag is a usage error."""
-    if not path:
-        return {}
-    try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DataError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"config file {path}: {e.msg}") from None
-    except UnicodeDecodeError:
-        raise DataError(f"config file {path}: not UTF-8 text") from None
-    if not isinstance(config, dict):
-        raise DataError(f"config file {path}: expected a JSON object")
-    keys = _config_keys(parser)
-    for key in config:
-        _spec(choose, what="config key", value=key, choices=keys)
-    return config
-
-
-class _Resolver:
-    """Flag value if given, else config-file value, else the builtin default."""
-
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self.args = args
-        self.config = config
-
-    def get(self, key: str, default, cast=lambda value: value):
-        """cast of a flag's string or a config's JSON value alike, or a usage
-        error naming the key; where the default is None, a null is unset."""
-        value = getattr(self.args, key.replace("-", "_"), None)
-        if value is None:
-            value = self.config.get(key, default)
-        try:
-            return None if value is None and default is None else cast(value)
-        except (TypeError, ValueError, OverflowError) as e:
-            raise UsageError(f"{key}: {e}") from None
-
-    def seed(self) -> int:
-        return self.get("seed", os.environ.get(SEED_ENV_VAR) or 0, _integer)
-
-
 def _integer(value) -> int:
     """int of an integral number or numeral; 2.9, inf, true and null are rejected."""
     if (isinstance(value, bool)
@@ -226,18 +77,140 @@ def _switch(value) -> bool:
     return boolean("a switch", value)
 
 
-def _write_out(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def _parse_list(raw, cast=float) -> tuple:
     """cast of each item of a JSON list, or of a comma-separated string."""
     if isinstance(raw, (list, tuple)):
         return tuple(cast(v) for v in raw)
     return tuple(cast(v.strip()) for v in str(raw).split(",") if v.strip())
+
+
+def _shown(value) -> str:
+    """A default as help text: a number as %g, a sequence comma-separated."""
+    if isinstance(value, tuple):
+        return ",".join(map(_shown, value))
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+class _Flag(NamedTuple):
+    """A value flag. A flag's string, a config's JSON value and the default
+    alike go through cast; the spec that takes the value checks it."""
+
+    what: str  # help text, before the accepted names and the default
+    default: object  # where None, a config null is unset too
+    cast: Callable = lambda value: value
+    one_of: tuple = ()  # accepted names, for help
+    per_command: dict | None = None  # each command's accepted names, the first the default
+    env: str | None = None  # environment variable that, when set, replaces the default
+    shown: str | None = None  # help's default, where the default is no value to show
+
+    def of(self, command: str) -> _Flag:
+        """The flag as command takes it."""
+        if self.per_command is None:
+            return self
+        names = self.per_command[command]
+        return self._replace(default=names[0], one_of=names)
+
+    def add_to(self, parser: argparse.ArgumentParser, key: str) -> None:
+        if self.cast is _switch:  # None when absent, so that the config is consulted
+            parser.add_argument(f"--{key}", action="store_const", const=True, help=self.what)
+            return
+        listed = f": {', '.join(self.one_of)}" if self.one_of else ""
+        shown = self.shown or _shown(self.default)
+        shown = f"${self.env} or {shown}" if self.env else shown
+        parser.add_argument(f"--{key}", help=f"{self.what}{listed} (default {shown})")
+
+
+# Every value flag, once: its key is the flag without the dashes and its
+# config key. A default is the field's of the spec that owns the value; the
+# keys stand in the order of the config-key list.
+_FLAGS = {
+    "seed": _Flag("master seed", 0, _integer, env=SEED_ENV_VAR),
+    "per-class": _Flag("records per class", SynthSpec.per_class, _integer),
+    "noise": _Flag("joint noise stddev in m", SynthSpec.noise_std_m, float),
+    "scale-min": _Flag("smallest participant body scale", SynthSpec.scale_range[0], float),
+    "scale-max": _Flag("largest participant body scale", SynthSpec.scale_range[1], float),
+    "orientations": _Flag("comma-separated degrees", SynthSpec.orientations_deg, _parse_list),
+    "distances": _Flag("comma-separated meters", SynthSpec.distances_m, _parse_list),
+    "participants": _Flag("number of participants", SynthSpec.participants, _integer),
+    "features": _Flag("feature set", FeatureConfig().name, one_of=FEATURE_SETS),
+    "angle-mode": _Flag("angle enumeration", FeatureConfig.angle_mode.value, AngleMode,
+                        one_of=AngleMode),
+    "classifier": _Flag("classifier", ClassifierSpec.name, one_of=CLASSIFIER_NAMES),
+    "c": _Flag("SVM box constraint", ClassifierSpec.c, float),
+    "tol": _Flag("SMO KKT tolerance", ClassifierSpec.tol, float),
+    "kernel-scale": _Flag("polynomial kernel scale", ClassifierSpec.kernel_scale, float,
+                          shown=f"{AUTO_SCALE_FACTOR:g}*sqrt(n_features)"),
+    "allow-nonconverged": _Flag("save the model even if SMO left KKT violations", False, _switch),
+    "train-fraction": _Flag("train fraction", SplitSpec.train_fraction, float),
+    "stratify": _Flag("stratification mode", SplitSpec.stratify_by, one_of=STRATIFY_MODES),
+    "resubstitution": _Flag("train and test on the full dataset (oracle mode)",
+                            SplitSpec.resubstitution, _switch),
+    "format": _Flag("report format", None, per_command=_FORMATS),
+    "classifiers": _Flag(f"comma-separated subset of {_shown(CLASSIFIER_NAMES)}",
+                         GRID_CLASSIFIERS, lambda raw: _parse_list(raw, str)),
+}
+
+
+def _build_parser() -> _Parser:
+    """Flag names and help only: a value's default, cast and check are its
+    _FLAGS entry's and its spec's, whether a flag or the config gives it."""
+    parser = _Parser(prog="posturelab", description=__doc__)
+    parser.add_argument("--config", help="JSON file with default flag values")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, what, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=what)
+        for flag in flags:
+            if isinstance(flag, tuple):  # a path: plain argparse arguments
+                p.add_argument(flag[0], **flag[1])
+            else:
+                _FLAGS[flag].of(command).add_to(p, flag)
+    return parser
+
+
+def _load_config(path: str | None) -> dict:
+    """The config file's JSON object. Its keys are the value flags of every
+    command, so that one file may serve all; any other key, a path flag's
+    too, is a usage error."""
+    if not path:
+        return {}
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise DataError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as e:
+        raise DataError(f"config file {path}: {e.msg}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"config file {path}: not UTF-8 text") from None
+    if not isinstance(config, dict):
+        raise DataError(f"config file {path}: expected a JSON object")
+    for key in config:
+        _spec(choose, what="config key", value=key, choices=_FLAGS)
+    return config
+
+
+class _Resolver(NamedTuple):
+    """Flag value if given, else config-file value, else the builtin default."""
+
+    args: argparse.Namespace
+    config: dict
+
+    def get(self, key: str):
+        """The cast of the value of flag key, or a usage error naming the key."""
+        flag = _FLAGS[key].of(self.args.command)
+        value = getattr(self.args, key.replace("-", "_"), None)
+        if value is None:
+            value = self.config.get(key, flag.env and os.environ.get(flag.env) or flag.default)
+        try:
+            return None if value is None and flag.default is None else flag.cast(value)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise UsageError(f"{key}: {e}") from None
+
+
+def _write_out(path: str, text: str) -> None:
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _spec(build, **values):
@@ -249,53 +222,31 @@ def _spec(build, **values):
 
 
 def _format(r: _Resolver) -> str:
-    choices = _FORMATS[r.args.command]
-    return _spec(choose, what="format", value=r.get("format", choices[0]), choices=choices)
-
-
-def _angle_mode(r: _Resolver) -> AngleMode:
-    return r.get("angle-mode", FeatureConfig.angle_mode, AngleMode)
+    return _spec(choose, what="format", value=r.get("format"), choices=_FORMATS[r.args.command])
 
 
 def _feature_config(r: _Resolver) -> FeatureConfig:
-    return _spec(FeatureConfig.from_name, features=r.get("features", FeatureConfig().name),
-                 angle_mode=_angle_mode(r))
+    return _spec(FeatureConfig.from_name, features=r.get("features"),
+                 angle_mode=r.get("angle-mode"))
 
 
 def _classifier_spec(r: _Resolver, name: str | None = None) -> ClassifierSpec:
     """The spec of classifier name, else of the --classifier value."""
-    return _spec(
-        ClassifierSpec,
-        name=r.get("classifier", ClassifierSpec.name) if name is None else name,
-        c=r.get("c", ClassifierSpec.c, float),
-        tol=r.get("tol", ClassifierSpec.tol, float),
-        kernel_scale=r.get("kernel-scale", ClassifierSpec.kernel_scale, float),
-        seed=r.seed(),
-    )
+    return _spec(ClassifierSpec, name=r.get("classifier") if name is None else name,
+                 c=r.get("c"), tol=r.get("tol"), kernel_scale=r.get("kernel-scale"),
+                 seed=r.get("seed"))
 
 
 def _split_spec(r: _Resolver) -> SplitSpec:
-    return _spec(
-        SplitSpec,
-        train_fraction=r.get("train-fraction", SplitSpec.train_fraction, float),
-        seed=r.seed(),
-        stratify_by=r.get("stratify", SplitSpec.stratify_by),
-        resubstitution=r.get("resubstitution", SplitSpec.resubstitution, _switch),
-    )
+    return _spec(SplitSpec, train_fraction=r.get("train-fraction"), seed=r.get("seed"),
+                 stratify_by=r.get("stratify"), resubstitution=r.get("resubstitution"))
 
 
 def _synth_spec(r: _Resolver) -> SynthSpec:
-    lo, hi = SynthSpec.scale_range
-    return _spec(
-        SynthSpec,
-        seed=r.seed(),
-        per_class=r.get("per-class", SynthSpec.per_class, _integer),
-        orientations_deg=r.get("orientations", SynthSpec.orientations_deg, _parse_list),
-        distances_m=r.get("distances", SynthSpec.distances_m, _parse_list),
-        noise_std_m=r.get("noise", SynthSpec.noise_std_m, float),
-        scale_range=(r.get("scale-min", lo, float), r.get("scale-max", hi, float)),
-        participants=r.get("participants", SynthSpec.participants, _integer),
-    )
+    return _spec(SynthSpec, seed=r.get("seed"), per_class=r.get("per-class"),
+                 orientations_deg=r.get("orientations"), distances_m=r.get("distances"),
+                 noise_std_m=r.get("noise"), scale_range=(r.get("scale-min"), r.get("scale-max")),
+                 participants=r.get("participants"))
 
 
 def _existing(path: str, what: str) -> str:
@@ -329,7 +280,7 @@ def _cmd_featurize(r: _Resolver) -> int:
 
 def _cmd_train(r: _Resolver) -> int:
     cfg, spec = _feature_config(r), _classifier_spec(r)
-    allow_nonconverged = r.get("allow-nonconverged", False, _switch)
+    allow_nonconverged = r.get("allow-nonconverged")
     ds = load_dataset(_existing(r.args.data, "dataset"))
     X, fingerprint = extract_matrix(ds.positions, cfg)
     model = train_classifier(X, ds.label_indices(), spec, fingerprint)
@@ -368,35 +319,55 @@ def _cmd_evaluate(r: _Resolver) -> int:
 
 
 def _grid_specs(r: _Resolver) -> list[ClassifierSpec]:
-    """A spec per grid row: --classifiers names the rows, the other flags tune each."""
-    names = r.get("classifiers", None, lambda raw: _parse_list(raw, str))
-    if names == ():
+    """A spec per grid row: --classifiers names the rows, each once; the other
+    flags tune each."""
+    names = r.get("classifiers")
+    if not names:
         raise UsageError("classifiers: no classifier named")
-    return [_classifier_spec(r, name) for name in names or GRID_CLASSIFIERS]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise UsageError(f"classifiers: {name!r} named more than once")
+    return [_classifier_spec(r, name) for name in names]
 
 
 def _cmd_grid(r: _Resolver) -> int:
-    fmt, specs, split, mode = _format(r), _grid_specs(r), _split_spec(r), _angle_mode(r)
+    fmt, specs, split, mode = _format(r), _grid_specs(r), _split_spec(r), r.get("angle-mode")
     reports = evaluate_grid(load_dataset(_existing(r.args.data, "dataset")), specs, split, mode)
     _write_out(r.args.out, render_grid(reports, fmt))
     return 0
 
 
+_DATA = ("--data", {"required": True})
+_OUT = ("--out", {"default": "-"})
+_HYPERPARAMETERS = ("c", "tol", "kernel-scale")
+_SPLIT = ("train-fraction", "stratify", "resubstitution")
+
+# Each command: its handler, its help, and its flags in --help order, a value
+# flag by its _FLAGS key and a path flag by its plain argparse arguments.
 _COMMANDS = {
-    "synth": _cmd_synth,
-    "featurize": _cmd_featurize,
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "evaluate": _cmd_evaluate,
-    "grid": _cmd_grid,
+    "synth": (_cmd_synth, "generate a synthetic dataset", (
+        "seed", "per-class", "noise", "scale-min", "scale-max", "orientations", "distances",
+        "participants", ("--out", {"required": True, "help": "output dataset path"}))),
+    "featurize": (_cmd_featurize, "extract feature vectors to JSON lines", (
+        "features", "angle-mode", _DATA,
+        ("--out", {"default": "-", "help": "output path or - for stdout"}))),
+    "train": (_cmd_train, "fit a classifier on a full dataset", (
+        "seed", "features", "angle-mode", "classifier", *_HYPERPARAMETERS, _DATA,
+        ("--model-out", {"required": True}), "allow-nonconverged")),
+    "predict": (_cmd_predict, "predict labels with a saved model", (
+        ("--model", {"required": True}), _DATA, _OUT)),
+    "evaluate": (_cmd_evaluate, "split, fit, score, and report", (
+        "seed", "features", "angle-mode", "classifier", *_HYPERPARAMETERS, *_SPLIT, _DATA,
+        "format", _OUT)),
+    "grid": (_cmd_grid, "classifier-by-featureset accuracy grid", (
+        "seed", *_HYPERPARAMETERS, *_SPLIT, "angle-mode", "classifiers", "format", _DATA, _OUT)),
 }
 
 
 def run(argv) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](_Resolver(args, _load_config(args.config, parser)))
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](_Resolver(args, _load_config(args.config)))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

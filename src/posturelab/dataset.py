@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import types
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
@@ -60,6 +61,7 @@ DATASET_VERSION = 1
 MODEL_VERSION = 2  # 1 held arrays as nested JSON lists
 
 _JOINT_CHECKSUM = hashlib.sha256(",".join(JOINT_NAMES).encode()).hexdigest()[:16]
+_JOINTS_IN_ORDER = operator.itemgetter(*JOINT_NAMES)
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,19 @@ def save_dataset(ds: LabeledDataset, path, generator: dict | None = None) -> Non
             fh.write(line + "\n")
 
 
+def _rejecting_bools(positions: list, lines: list[str], linenos: list[int]) -> np.ndarray:
+    """The (n, 25, 3) stack of the records' positions, once validate_skeleton has
+    rejected each record with a JSON bool coordinate. np.array reads a bool as 0
+    or 1 ([true, 1.0, 2.0] as [1.0, 1.0, 2.0]), so a record holding a 0 or a 1 on
+    a line that spells true or false is validated again."""
+    stack = np.array(positions, dtype=np.float64).reshape(-1, NUM_JOINTS, 3)
+    for k in np.flatnonzero(((stack == 0) | (stack == 1)).any(axis=(1, 2))):
+        line = lines[linenos[k] - 1]
+        if "true" in line or "false" in line:
+            validate_skeleton(json.loads(line)["joints"], line=linenos[k])
+    return stack
+
+
 def load_dataset(path) -> LabeledDataset:
     """Parse and validate a dataset file; every error carries its line number."""
     data = Path(path).read_bytes()
@@ -157,34 +172,43 @@ def load_dataset(path) -> LabeledDataset:
     if header.get("joint_checksum") != _JOINT_CHECKSUM:
         raise ParseError(1, "joint-order checksum mismatch")
 
-    positions, labels, metadata = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(lineno, f"bad record: {e.msg}") from None
-        if not isinstance(rec, dict) or not isinstance(rec.get("joints"), dict):
-            raise ParseError(lineno, "record must be an object with a 'joints' map")
-        label = rec.get("label")
-        if label is not None and not isinstance(label, str):
-            raise UnknownLabel(str(label), lineno)
-        labels.append(-1 if label is None else label_from_name(label, lineno))
-        try:  # one conversion; a malformed record goes through validate_skeleton
-            pos = np.array([rec["joints"][name] for name in JOINT_NAMES])
-            ok = pos.shape == (NUM_JOINTS, 3) and pos.dtype.kind in "iuf"
-            ok = ok and np.isfinite(pos).all()
-        except (KeyError, TypeError, ValueError):
-            ok = False
-        positions.append(pos if ok else validate_skeleton(rec["joints"], line=lineno).positions)
-        camera = rec.get("orientation_deg", 0.0), rec.get("distance_m", 0.0)
-        if not all(map(finite_real, camera)):
-            raise ParseError(lineno, f"orientation_deg/distance_m must be finite numbers: {camera}")
-        metadata.append((str(rec.get("participant", "")), *camera))
+    positions, labels, metadata, linenos = [], [], [], []
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ParseError(lineno, f"bad record: {e.msg}") from None
+            if not isinstance(rec, dict) or not isinstance(rec.get("joints"), dict):
+                raise ParseError(lineno, "record must be an object with a 'joints' map")
+            label = rec.get("label")
+            if label is not None and not isinstance(label, str):
+                raise UnknownLabel(str(label), lineno)
+            labels.append(-1 if label is None else label_from_name(label, lineno))
+            try:  # one conversion; a malformed record goes through validate_skeleton
+                pos = np.array(_JOINTS_IN_ORDER(rec["joints"]))
+                ok = pos.shape == (NUM_JOINTS, 3) and pos.dtype.kind in "iuf"
+                ok = ok and np.isfinite(pos).all()
+            except (KeyError, TypeError, ValueError):
+                ok = False
+            positions.append(pos if ok else validate_skeleton(rec["joints"], line=lineno).positions)
+            linenos.append(lineno)
+            camera = rec.get("orientation_deg", 0.0), rec.get("distance_m", 0.0)
+            if not all(map(finite_real, camera)):
+                raise ParseError(
+                    lineno, f"orientation_deg/distance_m must be finite numbers: {camera}")
+            participant = rec.get("participant", "")
+            if not isinstance(participant, str):
+                raise ParseError(
+                    lineno, f"participant must be a string, got {json.dumps(participant)}")
+            metadata.append((participant, *camera))
+    finally:  # before an error of a later line too, so that the first bad line is reported
+        positions = _rejecting_bools(positions, lines, linenos)
     participants, orientations, distances = np.array(metadata, dtype=object).reshape(-1, 3).T
     return LabeledDataset(
-        np.array(positions, dtype=np.float64).reshape(-1, NUM_JOINTS, 3),
+        positions,
         np.array(labels, dtype=np.int64),
         participants,
         orientations.astype(np.float64),

@@ -127,14 +127,15 @@ def integer(what: str, value) -> int:
 
 
 def finite_real(value) -> bool:
-    """True for a real number (not a string) of finite float magnitude."""
-    return isinstance(value, Real) and abs(value) <= sys.float_info.max
+    """True for a real number (not a string, not a bool) of finite float magnitude."""
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def real(what: str, value, positive: bool = False):
-    """value if finite_real holds for it, it is not a bool and, where asked,
-    it is positive; else a ValueError naming what."""
-    if finite_real(value) and not isinstance(value, bool) and (value > 0 or not positive):
+    """value if finite_real holds for it and, where asked, it is positive;
+    else a ValueError naming what."""
+    if finite_real(value) and (value > 0 or not positive):
         return value
     raise ValueError(f"{what} must be {'finite and positive' if positive else 'a finite number'}, "
                      f"got {value!r}")

@@ -193,7 +193,8 @@ def validate_skeleton(
 
     Raises:
         MissingJoint: a canonical joint name is absent.
-        NonFiniteCoordinate: a coordinate is NaN/inf or not a number, or not 3 of them.
+        NonFiniteCoordinate: a coordinate is NaN/inf or not a number (a bool is
+            none), or not 3 of them.
     """
     pos = np.empty((NUM_JOINTS, 3), dtype=np.float64)
     for j in JointId:

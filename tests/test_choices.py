@@ -9,7 +9,7 @@ import pytest
 from posturelab.classifiers import ClassifierSpec
 from posturelab.cli import run
 from posturelab.dataset import SynthSpec, load_model, synth_generate
-from posturelab.errors import CorruptModel, choose
+from posturelab.errors import CorruptModel, choose, finite_real
 from posturelab.evaluation import SplitSpec, evaluate, render_grid, render_report
 from posturelab.features import AngleMode, FeatureConfig
 from posturelab.kernels import KernelSpec
@@ -132,3 +132,13 @@ def test_mistyped_spec_field_is_rejected_by_name(case):
     field, build = MISTYPED_FIELDS[case]
     with pytest.raises(ValueError, match=f"^{field} must be "):
         build()
+
+
+@pytest.mark.parametrize("value", [True, False, "1.0", None, float("nan"), float("inf"), 10**400])
+def test_finite_real_rejects_what_is_no_finite_number(value):
+    assert not finite_real(value)
+
+
+@pytest.mark.parametrize("value", [0, -3, 1.5, 1e308])
+def test_finite_real_accepts_a_finite_number(value):
+    assert finite_real(value)

@@ -9,7 +9,7 @@ import pytest
 from conftest import payload, unpayload
 from posturelab import classifiers
 from posturelab.classifiers import CLASSIFIER_NAMES
-from posturelab.cli import run
+from posturelab.cli import _FLAGS, run
 from posturelab.dataset import SynthSpec, load_model, save_dataset, synth_generate
 from posturelab.errors import CorruptModel
 from posturelab.evaluation import STRATIFY_MODES
@@ -231,6 +231,8 @@ REJECTED_SPEC_VALUES = {
     "config-key-underscore": (["evaluate"], {"per_class": 3}, None),
     "config-resubstitution-string": (["evaluate"], {"resubstitution": "yes"}, None),
     "config-resubstitution-number": (["grid", "--classifiers", "lda"], {"resubstitution": 1}, None),
+    "grid-repeated-classifier": (["grid", "--classifiers", "lda,knn1,lda"], None, None),
+    "config-grid-repeated-classifier": (["grid"], {"classifiers": ["knn1", "knn1"]}, None),
 }
 
 # Flags of each command; a choice flag's help names its accepted values.
@@ -419,6 +421,30 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith(
             "usage error: unknown config key 'seeed'; choose from ('seed', 'per-class',"
         )
+
+    @pytest.mark.parametrize(
+        "key, command", [("data", "featurize"), ("out", "evaluate"), ("model", "predict"),
+                         ("model-out", "train")])
+    def test_path_flag_is_no_config_key(self, tmp_path, trained, capsys, key, command):
+        data, models = trained
+        out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+        (tmp_path / "config.json").write_text(json.dumps({key: str(elsewhere)}))
+        files = {"featurize": ["--data", data, "--out", out],
+                 "evaluate": ["--data", data, "--out", out],
+                 "predict": ["--model", models["lda"], "--data", data, "--out", out],
+                 "train": ["--data", data, "--model-out", out]}[command]
+        capsys.readouterr()
+        argv = ["--config", tmp_path / "config.json", command, *files]
+        assert run([str(arg) for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"usage error: unknown config key {key!r}; choose from ('seed', 'per-class',"
+        )
+        assert not out.exists() and not elsewhere.exists()
+
+    def test_repeated_grid_row_is_named(self, dataset_path, capsys):
+        capsys.readouterr()
+        assert run(["grid", "--classifiers", "lda,knn1,lda", "--data", str(dataset_path)]) == 1
+        assert capsys.readouterr().err == "usage error: classifiers: 'lda' named more than once\n"
 
     def test_config_keys_of_other_commands_are_accepted(self, tmp_path):
         config = {"per-class": 3, "features": "angles", "classifier": "lda", "format": "csv"}
@@ -878,3 +904,61 @@ class TestPipeline:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["classifier"]["name"] == "lda"
+
+
+# A value of each value flag: key -> (a command that takes it, the flag's
+# string, None for a switch, and the config's JSON value). Each differs from
+# the flag's default.
+FLAG_VALUES = {
+    "seed": ("synth", "5", 5),
+    "per-class": ("synth", "3", 3),
+    "noise": ("synth", "0.05", 0.05),
+    "scale-min": ("synth", "0.9", 0.9),
+    "scale-max": ("synth", "1.1", 1.1),
+    "orientations": ("synth", "0,45", [0, 45]),
+    "distances": ("synth", "2,3", [2, 3]),
+    "participants": ("synth", "4", 4),
+    "features": ("featurize", "angles", "angles"),
+    "angle-mode": ("featurize", "all_triples", "all_triples"),
+    "classifier": ("train", "lda", "lda"),
+    "c": ("train", "2", 2),
+    "tol": ("train", "0.01", 0.01),
+    "kernel-scale": ("train", "3", 3),
+    "allow-nonconverged": ("train", None, True),
+    "train-fraction": ("evaluate", "0.5", 0.5),
+    "stratify": ("evaluate", "label_participant", "label_participant"),
+    "resubstitution": ("evaluate", None, True),
+    "format": ("evaluate", "json", "json"),
+    "classifiers": ("grid", "lda,knn1", ["lda", "knn1"]),
+}
+
+
+@pytest.mark.parametrize("key", _FLAGS)
+def test_flag_and_config_key_give_one_result(tmp_path, dataset_path, monkeypatch, key):
+    """Each value flag of the table: its string and its config key's JSON value
+    give the same output, and one that differs from the default's."""
+    command, string, value = FLAG_VALUES[key]
+    monkeypatch.delenv("POSTURELAB_SEED", raising=False)
+    if key == "allow-nonconverged":  # SMO without an update budget converges no machine
+        monkeypatch.setattr(classifiers, "smo_train",
+                            functools.partial(classifiers.smo_train, max_total_passes=0))
+    (tmp_path / "config.json").write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    files = {"synth": ["--out", out], "train": ["--data", dataset_path, "--model-out", out]}.get(
+        command, ["--data", dataset_path, "--out", out])
+    if command == "evaluate" and key != "format":
+        files += ["--format", "json"]
+
+    def result(argv) -> tuple:
+        out.unlink(missing_ok=True)
+        code = run([str(arg) for arg in [*argv, *files]])
+        text = out.read_text() if out.exists() else None
+        if command == "evaluate" and text and text.startswith("{"):  # json, less its timings
+            return code, {k: v for k, v in json.loads(text).items() if k != "timings_ms"}
+        return code, text
+
+    flag = [f"--{key}"] + ([] if string is None else [string])
+    from_flag = result([command, *flag])
+    assert from_flag[0] == 0
+    assert result(["--config", tmp_path / "config.json", command]) == from_flag
+    assert result([command]) != from_flag

@@ -92,7 +92,7 @@ class TestDatasetFile:
         assert exc.value.line == 3
 
     @pytest.mark.parametrize("key", ["orientation_deg", "distance_m"])
-    @pytest.mark.parametrize("value", ["north", None, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", ["north", None, float("nan"), float("inf"), True])
     def test_non_finite_metadata_carries_line(self, tmp_path, key, value):
         ds, path = write_dataset(tmp_path, seed=3, per_class=2)
         lines = path.read_text().splitlines()
@@ -104,6 +104,20 @@ class TestDatasetFile:
             load_dataset(path)
         assert exc.value.line == 3
         assert key in str(exc.value)
+
+    @pytest.mark.parametrize("value", [None, 7, ["p01"]])
+    def test_participant_must_be_a_string(self, tmp_path, value):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        rewrite_records(path, {4: lambda rec: rec.update(participant=value)})
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert exc.value.line == 4
+        assert str(exc.value) == f"line 4: participant must be a string, got {json.dumps(value)}"
+
+    def test_absent_participant_reads_empty(self, tmp_path):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        rewrite_records(path, {2: lambda rec: rec.pop("participant")})
+        assert load_dataset(path).participants[0] == ""
 
     def test_bad_json_is_a_parse_error(self, tmp_path):
         ds, path = write_dataset(tmp_path, seed=3, per_class=2)
@@ -292,6 +306,9 @@ BAD_JOINT_VALUES = {
     "null-coordinate": ([1.0, None, 3.0], "y"),
     "huge-integer": ([1.0, 2.0, 10**400], "z"),
     "object-coordinate": ([1.0, 2.0, {"m": 3}], "z"),
+    "bool-among-floats": ([True, 1.0, 2.0], "x"),
+    "false-among-integers": ([0, False, 2], "y"),
+    "bool-only": ([True, False, True], "x"),
 }
 
 
@@ -328,6 +345,35 @@ class TestBadJoints:
         with pytest.raises(NonFiniteCoordinate) as exc:
             load_dataset(path)
         assert exc.value.line == 3
+
+    def test_record_of_bools_is_rejected(self, tmp_path):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        rewrite_records(path, {3: lambda rec: rec.update(
+            joints={name: [i % 2 == 0, True, False] for i, name in enumerate(JOINT_NAMES)})})
+        with pytest.raises(NonFiniteCoordinate) as exc:
+            load_dataset(path)
+        assert (exc.value.joint, exc.value.axis, exc.value.line) == ("SpineBase", "x", 3)
+
+    @pytest.mark.parametrize("bool_line, label_line, line", [(3, 5, 3), (5, 3, 3)])
+    def test_first_bad_line_is_reported_for_a_bool(self, tmp_path, bool_line, label_line, line):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        rewrite_records(path, {
+            bool_line: lambda rec: rec["joints"]["Head"].__setitem__(1, True),
+            label_line: lambda rec: rec.update(label="Jumping"),
+        })
+        with pytest.raises(DataError) as exc:
+            load_dataset(path)
+        assert exc.value.line == line
+        assert type(exc.value) is (NonFiniteCoordinate if line == bool_line else UnknownLabel)
+
+    def test_bool_spelled_outside_the_joints_loads(self, tmp_path):
+        # noise-free records hold exact zeros, and the lines spell true/false
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2, noise_std_m=0.0)
+        rewrite_records(path, {line: lambda rec: rec.update(participant="true-false", extra=True)
+                               for line in range(2, 12)})
+        loaded = load_dataset(path)
+        np.testing.assert_array_equal(loaded.positions, ds.positions)
+        assert loaded.participants[:10].tolist() == ["true-false"] * 10
 
     def test_joints_must_be_a_map(self, tmp_path):
         ds, path = write_dataset(tmp_path, seed=3, per_class=2)
