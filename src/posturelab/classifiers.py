@@ -38,6 +38,7 @@ from .errors import (
     SingleClass,
     check_seed,
     choose,
+    read_only,
     real,
 )
 from .features import FeatureVector
@@ -302,6 +303,7 @@ class LdaModel(MulticlassModel):
     def __post_init__(self):
         d = _check_gaussian(self)[1]
         _check_shapes(self, precision=(d, d))
+        read_only(self)
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -325,6 +327,7 @@ class QdaModel(MulticlassModel):
     def __post_init__(self):
         k, d = _check_gaussian(self)
         _check_shapes(self, precisions=(k, d, d), log_dets=(k,))
+        read_only(self)
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -358,6 +361,7 @@ class Knn1Model(MulticlassModel):
         if n < 1:
             raise ValueError("1-NN needs at least one stored point")
         _check_shapes(self, points=(n, self.dim), labels=(n,))
+        read_only(self)
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:

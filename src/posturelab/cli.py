@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Diagnostics go to stderr; results go to files or stdout. A config file
-(--config, JSON) may supply defaults, keyed by any command's flag names
-without the dashes; explicit flags take precedence, and the POSTURELAB_SEED
-environment variable supplies the default seed.
+(--config, JSON) may supply defaults, keyed by any command's value flag
+names (paths are command-line only) without the dashes; explicit flags take
+precedence, and the POSTURELAB_SEED environment variable supplies the
+default seed.
 """
 from __future__ import annotations
 
@@ -81,7 +82,9 @@ def _parse_list(raw, cast=float) -> tuple:
     """cast of each item of a JSON list, or of a comma-separated string."""
     if isinstance(raw, (list, tuple)):
         return tuple(cast(v) for v in raw)
-    return tuple(cast(v.strip()) for v in str(raw).split(",") if v.strip())
+    if not isinstance(raw, str):
+        raise ValueError(f"expected a list or a comma-separated string, got {json.dumps(raw)}")
+    return tuple(cast(v.strip()) for v in raw.split(",") if v.strip())
 
 
 def _shown(value) -> str:

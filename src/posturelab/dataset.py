@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatch,
     FingerprintMismatch,
     ParseError,
-    UnknownLabel,
     VersionMismatch,
     check_seed,
     choose,
@@ -185,7 +184,7 @@ def load_dataset(path) -> LabeledDataset:
                 raise ParseError(lineno, "record must be an object with a 'joints' map")
             label = rec.get("label")
             if label is not None and not isinstance(label, str):
-                raise UnknownLabel(str(label), lineno)
+                raise ParseError(lineno, f"label must be a string, got {json.dumps(label)}")
             labels.append(-1 if label is None else label_from_name(label, lineno))
             try:  # one conversion; a malformed record goes through validate_skeleton
                 pos = np.array(_JOINTS_IN_ORDER(rec["joints"]))

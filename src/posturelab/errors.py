@@ -3,13 +3,17 @@
 Two families matter for the CLI exit-code contract: DataError (malformed or
 insufficient input, exit 2) and NumericError (a computation that cannot
 proceed, exit 3). choose is the one rejection of an unknown name; integer,
-real, boolean and check_seed reject a value that is no integer, no finite
-number, no bool or no seed.
+real, boolean, count and check_seed reject a value that is no integer, no
+finite number, no bool, no count or no seed. read_only freezes the array
+fields of a dataclass.
 """
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from numbers import Real
+
+import numpy as np
 
 
 class PostureLabError(Exception):
@@ -33,12 +37,15 @@ class MissingJoint(DataError):
 
 
 class NonFiniteCoordinate(DataError):
-    def __init__(self, joint: str, axis: str, line: int | None = None):
+    def __init__(self, joint: str, axis: str, line: int | None = None,
+                 record: int | None = None):
         self.joint = joint
         self.axis = axis
         self.line = line
+        self.record = record
         where = f" (line {line})" if line is not None else ""
-        super().__init__(f"non-finite {axis} coordinate for joint {joint!r}{where}")
+        which = f"record {record}: " if record is not None else ""
+        super().__init__(f"{which}non-finite {axis} coordinate for joint {joint!r}{where}")
 
 
 class UnknownLabel(DataError):
@@ -148,7 +155,22 @@ def boolean(what: str, value) -> bool:
     raise ValueError(f"{what} must be true or false, got {value!r}")
 
 
+def count(what: str, value) -> int:
+    """value if it is a non-negative integer; else a ValueError naming what."""
+    if integer(what, value) < 0:
+        raise ValueError(f"{what} must not be negative, got {value}")
+    return value
+
+
 def check_seed(seed) -> None:
     """A seed is a non-negative integer, the one kind that numpy's generators take."""
-    if integer("seed", seed) < 0:
-        raise ValueError(f"seed must not be negative, got {seed}")
+    count("seed", seed)
+
+
+def read_only(obj) -> None:
+    """Set each array field of the dataclass obj read-only, so that no write
+    through obj can change a parameter after construction."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)

@@ -33,10 +33,10 @@ GRID_CLASSIFIERS = ("lda", "knn1", "svm_linear", "svm_quadratic", "svm_cubic")
 GRID_FEATURE_SETS = ("angles", "distances", "combined")
 
 
-def round_half_up(value: float, decimals: int = 1) -> float:
-    """Decimal rounding with ties away from zero (table convention)."""
+def round_half_up(value, decimals: int = 1):
+    """Decimal rounding with ties away from zero (table convention), elementwise."""
     factor = 10.0**decimals
-    return math.floor(abs(value) * factor + 0.5) / factor * (1 if value >= 0 else -1)
+    return np.sign(value) * (np.floor(np.abs(value) * factor + 0.5) / factor)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,8 @@ class SplitSpec:
 def stratified_split(
     ds: LabeledDataset, spec: SplitSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint (train, test) index arrays covering the dataset.
+    """The (train, test) index arrays of spec: every index in both under
+    resubstitution, else disjoint arrays covering the dataset.
 
     Per-stratum train counts start at floor(fraction * n_k); the leftover up
     to the dataset-level target round(fraction * N) goes to the strata with
@@ -74,6 +75,8 @@ def stratified_split(
     """
     labels = ds.label_indices()
     n = labels.shape[0]
+    if spec.resubstitution:
+        return np.arange(n), np.arange(n)
     if spec.stratify_by == "label":
         keys = labels
     else:  # (label, participant) in tuple order: participants by sorted rank
@@ -92,7 +95,7 @@ def stratified_split(
     sizes = np.bincount(strata)
     exact = spec.train_fraction * sizes
     base = np.floor(exact).astype(np.int64)
-    target_total = int(math.floor(spec.train_fraction * n + 0.5))
+    target_total = int(round_half_up(spec.train_fraction * n, 0))
     extras = target_total - int(base.sum())
     base[np.argsort(base - exact, kind="stable")[:extras]] += 1
 
@@ -138,7 +141,7 @@ class ConfusionMatrix:
         """Row-normalized percentages, one decimal, half-up; zero rows stay 0."""
         row_sums = self.counts.sum(axis=1, keepdims=True)
         raw = 100.0 * self.counts / np.where(row_sums > 0, row_sums, 1)
-        return np.floor(raw * 10.0 + 0.5) / 10.0  # round_half_up: raw is never negative
+        return round_half_up(raw)
 
 
 def _class_indices(labels: np.ndarray) -> np.ndarray:
@@ -179,7 +182,7 @@ class EvaluationReport:
     dataset_fingerprint: str
     feature_fingerprint: str
     timings_ms: dict
-    model: MulticlassModel = field(repr=False, compare=False, default=None)
+    model: MulticlassModel = field(repr=False, compare=False)
 
     @property
     def accuracy(self) -> float:
@@ -188,9 +191,9 @@ class EvaluationReport:
     @property
     def nonconverged_machines(self) -> int | None:
         """Binary SVMs of the model left with KKT violations; None if not an SVM."""
-        return None if self.model is None else self.model.nonconverged
+        return self.model.nonconverged
 
-    def to_dict(self, include_timings: bool = True) -> dict:
+    def to_dict(self) -> dict:
         per_class = [
             None if math.isnan(v) else float(v)
             for v in self.confusion.per_class_accuracy()
@@ -215,8 +218,7 @@ class EvaluationReport:
         }
         if self.nonconverged_machines is not None:
             doc["nonconverged_machines"] = self.nonconverged_machines
-        if include_timings:
-            doc["timings_ms"] = {k: float(v) for k, v in self.timings_ms.items()}
+        doc["timings_ms"] = {k: float(v) for k, v in self.timings_ms.items()}
         return doc
 
 
@@ -242,10 +244,7 @@ def evaluate(
     y = ds.label_indices()
     t_extract = time.perf_counter()
 
-    if split.resubstitution:
-        train_idx = test_idx = np.arange(len(ds))
-    else:
-        train_idx, test_idx = stratified_split(ds, split)
+    train_idx, test_idx = stratified_split(ds, split)
     model = train_classifier(X[train_idx], y[train_idx], classifier, fingerprint)
     t_train = time.perf_counter()
 
@@ -319,9 +318,9 @@ def render_text(report: EvaluationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_csv(report: EvaluationReport, include_timings: bool = True) -> str:
+def render_csv(report: EvaluationReport) -> str:
     """Lossless CSV: fixed seven fields per record (RFC 4180)."""
-    doc = report.to_dict(include_timings)
+    doc = report.to_dict()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["section", "name"] + list(LABEL_NAMES))
@@ -377,13 +376,13 @@ def parse_csv_report(text: str) -> dict:
     }
 
 
-def render_report(report: EvaluationReport, fmt: str, include_timings: bool = True) -> str:
+def render_report(report: EvaluationReport, fmt: str) -> str:
     fmt = choose("format", fmt, REPORT_FORMATS)
     if fmt == "text":
         return render_text(report)
     if fmt == "csv":
-        return render_csv(report, include_timings)
-    return json.dumps(report.to_dict(include_timings), sort_keys=True) + "\n"
+        return render_csv(report)
+    return json.dumps(report.to_dict(), sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

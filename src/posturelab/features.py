@@ -23,6 +23,7 @@ from .skeleton import (
     NUM_JOINTS,
     JointId,
     Skeleton,
+    check_finite,
 )
 
 NORMALIZER_FLOOR_M = 1e-6  # below sensor resolution; treat as a data error
@@ -260,12 +261,14 @@ def extract(skel: Skeleton, cfg: FeatureConfig) -> FeatureVector:
 @np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
 def extract_matrix(skeletons, cfg: FeatureConfig) -> tuple[np.ndarray, str]:
     """(n, d) matrix whose row i equals extract(skeletons[i], cfg).values, of
-    an (n, 25, 3) positions stack or a sequence of Skeletons.
+    an (n, 25, 3) positions stack or a sequence of Skeletons. A non-finite
+    coordinate of the stack is a NonFiniteCoordinate naming its record.
 
     The matrix is C-ordered: the standardizer's column sums depend on it.
     """
     fingerprint = config_fingerprint(cfg)
     pos = np.asarray(skeletons, dtype=np.float64).reshape(-1, NUM_JOINTS, 3)
+    check_finite(pos)
     if cfg.use_distances:
         _spine_lengths(_spine(pos))  # names a degenerate record by its stack index
     X = np.empty((len(pos), cfg.length))

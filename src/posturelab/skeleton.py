@@ -143,12 +143,23 @@ def adjacent_angle_triples() -> tuple[tuple[JointId, JointId, JointId], ...]:
 ADJACENT_ANGLE_TRIPLES = adjacent_angle_triples()
 
 
+def check_finite(positions: np.ndarray) -> None:
+    """NonFiniteCoordinate naming the first non-finite coordinate (C order)
+    of positions (25, 3), or of an (n, 25, 3) stack and then its record too."""
+    finite = np.isfinite(positions)
+    if not finite.all():
+        *record, joint, axis = map(int, np.unravel_index(np.argmin(finite), finite.shape))
+        raise NonFiniteCoordinate(JointId(joint).name, "xyz"[axis],
+                                  record=record[0] if record else None)
+
+
 @dataclass(frozen=True)
 class Skeleton:
     """One observed pose: 25 finite 3D joint positions (meters, camera frame).
 
     The positions array is (25, 3) float64 in canonical joint order and is
     frozen after construction, so skeletons are safe to share across tasks.
+    A non-finite coordinate is a NonFiniteCoordinate.
     """
 
     positions: np.ndarray
@@ -157,6 +168,7 @@ class Skeleton:
         pos = np.asarray(self.positions, dtype=np.float64)
         if pos.shape != (NUM_JOINTS, 3):
             raise ValueError(f"positions must be (25, 3), got {pos.shape}")
+        check_finite(pos)
         pos = np.ascontiguousarray(pos)
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.typing as npt
 
-from .errors import DimensionMismatch, NumericError, SingleClass
+from .errors import DimensionMismatch, NumericError, SingleClass, count, read_only, real
 from .kernels import KernelSpec
 
 # Bound classification tolerance of the KKT audit and of support-vector
@@ -70,6 +70,12 @@ class BinarySvmModel:
     def __post_init__(self):
         if self.dual_coef.shape != self.support_vectors.shape[:1]:
             raise ValueError("expected one dual coefficient per support vector")
+        real("c", self.c, positive=True)
+        count("n_passes", self.n_passes)
+        if self.converged != (count("kkt_violations", self.kkt_violations) == 0):
+            raise ValueError(f"converged is {self.converged} with "
+                             f"{self.kkt_violations} KKT violations")
+        read_only(self)
 
     @property
     def dim(self) -> int:

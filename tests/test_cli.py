@@ -88,6 +88,11 @@ def _negated_first(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _machine(**values):
+    """Edit of an SVM model file: the first machine's fields become values."""
+    return lambda doc: doc["params"]["machines"][0].update(values)
+
+
 SHORT, NARROW, EMPTY = (lambda a: a[:-1]), (lambda a: a[:, :-1]), (lambda a: a[:0])
 SVM = "svm_quadratic"
 
@@ -113,6 +118,11 @@ MALFORMED_MODELS = {
     "svm-pair-of-one-class": (SVM, lambda d: d["params"]["pairs"].__setitem__(0, [1, 1])),
     "svm-support-vectors-wide": (SVM, lambda d: _with_array(
         d["params"]["machines"][3], "support_vectors", lambda a: np.hstack([a, a[:, :1]]))),
+    "svm-converged-with-violations": (SVM, _machine(converged=True, kkt_violations=5)),
+    "svm-not-converged-without-violations": (SVM, _machine(converged=False, kkt_violations=0)),
+    "svm-negative-passes": (SVM, _machine(n_passes=-3)),
+    "svm-negative-violations": (SVM, _machine(kkt_violations=-1)),
+    "svm-negative-c": (SVM, _machine(c=-1.0)),
     "negative-std": ("lda", lambda d: _with_array(d["standardizer"], "std", _negated_first)),
     "feature-config-changed": ("lda", lambda d: d["feature_config"].update(use_angles=False)),
     "feature-fingerprint-changed": ("knn1", lambda d: d.update(feature_fingerprint="0" * 16)),
@@ -121,11 +131,6 @@ MALFORMED_MODELS = {
         _with_array(d["standardizer"], "mean", SHORT), _with_array(d["standardizer"], "std", SHORT),
         _param("means", NARROW)(d), _param("precision", lambda a: a[:-1, :-1])(d))),
 }
-
-
-def _machine(**values):
-    """Edit of an SVM model file: the first machine's fields become values."""
-    return lambda doc: doc["params"]["machines"][0].update(values)
 
 
 # Scalars of the wrong JSON type: id -> (classifier, edit(doc)). An int field
@@ -233,6 +238,10 @@ REJECTED_SPEC_VALUES = {
     "config-resubstitution-number": (["grid", "--classifiers", "lda"], {"resubstitution": 1}, None),
     "grid-repeated-classifier": (["grid", "--classifiers", "lda,knn1,lda"], None, None),
     "config-grid-repeated-classifier": (["grid"], {"classifiers": ["knn1", "knn1"]}, None),
+    "config-orientations-null": (["synth"], {"orientations": None}, None),
+    "config-orientations-number": (["synth"], {"orientations": 90}, None),
+    "config-distances-object": (["synth"], {"distances": {"a": 1}}, None),
+    "config-classifiers-null": (["grid"], {"classifiers": None}, None),
 }
 
 # Flags of each command; a choice flag's help names its accepted values.
@@ -269,6 +278,8 @@ WRONG_KIND_CONFIG_CASES = (
     "config-seed-fraction", "config-participants-fraction", "config-per-class-infinite",
     "config-noise-beyond-float", "config-angle-mode-number", "config-seed-bool",
     "config-per-class-bool", "config-resubstitution-string", "config-resubstitution-number",
+    "config-classifiers-number", "config-orientations-null", "config-orientations-number",
+    "config-distances-object", "config-classifiers-null",
 )
 
 
@@ -404,6 +415,26 @@ class TestUsageErrors:
         assert run(["--config", str(tmp_path / "config.json"), *argv, *files]) == 1
         (key,) = config
         assert capsys.readouterr().err.startswith(f"usage error: {key}: ")
+
+    @pytest.mark.parametrize("case", [
+        "config-classifiers-number", "config-orientations-null", "config-orientations-number",
+        "config-distances-object", "config-classifiers-null",
+    ])
+    def test_config_list_of_another_kind_names_its_json_value(
+        self, tmp_path, dataset_path, capsys, case
+    ):
+        argv, config, _ = REJECTED_SPEC_VALUES[case]
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        files = ["--out", str(tmp_path / "out")]
+        if argv[0] != "synth":
+            files = ["--data", str(dataset_path)]
+        capsys.readouterr()
+        assert run(["--config", str(tmp_path / "config.json"), *argv, *files]) == 1
+        ((key, value),) = config.items()
+        assert capsys.readouterr().err == (
+            f"usage error: {key}: expected a list or a comma-separated string, "
+            f"got {json.dumps(value)}\n"
+        )
 
     def test_train_rejects_negative_seed_before_writing(self, tmp_path, dataset_path, capsys):
         model = tmp_path / "model.json"

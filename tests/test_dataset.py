@@ -114,6 +114,14 @@ class TestDatasetFile:
         assert exc.value.line == 4
         assert str(exc.value) == f"line 4: participant must be a string, got {json.dumps(value)}"
 
+    @pytest.mark.parametrize("value", [True, 7, ["Standing"]])
+    def test_label_must_be_a_string(self, tmp_path, value):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        rewrite_records(path, {2: lambda rec: rec.update(label=value)})
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"line 2: label must be a string, got {json.dumps(value)}"
+
     def test_absent_participant_reads_empty(self, tmp_path):
         ds, path = write_dataset(tmp_path, seed=3, per_class=2)
         rewrite_records(path, {2: lambda rec: rec.pop("participant")})
@@ -506,6 +514,21 @@ class TestModelFile:
         assert model.scorer is scorer
         save_model(ModelFile(model, cfg, ds.fingerprint), after)
         assert before.read_bytes() == after.read_bytes()
+
+    @pytest.mark.parametrize("name", ["lda", "qda", "knn1", "svm_quadratic"])
+    def test_every_array_field_refuses_a_write(self, tmp_path, name):
+        ds, cfg, X, model = self.fitted_model(name)
+        path = tmp_path / "model.json"
+        save_model(ModelFile(model, cfg, ds.fingerprint), path)
+        for built in (model, load_model(path).model):
+            parts = [built, built.standardizer, *getattr(built, "machines", ())]
+            arrays = [getattr(part, f.name) for part in parts for f in dataclasses.fields(part)]
+            arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+            # the standardizer's mean and std, then the kind's; each of 10 machines holds 2
+            assert len(arrays) == {"lda": 5, "qda": 6, "knn1": 4}.get(name, 2 + 2 * 10)
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 1.0
 
     def test_machine_without_support_vectors_round_trips(self, tmp_path):
         ds, cfg, X, model = self.fitted_model("svm_quadratic")

@@ -91,6 +91,34 @@ class TestStratifiedSplit:
         with pytest.raises(ClassTooSmall):
             stratified_split(ds, SplitSpec(seed=0))
 
+    def test_resubstitution_returns_every_index_twice(self):
+        ds = small_dataset(per_class=10)
+        train, test = stratified_split(ds, SplitSpec(seed=0, resubstitution=True))
+        assert np.array_equal(train, np.arange(50)) and np.array_equal(test, np.arange(50))
+
+    def test_resubstitution_keeps_a_one_record_class_valid(self):
+        ds = small_dataset(per_class=1)
+        split = SplitSpec(seed=0, resubstitution=True)
+        train, test = stratified_split(ds, split)
+        assert np.array_equal(train, np.arange(5)) and np.array_equal(test, np.arange(5))
+        report = evaluate(ds, FeatureConfig(), ClassifierSpec("knn1", seed=0), split)
+        assert report.n_train == report.n_test == 5
+
+    def test_evaluate_splits_through_stratified_split_under_resubstitution(self, monkeypatch):
+        import posturelab.evaluation as ev
+
+        calls = []
+
+        def recording(ds, spec):
+            calls.append(spec)
+            return stratified_split(ds, spec)
+
+        monkeypatch.setattr(ev, "stratified_split", recording)
+        split = SplitSpec(seed=2, resubstitution=True)
+        report = evaluate(small_dataset(), FeatureConfig(), ClassifierSpec("lda"), split)
+        assert calls == [split]
+        assert report.n_train == report.n_test == 50
+
     def test_label_and_participant_stratification(self):
         ds = small_dataset(per_class=40)
         train, test = stratified_split(
@@ -166,6 +194,13 @@ class TestRounding:
         assert round_half_up(7.65, 1) == 7.7
         assert round_half_up(0.05, 1) == 0.1
 
+    def test_elementwise_with_the_bits_of_each_value(self):
+        values = np.array([92.25, 92.34999, 7.65, 0.05, 0.0, -0.05, -7.65, 12.5])
+        rounded = round_half_up(values)
+        assert rounded.tolist() == [92.3, 92.3, 7.7, 0.1, 0.0, -0.1, -7.7, 12.5]
+        assert rounded.tolist() == [round_half_up(float(v)) for v in values]
+        assert round_half_up(np.array([2.5, 3.5, -2.5]), 0).tolist() == [3.0, 4.0, -3.0]
+
 
 class TestTableFixtures:
     """The renderer reproduces the row-normalized percentage convention."""
@@ -238,8 +273,8 @@ class TestEvaluate:
     def test_deterministic_reports(self):
         ds = small_dataset(per_class=10)
         args = (ds, FeatureConfig(), ClassifierSpec("svm_linear", seed=6), SplitSpec(seed=6))
-        a = evaluate(*args).to_dict(include_timings=False)
-        b = evaluate(*args).to_dict(include_timings=False)
+        a, b = (evaluate(*args).to_dict() for _ in range(2))
+        del a["timings_ms"], b["timings_ms"]
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -325,7 +360,7 @@ class TestNonConvergedReports:
         first = report.model.machines[0]
         model = dataclasses.replace(
             report.model,
-            machines=(dataclasses.replace(first, converged=False),)
+            machines=(dataclasses.replace(first, converged=False, kkt_violations=1),)
             + report.model.machines[1:],
         )
         return report, dataclasses.replace(report, model=model)
@@ -386,6 +421,6 @@ class TestGridExtraction:
         reports = evaluate_grid(ds, specs, split)
         for report in reports:
             alone = evaluate(ds, report.features, report.classifier, split)
-            assert report.to_dict(include_timings=False) == alone.to_dict(
-                include_timings=False
-            )
+            a, b = report.to_dict(), alone.to_dict()
+            del a["timings_ms"], b["timings_ms"]
+            assert a == b

@@ -6,7 +6,9 @@ import pytest
 
 from conftest import random_rotation, random_skeleton
 from posturelab import features
-from posturelab.errors import DegenerateNormalizer, NumericError, ZeroLengthSegment
+from posturelab.errors import (
+    DataError, DegenerateNormalizer, NonFiniteCoordinate, NumericError, ZeroLengthSegment,
+)
 from posturelab.features import (
     AngleMode,
     FeatureConfig,
@@ -294,6 +296,17 @@ class TestExtract:
                 extract_matrix(skeletons, cfg)
             with pytest.raises(NumericError, match=r"^feature values overflow"):
                 extract(skeletons[70], cfg)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coordinate_in_stack_names_record_joint_and_axis(self, rng, value):
+        pos = np.stack([random_skeleton(rng).positions for _ in range(80)])
+        pos[70, JointId.Head, 2] = pos[75, JointId.Neck, 0] = value
+        for cfg in (FeatureConfig(), FeatureConfig(False, True)):
+            with pytest.raises(DataError) as exc:
+                extract_matrix(pos, cfg)
+            assert type(exc.value) is NonFiniteCoordinate
+            assert (exc.value.record, exc.value.joint, exc.value.axis) == (70, "Head", "z")
+            assert str(exc.value) == "record 70: non-finite z coordinate for joint 'Head'"
 
     def test_config_requires_a_family(self):
         with pytest.raises(ValueError):

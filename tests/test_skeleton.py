@@ -150,3 +150,14 @@ class TestValidateSkeleton:
         skel = validate_skeleton(full_joint_map())
         with pytest.raises(ValueError):
             skel.positions[0, 0] = 1.0
+
+
+class TestSkeletonInvariant:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_names_the_first(self, value):
+        pos = np.zeros((NUM_JOINTS, 3))
+        pos[JointId.KneeRight, 1] = pos[JointId.FootRight, 0] = value
+        with pytest.raises(NonFiniteCoordinate) as exc:
+            Skeleton(pos)
+        assert (exc.value.joint, exc.value.axis) == ("KneeRight", "y")
+        assert str(exc.value) == "non-finite y coordinate for joint 'KneeRight'"
