@@ -10,6 +10,7 @@ default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -154,9 +155,11 @@ _FLAGS = {
 }
 
 
+@functools.cache  # a build takes about 2 ms; parsing leaves the parser as it was
 def _build_parser() -> _Parser:
     """Flag names and help only: a value's default, cast and check are its
-    _FLAGS entry's and its spec's, whether a flag or the config gives it."""
+    _FLAGS entry's and its spec's, whether a flag or the config gives it. The
+    environment and the config file are read per run, by _Resolver."""
     parser = _Parser(prog="posturelab", description=__doc__)
     parser.add_argument("--config", help="JSON file with default flag values")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import operator
+import sys
 import types
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
@@ -35,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     FingerprintMismatch,
     ParseError,
+    UnknownLabel,
     VersionMismatch,
     check_seed,
     choose,
@@ -50,7 +52,6 @@ from .skeleton import (
     NUM_JOINTS,
     PostureLabel,
     Skeleton,
-    label_from_name,
     validate_skeleton,
 )
 
@@ -61,6 +62,9 @@ MODEL_VERSION = 2  # 1 held arrays as nested JSON lists
 
 _JOINT_CHECKSUM = hashlib.sha256(",".join(JOINT_NAMES).encode()).hexdigest()[:16]
 _JOINTS_IN_ORDER = operator.itemgetter(*JOINT_NAMES)
+# A record's label spelling -> its labels column value; absent or null is -1.
+_LABEL_INDEX = {None: -1, **{name: i for i, name in enumerate(LABEL_NAMES)}}
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -138,15 +142,17 @@ def save_dataset(ds: LabeledDataset, path, generator: dict | None = None) -> Non
             fh.write(line + "\n")
 
 
-def _rejecting_bools(positions: list, lines: list[str], linenos: list[int]) -> np.ndarray:
-    """The (n, 25, 3) stack of the records' positions, once validate_skeleton has
-    rejected each record with a JSON bool coordinate. np.array reads a bool as 0
-    or 1 ([true, 1.0, 2.0] as [1.0, 1.0, 2.0]), so a record holding a 0 or a 1 on
-    a line that spells true or false is validated again."""
+def _validated(positions: list, lines: list[str], linenos: list[int]) -> np.ndarray:
+    """The (n, 25, 3) stack of the records' positions, once validate_skeleton
+    has rejected the first record with a non-finite or a JSON bool coordinate.
+    np.array reads a bool as 0 or 1 ([true, 1.0, 2.0] as [1.0, 1.0, 2.0]), so a
+    record holding a 0 or a 1 on a line that spells true or false is validated
+    again, as is a record holding a NaN or an infinity."""
     stack = np.array(positions, dtype=np.float64).reshape(-1, NUM_JOINTS, 3)
-    for k in np.flatnonzero(((stack == 0) | (stack == 1)).any(axis=(1, 2))):
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    for k in np.flatnonzero(~finite | ((stack == 0) | (stack == 1)).any(axis=(1, 2))):
         line = lines[linenos[k] - 1]
-        if "true" in line or "false" in line:
+        if not finite[k] or "true" in line or "false" in line:
             validate_skeleton(json.loads(line)["joints"], line=linenos[k])
     return stack
 
@@ -174,7 +180,7 @@ def load_dataset(path) -> LabeledDataset:
     positions, labels, metadata, linenos = [], [], [], []
     try:
         for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
+            if not line or line.isspace():
                 continue
             try:
                 rec = json.loads(line)
@@ -183,19 +189,25 @@ def load_dataset(path) -> LabeledDataset:
             if not isinstance(rec, dict) or not isinstance(rec.get("joints"), dict):
                 raise ParseError(lineno, "record must be an object with a 'joints' map")
             label = rec.get("label")
-            if label is not None and not isinstance(label, str):
-                raise ParseError(lineno, f"label must be a string, got {json.dumps(label)}")
-            labels.append(-1 if label is None else label_from_name(label, lineno))
-            try:  # one conversion; a malformed record goes through validate_skeleton
+            try:
+                labels.append(_LABEL_INDEX[label])
+            except (KeyError, TypeError):
+                if not isinstance(label, str):
+                    raise ParseError(
+                        lineno, f"label must be a string, got {json.dumps(label)}") from None
+                raise UnknownLabel(label, lineno) from None
+            try:  # one conversion; _validated checks finiteness for all records at once
                 pos = np.array(_JOINTS_IN_ORDER(rec["joints"]))
                 ok = pos.shape == (NUM_JOINTS, 3) and pos.dtype.kind in "iuf"
-                ok = ok and np.isfinite(pos).all()
             except (KeyError, TypeError, ValueError):
                 ok = False
             positions.append(pos if ok else validate_skeleton(rec["joints"], line=lineno).positions)
             linenos.append(lineno)
             camera = rec.get("orientation_deg", 0.0), rec.get("distance_m", 0.0)
-            if not all(map(finite_real, camera)):
+            orientation, distance = camera  # a float in range passes on its type alone
+            if not ((type(orientation) is float and abs(orientation) <= _FLOAT_MAX
+                     and type(distance) is float and abs(distance) <= _FLOAT_MAX)
+                    or all(map(finite_real, camera))):
                 raise ParseError(
                     lineno, f"orientation_deg/distance_m must be finite numbers: {camera}")
             participant = rec.get("participant", "")
@@ -204,7 +216,7 @@ def load_dataset(path) -> LabeledDataset:
                     lineno, f"participant must be a string, got {json.dumps(participant)}")
             metadata.append((participant, *camera))
     finally:  # before an error of a later line too, so that the first bad line is reported
-        positions = _rejecting_bools(positions, lines, linenos)
+        positions = _validated(positions, lines, linenos)
     participants, orientations, distances = np.array(metadata, dtype=object).reshape(-1, 3).T
     return LabeledDataset(
         positions,

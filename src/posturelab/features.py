@@ -37,9 +37,6 @@ _PAIR_I, _PAIR_J = np.triu_indices(NUM_JOINTS, k=1)
 # _PAIR_OF[i, j]: the distance feature of joints i and j, in either order.
 _PAIR_OF = np.zeros((NUM_JOINTS, NUM_JOINTS), dtype=np.int64)
 _PAIR_OF[_PAIR_I, _PAIR_J] = _PAIR_OF[_PAIR_J, _PAIR_I] = np.arange(NUM_DISTANCE_FEATURES)
-# pos[i] - pos[j] of this pair is the spine vector SpineShoulder - SpineMid
-# or its negation, which has the same length bits.
-_SPINE_PAIR = int(_PAIR_OF[JointId.SpineShoulder, JointId.SpineMid])
 
 
 class AngleMode(str, Enum):
@@ -135,13 +132,12 @@ def _spine(pos: np.ndarray) -> np.ndarray:
 
 
 def _spine_lengths(d: np.ndarray) -> np.ndarray:
-    """Lengths of spine vectors d (..., 3), SpineShoulder - SpineMid or its
-    negation; DegenerateNormalizer below 1e-6 m.
+    """Lengths of spine vectors d (..., 3), SpineShoulder - SpineMid;
+    DegenerateNormalizer below 1e-6 m.
 
     For a stack, the error names the first degenerate record's index. The
     length is a matmul: norm(axis=-1) and einsum differ from the norm of one
-    3-vector in the last bit. (-d).(-d) is d.d, so either sign gives the same
-    bits.
+    3-vector in the last bit.
     """
     length = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
     short = length < NORMALIZER_FLOOR_M
@@ -183,14 +179,18 @@ def _angles_at(pos: np.ndarray, ia, iv, ib, norms=None) -> tuple[np.ndarray, np.
 
 def _values(pos: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """Feature values of positions (..., 25, 3), one skeleton or a stack, with
-    the same bits for a record either way: distances, then angles. With
-    distances, the spine vector and the angle rays' norms come from the pair
-    differences and their norms."""
+    the same bits for a record either way: distances, then angles.
+
+    The pair differences are taken on the x, y and z planes (..., 3, 25), and
+    a length is (dx² + dy²) + dz², the order in which _norms sums a 3-vector,
+    so the same bits. With distances, the angle rays' norms are these lengths."""
     parts, norms = [], None
     if cfg.use_distances:
-        diffs = pos.take(_PAIR_I, axis=-2) - pos.take(_PAIR_J, axis=-2)
-        lengths = _norms(diffs)
-        parts.append(lengths / _spine_lengths(diffs[..., _SPINE_PAIR, :])[..., None])
+        planes = pos.swapaxes(-1, -2)
+        diffs = planes.take(_PAIR_I, axis=-1) - planes.take(_PAIR_J, axis=-1)
+        sq = diffs * diffs
+        lengths = np.sqrt((sq[..., 0, :] + sq[..., 1, :]) + sq[..., 2, :])
+        parts.append(lengths / _spine_lengths(_spine(pos))[..., None])
         if cfg.use_angles:
             norms = [lengths.take(rays, axis=-1) for rays in _RAY_PAIRS[cfg.angle_mode]]
     if cfg.use_angles:

@@ -180,6 +180,7 @@ class Skeleton:
     def __getitem__(self, j: JointId) -> np.ndarray:
         return self.positions[int(j)]
 
+    @np.errstate(over="ignore", invalid="ignore")  # Skeleton reports a non-finite result
     def transformed(
         self,
         rotation: np.ndarray | None = None,

@@ -314,6 +314,37 @@ class TestSynthCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_one_parser_serves_a_sequence_of_runs(tmp_path, monkeypatch, capsys):
+    """In one process, a usage error, a synth, the same synth with
+    POSTURELAB_SEED set and a --config run each give the exit code and the
+    file of a run on its own, in a first pass and again in a second."""
+    def generated(seed: int, per_class: int) -> bytes:
+        spec = SynthSpec(seed=seed, per_class=per_class)
+        path = tmp_path / "expected.jsonl"
+        save_dataset(synth_generate(spec), path, generator=spec.to_dict())
+        return path.read_bytes()
+
+    out, config = tmp_path / "out.jsonl", tmp_path / "config.json"
+    config.write_text(json.dumps({"per-class": 3}))
+    synth = ["synth", "--per-class", "2", "--out", str(out)]
+    steps = [  # (POSTURELAB_SEED, argv, exit code, bytes written)
+        (None, ["synth", "--per-class", "two", "--out", str(out)], 1, None),
+        (None, synth, 0, generated(0, 2)),
+        ("5", synth, 0, generated(5, 2)),
+        ("5", ["--config", str(config), "synth", "--out", str(out)], 0, generated(5, 3)),
+    ]
+    for _ in range(2):
+        for seed, argv, code, written in steps:
+            if seed is None:
+                monkeypatch.delenv("POSTURELAB_SEED", raising=False)
+            else:
+                monkeypatch.setenv("POSTURELAB_SEED", seed)
+            out.unlink(missing_ok=True)
+            assert run(argv) == code
+            assert (out.read_bytes() if out.exists() else None) == written
+        assert "usage error: per-class: two is not an integer" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["synth", "--bogus", "1", "--out", "x"]) == 1

@@ -167,6 +167,15 @@ class TestDatasetFile:
         assert load_dataset(path).fingerprint != ds.fingerprint
 
 
+# Edits of a record line that the loader rejects with a ParseError: id -> edit
+OTHER_BAD_LINES = {
+    "bad-json": lambda line: line[:-1],
+    "byte-order-mark": lambda line: "\ufeff" + line,
+    "non-finite-distance": lambda line: json.dumps({**json.loads(line), "distance_m": float("nan")}),
+    "numeric-participant": lambda line: json.dumps({**json.loads(line), "participant": 7}),
+}
+
+
 def rewrite_records(path, edits):
     """Apply edit(record) to the records on the given 1-based file lines."""
     lines = path.read_text().splitlines()
@@ -373,6 +382,40 @@ class TestBadJoints:
             load_dataset(path)
         assert exc.value.line == line
         assert type(exc.value) is (NonFiniteCoordinate if line == bool_line else UnknownLabel)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("other", OTHER_BAD_LINES)
+    @pytest.mark.parametrize("coordinate_line, other_line", [(3, 5), (5, 3)])
+    def test_first_bad_line_is_reported_for_a_non_finite_coordinate(
+            self, tmp_path, value, other, coordinate_line, other_line):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        lines = path.read_text().splitlines()
+        lines[other_line - 1] = OTHER_BAD_LINES[other](lines[other_line - 1])
+        path.write_text("\n".join(lines[:other_line]) + "\n")
+        with pytest.raises(ParseError) as alone:  # the other line's error, the only one
+            load_dataset(path)
+        path.write_text("\n".join(lines) + "\n")
+        rewrite_records(path, {  # json.dumps writes NaN, Infinity and -Infinity
+            coordinate_line: lambda rec: rec["joints"]["Head"].__setitem__(1, value)})
+        with pytest.raises(DataError) as exc:
+            load_dataset(path)
+        if coordinate_line < other_line:
+            assert type(exc.value) is NonFiniteCoordinate
+            assert (exc.value.joint, exc.value.axis, exc.value.line) == ("Head", "y", 3)
+        else:
+            assert (type(exc.value), str(exc.value)) == (ParseError, str(alone.value))
+
+    @pytest.mark.parametrize("bool_line, nan_line", [(3, 5), (5, 3)])
+    def test_first_of_a_bool_and_a_nan_coordinate_is_reported(self, tmp_path, bool_line, nan_line):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        rewrite_records(path, {
+            bool_line: lambda rec: rec["joints"]["Head"].__setitem__(0, True),
+            nan_line: lambda rec: rec["joints"]["Neck"].__setitem__(2, float("nan")),
+        })
+        with pytest.raises(NonFiniteCoordinate) as exc:
+            load_dataset(path)
+        first = ("Head", "x") if bool_line == 3 else ("Neck", "z")
+        assert (exc.value.joint, exc.value.axis, exc.value.line) == (*first, 3)
 
     def test_bool_spelled_outside_the_joints_loads(self, tmp_path):
         # noise-free records hold exact zeros, and the lines spell true/false

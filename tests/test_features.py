@@ -213,18 +213,19 @@ class TestExtract:
             return config_fingerprint(cfg)
 
         monkeypatch.setattr(features, "config_fingerprint", counting)
-        # Head == Neck zeroes their distance and the angles on that ray, in row 3
-        skeletons = [random_skeleton(rng) for _ in range(6)]
-        pos = skeletons[3].positions.copy()
+        # 130 rows cross two 64-row blocks of extract_matrix into a partial third;
+        # Head == Neck zeroes their distance and the angles on that ray, in row 129
+        skeletons = [random_skeleton(rng) for _ in range(130)]
+        pos = skeletons[129].positions.copy()
         pos[JointId.Head] = pos[JointId.Neck]
-        skeletons[3] = Skeleton(pos)
+        skeletons[129] = Skeleton(pos)
         cfg = FeatureConfig.from_name(features_set, mode)
         X, fp = extract_matrix(skeletons, cfg)
         assert len(calls) == 1
         assert fp == config_fingerprint(cfg)
         for row, s in zip(X, skeletons):
             assert np.array_equal(row, extract(s, cfg).values)
-        assert np.flatnonzero((X == 0.0).any(axis=1)).tolist() == [3]
+        assert np.flatnonzero((X == 0.0).any(axis=1)).tolist() == [129]
 
     @pytest.mark.parametrize("mode", ["adjacent", "all_triples"])
     def test_combined_is_distances_then_angles_bit_for_bit(self, rng, mode):

@@ -161,3 +161,22 @@ class TestSkeletonInvariant:
             Skeleton(pos)
         assert (exc.value.joint, exc.value.axis) == ("KneeRight", "y")
         assert str(exc.value) == "non-finite y coordinate for joint 'KneeRight'"
+
+
+# transformed arguments whose result overflows, or is 0 * inf: the position, the
+# arguments, and the first coordinate (C order) that is not finite
+OVERFLOWING_TRANSFORMS = {
+    "scale-overflows": (2.0, dict(scale=1e308), "x"),
+    "scale-times-zero": (0.0, dict(scale=math.inf), "x"),
+    "rotation-overflows": (1e308, dict(rotation=np.diag([1.0, 2.0, 1.0])), "y"),
+    "translation-overflows": (1e308, dict(translation=(0.0, 0.0, 1e308)), "z"),
+}
+
+
+@pytest.mark.parametrize("value, kwargs, axis", OVERFLOWING_TRANSFORMS.values(),
+                         ids=OVERFLOWING_TRANSFORMS)
+def test_transformed_reports_a_non_finite_result_without_a_warning(value, kwargs, axis):
+    # the suite turns a RuntimeWarning into an error, so a warning would fail here
+    with pytest.raises(NonFiniteCoordinate) as exc:
+        Skeleton(np.full((NUM_JOINTS, 3), value)).transformed(**kwargs)
+    assert (exc.value.joint, exc.value.axis) == ("SpineBase", axis)
