@@ -67,12 +67,8 @@ class Standardizer:
     std: npt.NDArray[np.float64]
 
     def __post_init__(self):
-        for name in ("mean", "std"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.mean.shape != self.std.shape or self.mean.ndim != 1:
-            raise DimensionMismatch("mean and std must be 1-D and equal length")
+        d = np.size(self.mean)
+        read_only(self, mean=(d,), std=(d,))
         if not (self.std > 0.0).all():
             raise ValueError("std must be positive")
 
@@ -175,13 +171,6 @@ def _check_indices(name: str, index) -> None:
         raise ValueError(f"{name} holds a class index outside 0-{NUM_CLASSES - 1}")
 
 
-def _check_shapes(model, **shapes: tuple[int, ...]) -> None:
-    for name, shape in shapes.items():
-        got = np.shape(getattr(model, name))
-        if got != shape:
-            raise DimensionMismatch(f"{name} has shape {got}, expected {shape}")
-
-
 @dataclass(frozen=True)
 class MulticlassModel:
     """Shared fields of every fitted five-class model."""
@@ -281,14 +270,12 @@ class OvoSvmModel(MulticlassModel):
         return lambda Xs: _winners(plan, decisions(Xs))
 
 
-def _check_gaussian(model) -> tuple[int, int]:
-    """LDA/QDA: sorted distinct classes, each with a mean and a log prior; returns (k, d)."""
+def _gaussian_shape(model) -> tuple[int, int]:
+    """LDA/QDA: (k, d) of sorted distinct classes in d features."""
     _check_indices("classes", model.classes)
     if not model.classes or list(model.classes) != sorted(set(model.classes)):
         raise ValueError(f"classes must be sorted, distinct and not empty: {model.classes}")
-    k, d = len(model.classes), model.dim
-    _check_shapes(model, means=(k, d), log_priors=(k,))
-    return k, d
+    return len(model.classes), model.dim
 
 
 @dataclass(frozen=True)
@@ -301,9 +288,8 @@ class LdaModel(MulticlassModel):
     kind: ClassVar[str] = "lda"
 
     def __post_init__(self):
-        d = _check_gaussian(self)[1]
-        _check_shapes(self, precision=(d, d))
-        read_only(self)
+        k, d = _gaussian_shape(self)
+        read_only(self, means=(k, d), precision=(d, d), log_priors=(k,))
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -325,9 +311,8 @@ class QdaModel(MulticlassModel):
     kind: ClassVar[str] = "qda"
 
     def __post_init__(self):
-        k, d = _check_gaussian(self)
-        _check_shapes(self, precisions=(k, d, d), log_dets=(k,))
-        read_only(self)
+        k, d = _gaussian_shape(self)
+        read_only(self, means=(k, d), precisions=(k, d, d), log_dets=(k,), log_priors=(k,))
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -356,12 +341,11 @@ class Knn1Model(MulticlassModel):
     kind: ClassVar[str] = "knn1"
 
     def __post_init__(self):
-        _check_indices("labels", self.labels)
         n = len(self.points)
         if n < 1:
             raise ValueError("1-NN needs at least one stored point")
-        _check_shapes(self, points=(n, self.dim), labels=(n,))
-        read_only(self)
+        read_only(self, points=(n, self.dim), labels=(n,))
+        _check_indices("labels", self.labels)
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -492,7 +476,7 @@ def _qda_fit(Xs: np.ndarray, y: np.ndarray) -> dict:
 
 
 def _knn1_fit(Xs: np.ndarray, y: np.ndarray) -> dict:
-    return {"points": Xs, "labels": y.copy()}
+    return {"points": Xs, "labels": y}
 
 
 class _Entry(NamedTuple):

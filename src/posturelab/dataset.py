@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
+import numpy.typing as npt
 
 from .classifiers import MODEL_KINDS, MulticlassModel
 from .errors import (
@@ -38,10 +39,12 @@ from .errors import (
     ParseError,
     UnknownLabel,
     VersionMismatch,
+    array_dtype,
     check_seed,
     choose,
     finite_real,
     integer,
+    read_only,
     real,
 )
 from .features import FeatureConfig, config_fingerprint
@@ -69,23 +72,27 @@ _FLOAT_MAX = sys.float_info.max
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Records held once as read-only columns.
+    """Records held once as read-only columns of one length n.
 
-    positions is the C-ordered (n, 25, 3) joint stack; labels holds
-    PostureLabel indices, -1 for an unlabeled record; participants (str),
-    orientations_deg and distances_m carry the capture metadata. Record order
-    is part of the identity: split determinism depends on it.
+    positions is the (n, 25, 3) joint stack; labels holds PostureLabel
+    indices, -1 for an unlabeled record; participants (str), orientations_deg
+    and distances_m carry the capture metadata. Record order is part of the
+    identity: split determinism depends on it.
     """
 
-    positions: np.ndarray
-    labels: np.ndarray
-    participants: np.ndarray
-    orientations_deg: np.ndarray
-    distances_m: np.ndarray
+    positions: npt.NDArray[np.float64]
+    labels: npt.NDArray[np.int64]
+    participants: npt.NDArray[np.object_]
+    orientations_deg: npt.NDArray[np.float64]
+    distances_m: npt.NDArray[np.float64]
 
     def __post_init__(self):
-        for f in fields(self):
-            getattr(self, f.name).setflags(write=False)
+        n = (len(self.labels),)
+        read_only(self, positions=(*n, NUM_JOINTS, 3), labels=n, participants=n,
+                  orientations_deg=n, distances_m=n)
+        unknown = (self.labels < -1) | (self.labels >= len(LABEL_NAMES))
+        if unknown.any():
+            raise UnknownLabel(self.labels[unknown][0].item())
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -97,9 +104,8 @@ class LabeledDataset:
         list of participants. Equal columns give an equal fingerprint, however
         a file spelled them."""
         h = hashlib.sha256(len(self).to_bytes(8, "little"))
-        for column, dtype in ((self.positions, "<f8"), (self.labels, "<i8"),
-                              (self.orientations_deg, "<f8"), (self.distances_m, "<f8")):
-            h.update(np.ascontiguousarray(column, dtype=dtype).tobytes())
+        for column in (self.positions, self.labels, self.orientations_deg, self.distances_m):
+            h.update(column.astype(column.dtype.newbyteorder("<"), copy=False).tobytes())
         h.update(json.dumps(self.participants.tolist()).encode())
         return h.hexdigest()[:16]
 
@@ -217,14 +223,9 @@ def load_dataset(path) -> LabeledDataset:
             metadata.append((participant, *camera))
     finally:  # before an error of a later line too, so that the first bad line is reported
         positions = _validated(positions, lines, linenos)
-    participants, orientations, distances = np.array(metadata, dtype=object).reshape(-1, 3).T
-    return LabeledDataset(
-        positions,
-        np.array(labels, dtype=np.int64),
-        participants,
-        orientations.astype(np.float64),
-        distances.astype(np.float64),
-    )
+    participants, *camera = np.array(metadata, dtype=object).reshape(-1, 3).T
+    return LabeledDataset(positions, np.array(labels, dtype=np.int64), participants,
+                          *(column.astype(np.float64) for column in camera))
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +333,6 @@ def _item_types(tp, items) -> tuple:
     return (args[0],) * len(items) if args[-1] is Ellipsis else args
 
 
-def _array_dtype(tp) -> np.dtype:
-    """Little-endian dtype of an npt.NDArray[...] annotation."""
-    (dtype,) = get_args(get_args(tp)[1])
-    return np.dtype(dtype).newbyteorder("<")
-
-
 def encode(tp, value):
     """JSON form of a value of annotated type ``tp``: dataclasses as objects
     of their fields in field order, arrays as payloads of their bytes, tuples
@@ -348,7 +343,7 @@ def encode(tp, value):
     if is_dataclass(tp):
         return {name: encode(t, getattr(value, name)) for name, t in _saved_fields(tp)}
     if get_origin(tp) is np.ndarray:
-        dtype = _array_dtype(tp)
+        dtype = array_dtype(tp).newbyteorder("<")
         arr = np.ascontiguousarray(value, dtype=dtype)
         data = base64.b64encode(arr.tobytes()).decode("ascii")
         return {"dtype": dtype.str, "shape": list(arr.shape), "data": data}
@@ -361,7 +356,8 @@ def encode(tp, value):
 
 
 def _decode_array(dtype: np.dtype, doc) -> np.ndarray:
-    """Owned, aligned, native-order array of a payload of exactly this dtype."""
+    """Owned, aligned, native-order, read-only array of a payload of exactly
+    this dtype."""
     if not isinstance(doc, dict) or doc.keys() != {"dtype", "shape", "data"}:
         raise ValueError("an array must be an object of dtype, shape and data")
     if doc["dtype"] != dtype.str:
@@ -375,6 +371,7 @@ def _decode_array(dtype: np.dtype, doc) -> np.ndarray:
     arr = np.frombuffer(data, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
     if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise ValueError("array holds a non-finite value")
+    arr.setflags(write=False)  # owned: the model holds it uncopied
     return arr
 
 
@@ -389,7 +386,7 @@ def _decode(tp, doc):
     if is_dataclass(tp):
         return tp(**{name: _decode(t, doc[name]) for name, t in _saved_fields(tp)})
     if get_origin(tp) is np.ndarray:
-        return _decode_array(_array_dtype(tp), doc)
+        return _decode_array(array_dtype(tp).newbyteorder("<"), doc)
     if get_origin(tp) is tuple:
         types = _item_types(tp, doc)
         return tuple(_decode(t, v) for t, v in zip(types, doc, strict=True))

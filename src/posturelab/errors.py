@@ -4,14 +4,15 @@ Two families matter for the CLI exit-code contract: DataError (malformed or
 insufficient input, exit 2) and NumericError (a computation that cannot
 proceed, exit 3). choose is the one rejection of an unknown name; integer,
 real, boolean, count and check_seed reject a value that is no integer, no
-finite number, no bool, no count or no seed. read_only freezes the array
-fields of a dataclass.
+finite number, no bool, no count or no seed. read_only holds the array
+fields of a dataclass one way: read-only, of their annotated dtype.
 """
 from __future__ import annotations
 
+import functools
 import sys
-from dataclasses import fields
 from numbers import Real
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -167,10 +168,33 @@ def check_seed(seed) -> None:
     count("seed", seed)
 
 
-def read_only(obj) -> None:
-    """Set each array field of the dataclass obj read-only, so that no write
-    through obj can change a parameter after construction."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
+def array_dtype(tp) -> np.dtype | None:
+    """The dtype of an npt.NDArray[...] annotation; None for any other type."""
+    return np.dtype(get_args(get_args(tp)[1])[0]) if get_origin(tp) is np.ndarray else None
+
+
+@functools.cache  # get_type_hints re-evaluates string annotations per call
+def _array_fields(cls) -> dict[str, np.dtype]:
+    """Name -> dtype of each npt.NDArray[...] field of the dataclass cls."""
+    hints = get_type_hints(cls).items()
+    return {name: dtype for name, tp in hints if (dtype := array_dtype(tp)) is not None}
+
+
+def read_only(obj, **shapes: tuple[int, ...]) -> None:
+    """Hold each npt.NDArray[...] field of the frozen dataclass obj as a read-only,
+    C-ordered array of its dtype that shares memory with no writable array:
+    kept if it is one, else copied. A cast must stay within the dtype's kind
+    (labels [0.5] are no int64), else a ValueError; a field named in shapes
+    must have that shape, else a DimensionMismatch."""
+    for name, dtype in _array_fields(type(obj)).items():
+        arr = base = np.asarray(getattr(obj, name))
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base  # numpy points a view's base at the array that owns the memory
+        if base is not None or arr.dtype != dtype or not arr.flags.c_contiguous:
+            if not np.can_cast(arr.dtype, dtype, "same_kind"):
+                raise ValueError(f"{name} holds {arr.dtype} values, which do not cast to {dtype}")
+            arr = np.array(arr, dtype=dtype, order="C")
+            arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+        if name in shapes and arr.shape != shapes[name]:
+            raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {shapes[name]}")

@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from .classifiers import ClassifierSpec, MulticlassModel, predict_batch, train_classifier
 from .dataset import LabeledDataset, encode
 from .errors import (
-    ClassTooSmall, EmptyInput, LengthMismatch, UnknownLabel, boolean, check_seed, choose, real,
+    ClassTooSmall, EmptyInput, LengthMismatch, UnknownLabel, boolean, check_seed, choose,
+    read_only, real,
 )
 from .features import FeatureConfig, extract_matrix
 from .skeleton import LABEL_NAMES, NUM_CLASSES, PostureLabel
@@ -112,14 +114,10 @@ def stratified_split(
 class ConfusionMatrix:
     """5x5 counts; rows are true classes, columns predicted classes."""
 
-    counts: np.ndarray
+    counts: npt.NDArray[np.int64]
 
     def __post_init__(self):
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if counts.shape != (NUM_CLASSES, NUM_CLASSES):
-            raise ValueError("counts must be 5x5")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        read_only(self, counts=(NUM_CLASSES, NUM_CLASSES))
 
     @property
     def total(self) -> int:

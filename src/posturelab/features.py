@@ -14,8 +14,10 @@ from enum import Enum
 from itertools import combinations
 
 import numpy as np
+import numpy.typing as npt
 
-from .errors import DegenerateNormalizer, NumericError, ZeroLengthSegment, boolean, choose
+from .errors import (DegenerateNormalizer, NumericError, ZeroLengthSegment, boolean, choose,
+                     read_only)
 from .skeleton import (
     ADJACENT_ANGLE_TRIPLES,
     BONES,
@@ -118,13 +120,11 @@ def config_fingerprint(cfg: FeatureConfig) -> str:
 class FeatureVector:
     """A fixed-length feature vector plus the fingerprint of its layout."""
 
-    values: np.ndarray
+    values: npt.NDArray[np.float64]
     fingerprint: str
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        read_only(self)
 
 
 def _spine(pos: np.ndarray) -> np.ndarray:
@@ -255,7 +255,9 @@ def angle_features(
 @np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
 def extract(skel: Skeleton, cfg: FeatureConfig) -> FeatureVector:
     """Feature vector for one skeleton under ``cfg``: distances, then angles."""
-    return FeatureVector(_finite(_values(skel.positions, cfg)), config_fingerprint(cfg))
+    values = _finite(_values(skel.positions, cfg))
+    values.setflags(write=False)  # a fresh array: FeatureVector holds it uncopied
+    return FeatureVector(values, config_fingerprint(cfg))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow

@@ -11,8 +11,9 @@ from enum import IntEnum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
-from .errors import MissingJoint, NonFiniteCoordinate, UnknownLabel, finite_real
+from .errors import MissingJoint, NonFiniteCoordinate, UnknownLabel, finite_real, read_only
 
 
 class JointId(IntEnum):
@@ -158,20 +159,15 @@ class Skeleton:
     """One observed pose: 25 finite 3D joint positions (meters, camera frame).
 
     The positions array is (25, 3) float64 in canonical joint order and is
-    frozen after construction, so skeletons are safe to share across tasks.
+    read-only (errors.read_only), so skeletons are safe to share across tasks.
     A non-finite coordinate is a NonFiniteCoordinate.
     """
 
-    positions: np.ndarray
+    positions: npt.NDArray[np.float64]
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64)
-        if pos.shape != (NUM_JOINTS, 3):
-            raise ValueError(f"positions must be (25, 3), got {pos.shape}")
-        check_finite(pos)
-        pos = np.ascontiguousarray(pos)
-        pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
+        read_only(self, positions=(NUM_JOINTS, 3))
+        check_finite(self.positions)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The positions: a sequence of skeletons converts as an (n, 25, 3) stack."""

@@ -68,14 +68,12 @@ class BinarySvmModel:
     objective_trace: tuple[float, ...] | None = field(default=None, metadata={"saved": False})
 
     def __post_init__(self):
-        if self.dual_coef.shape != self.support_vectors.shape[:1]:
-            raise ValueError("expected one dual coefficient per support vector")
+        read_only(self, dual_coef=(len(self.support_vectors),))
         real("c", self.c, positive=True)
         count("n_passes", self.n_passes)
         if self.converged != (count("kkt_violations", self.kkt_violations) == 0):
             raise ValueError(f"converged is {self.converged} with "
                              f"{self.kkt_violations} KKT violations")
-        read_only(self)
 
     @property
     def dim(self) -> int:
@@ -224,8 +222,8 @@ def smo_train(
 
     support = alpha > _BOUND_EPS
     return BinarySvmModel(
-        support_vectors=X[support].copy(),
-        dual_coef=(alpha * y)[support].copy(),
+        support_vectors=X[support],
+        dual_coef=(alpha * y)[support],
         bias=float(bias),
         kernel=kernel,
         c=c,
