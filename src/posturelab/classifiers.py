@@ -40,6 +40,7 @@ from .errors import (
     choose,
     read_only,
     real,
+    same_kind,
 )
 from .features import FeatureVector
 from .kernels import KernelSpec, linear_kernel, polynomial_kernel
@@ -545,7 +546,7 @@ class ClassifierSpec:
 def _checked(X, y) -> tuple[np.ndarray, np.ndarray]:
     """X as an (n, d) float matrix and y as its n integer labels."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = same_kind("labels", y, np.int64)
     if X.ndim != 2 or y.shape != X.shape[:1]:
         raise DimensionMismatch(
             f"training needs an (n, d) matrix and n labels, got shapes {X.shape} and {y.shape}"

@@ -93,6 +93,9 @@ class LabeledDataset:
         unknown = (self.labels < -1) | (self.labels >= len(LABEL_NAMES))
         if unknown.any():
             raise UnknownLabel(self.labels[unknown][0].item())
+        for participant in self.participants.tolist():  # save_dataset writes them as strings
+            if not isinstance(participant, str):
+                raise DataError(f"participant must be a string, got {participant!r}")
 
     def __len__(self) -> int:
         return len(self.labels)

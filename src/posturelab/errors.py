@@ -4,8 +4,9 @@ Two families matter for the CLI exit-code contract: DataError (malformed or
 insufficient input, exit 2) and NumericError (a computation that cannot
 proceed, exit 3). choose is the one rejection of an unknown name; integer,
 real, boolean, count and check_seed reject a value that is no integer, no
-finite number, no bool, no count or no seed. read_only holds the array
-fields of a dataclass one way: read-only, of their annotated dtype.
+finite number, no bool, no count or no seed. same_kind casts an array
+within its dtype's kind, and read_only holds the array fields of a
+dataclass one way: read-only, of their annotated dtype.
 """
 from __future__ import annotations
 
@@ -180,20 +181,27 @@ def _array_fields(cls) -> dict[str, np.dtype]:
     return {name: dtype for name, tp in hints if (dtype := array_dtype(tp)) is not None}
 
 
+def same_kind(what: str, value, dtype) -> np.ndarray:
+    """value as an array of dtype, cast within the dtype's kind (labels [0.5]
+    are no int64); else a ValueError naming what."""
+    arr = np.asarray(value)
+    if not np.can_cast(arr.dtype, dtype, "same_kind"):
+        raise ValueError(f"{what} holds {arr.dtype} values, which do not cast to {np.dtype(dtype)}")
+    return arr.astype(dtype, copy=False)
+
+
 def read_only(obj, **shapes: tuple[int, ...]) -> None:
     """Hold each npt.NDArray[...] field of the frozen dataclass obj as a read-only,
     C-ordered array of its dtype that shares memory with no writable array:
     kept if it is one, else copied. A cast must stay within the dtype's kind
-    (labels [0.5] are no int64), else a ValueError; a field named in shapes
-    must have that shape, else a DimensionMismatch."""
+    (same_kind); a field named in shapes must have that shape, else a
+    DimensionMismatch."""
     for name, dtype in _array_fields(type(obj)).items():
         arr = base = np.asarray(getattr(obj, name))
         while isinstance(base, np.ndarray) and not base.flags.writeable:
             base = base.base  # numpy points a view's base at the array that owns the memory
         if base is not None or arr.dtype != dtype or not arr.flags.c_contiguous:
-            if not np.can_cast(arr.dtype, dtype, "same_kind"):
-                raise ValueError(f"{name} holds {arr.dtype} values, which do not cast to {dtype}")
-            arr = np.array(arr, dtype=dtype, order="C")
+            arr = np.array(same_kind(name, arr, dtype), order="C")
             arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
         if name in shapes and arr.shape != shapes[name]:

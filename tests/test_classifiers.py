@@ -517,6 +517,12 @@ class TestTrainDispatch:
             with pytest.raises(DimensionMismatch):
                 train_classifier(bad_X, bad_y, spec)
 
+    @pytest.mark.parametrize("name", CLASSIFIER_NAMES)
+    def test_fractional_labels_rejected_not_truncated(self, rng, name):
+        X, y = gaussian_blobs(rng, np.eye(5, 3) * 6.0, 4)
+        with pytest.raises(ValueError, match="labels holds float64 values"):
+            train_classifier(X, y + 0.5, ClassifierSpec(name))
+
     @pytest.mark.parametrize(
         "name, field, change",
         [("lda", "log_priors", lambda v: v[:-1]), ("qda", "classes", lambda v: v[::-1]),

@@ -219,6 +219,19 @@ class TestColumns:
         for column in ("positions", "labels", "participants", "orientations_deg", "distances_m"):
             assert np.array_equal(getattr(loaded, column), getattr(ds, column)), column
 
+    @pytest.mark.parametrize("participant", [1, 1.5, None, b"p00"])
+    def test_participants_must_be_strings(self, participant):
+        # a participant that is no string would save, and its file then fail to load
+        with pytest.raises(DataError) as exc:
+            LabeledDataset(np.zeros((2, 25, 3)), [0, 1], [participant] * 2, [0.0, 0.0],
+                           [1.0, 1.0])
+        assert str(exc.value) == f"participant must be a string, got {participant!r}"
+
+    def test_a_dataset_that_builds_saves_and_loads(self, tmp_path):
+        ds = LabeledDataset(np.ones((2, 25, 3)), [0, 1], ["1", "2"], [0.0, 0.0], [1.0, 1.0])
+        save_dataset(ds, tmp_path / "ds.jsonl")
+        assert load_dataset(tmp_path / "ds.jsonl").fingerprint == ds.fingerprint
+
     def test_unlabeled_record_reads_minus_one(self, tmp_path):
         ds, path = write_dataset(tmp_path, seed=3, per_class=2)
         rewrite_records(path, {4: lambda rec: rec.update(label=None)})

@@ -6,6 +6,9 @@ a prediction or a feature value fails here, even when the result is
 self-consistent. The pipeline table was generated before model types checked
 their own fields, and those checks left it unchanged; the feature table was
 generated before the single-row feature path dropped numpy's dispatch layers.
+The SMO face steps moved only model-svm_quadratic (it was 166493aa...c91c):
+two of its ten machines stop at another point within tol, one in 33 updates
+instead of 34, and every prediction is unchanged.
 
 A float may round differently on another numpy or BLAS build. CI prints
 numpy's version and build configuration before the tests, so that such a
@@ -32,7 +35,7 @@ PINNED = {
     "predict-qda": "2defde0639cbec98b34414c6302c2f0e2b03c265ceb9a6738a91c55b2cbc4d3e",
     "model-knn1": "91af024714262f31a0190edf70dd2c05a8ec2c31fa1756f52ec1ad78bf5cc47c",
     "predict-knn1": "73124fdbd64818d65951c734f375ffb1ba09e3e4f0117f563df1b68bc77fb401",
-    "model-svm_quadratic": "166493aa3aa55fe9901fdab8881315ed8b290578434f1217321d3fe10aeec91c",
+    "model-svm_quadratic": "4102308dd87f0bbc8a7cd783eeb6dcda2303d0f7ce0554503a0615800d13c6cd",
     "predict-svm_quadratic": "0e7fd3b6e16005cf2da01e5fa8da4385be1a6a000ced223005840936453a5cbf",
 }
 
