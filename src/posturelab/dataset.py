@@ -87,13 +87,15 @@ class LabeledDataset:
     distances_m: npt.NDArray[np.float64]
 
     def __post_init__(self):
+        # as given: read_only would cast the 1 of ["p00", 1] to "1"
+        given = np.asarray(self.participants, dtype=object)
         n = (len(self.labels),)
         read_only(self, positions=(*n, NUM_JOINTS, 3), labels=n, participants=n,
                   orientations_deg=n, distances_m=n)
         unknown = (self.labels < -1) | (self.labels >= len(LABEL_NAMES))
         if unknown.any():
             raise UnknownLabel(self.labels[unknown][0].item())
-        for participant in self.participants.tolist():  # save_dataset writes them as strings
+        for participant in given.tolist():  # save_dataset writes them as strings
             if not isinstance(participant, str):
                 raise DataError(f"participant must be a string, got {participant!r}")
 

@@ -1,22 +1,24 @@
 """Soft-margin binary SVM trained by sequential minimal optimization.
 
 The solver is the decomposition method of LIBSVM (Chang & Lin, 2011) with
-the second-order working-set selection of Fan, Chen & Lin (JMLR 6, 2005).
-It minimizes P(alpha) = 1/2 alpha'Q alpha - e'alpha, the negated dual
-objective, subject to 0 <= alpha <= C and y'alpha = 0, where Q = K * yy',
-and keeps the gradient G = Q alpha - e as a vector. With F_t = -y_t G_t,
+the maximal-violating-pair working set of Keerthi et al. (Neural Computation
+13, 2001). It minimizes P(alpha) = 1/2 alpha'Q alpha - e'alpha, the negated
+dual objective, subject to 0 <= alpha <= C and y'alpha = 0, where
+Q = K * yy', and keeps the gradient G = Q alpha - e as a vector. With
+F_t = -y_t G_t,
 
     I_up  = {t : y_t = +1, alpha_t < C} | {t : y_t = -1, alpha_t > 0}
     I_low = {t : y_t = +1, alpha_t > 0} | {t : y_t = -1, alpha_t < C}
     m(alpha) = max of F over I_up,  M(alpha) = min of F over I_low.
 
-Working set: i is the argmax of F over I_up; j is, among t in I_low with
-F_t < m, the one with the largest second-order gain b^2 / a, where
-b = m - F_t and a = K_ii + K_tt - 2 K_it. The two-variable subproblem is
-solved exactly and clipped to the box, so the pair moves along the equality
-constraint and the dual objective never decreases. The solver stops when the
-gap m - M <= tol and sets the bias to (m + M) / 2, so that every KKT
-condition below holds with at least tol / 2 to spare.
+Working set: i is the argmax of F over I_up and j the argmin of F over I_low,
+so the pair that decides the stop is the pair that moves. Along the pair's
+line P has slope -(m - M) and curvature a = K_ii + K_jj - 2 K_ij. The
+two-variable subproblem is solved exactly and clipped to the box, so the
+pair moves along the equality constraint and the dual objective never
+decreases. The solver stops when the gap m - M <= tol and sets the bias to
+(m + M) / 2, so that every KKT condition below holds with at least tol / 2
+to spare.
 
 Face steps end the long tail, where SMO makes thousands of small unclipped
 moves among a few free variables (an active-set finish, as in Scheinberg,
@@ -62,7 +64,7 @@ from .errors import DimensionMismatch, NumericError, SingleClass, count, read_on
 from .kernels import KernelSpec
 
 # Bound classification tolerance of the KKT audit and of support-vector
-# selection; floor of the pair curvature K_ii + K_jj - 2 K_ij.
+# selection; floor of the scalar pair curvature a = K_ii + K_jj - 2 K_ij.
 _BOUND_EPS = 1e-11
 _TAU = 1e-12
 # Face steps: pair updates with the face unchanged before one is tried, the
@@ -166,19 +168,12 @@ def smo_train(
         K = kernel.gram(X, X)
     if not np.isfinite(K).all():
         raise NumericError("kernel matrix has a non-finite entry; check the kernel scale")
-    diag = np.diag(K)
-    # a_ij = K_ii + K_jj - 2 K_ij, the curvature along a pair's line
-    curv = K * -2.0
-    curv += diag[:, None]
-    curv += diag
-    np.maximum(curv, _TAU, out=curv)
+    diag = np.diag(K).tolist()
     alpha = [0.0] * n
     ys = y.tolist()
     F = y.copy()  # -y * (Q alpha - e) at alpha = 0
     pen_up, pen_low = _penalties(np.zeros(n), y, c)
     scan = np.empty(n)
-    b = np.empty(n)
-    gain = np.empty(n)
     step_i = np.empty(n)
     step_j = np.empty(n)
     n_free = 0  # variables strictly inside the box
@@ -204,22 +199,19 @@ def smo_train(
         i = int(scan.argmax())
         m_up = F[i]
         np.add(F, pen_low, out=scan)
-        m_low = F[int(scan.argmin())]
+        j = int(scan.argmin())
+        m_low = F[j]
         if m_up - m_low <= tol or updates >= max_updates:
             break
-        np.subtract(m_up, scan, out=b)
-        np.maximum(b, 0.0, out=b)
-        np.multiply(b, b, out=gain)
-        np.divide(gain, curv[i], out=gain)
-        j = int(gain.argmax())
 
         # Move t >= 0 along alpha_i += y_i t, alpha_j -= y_j t: P falls by
-        # b t - a t^2 / 2 up to t = b / a, unless a bound comes first.
+        # (m - M) t - a t^2 / 2 up to t = (m - M) / a, unless a bound comes first.
         ai, aj = alpha[i], alpha[j]
         yi, yj = ys[i], ys[j]
         room_i = c - ai if yi > 0.0 else ai
         room_j = aj if yj > 0.0 else c - aj
-        t = min(float(b[j]) / float(curv[i, j]), room_i, room_j)
+        a = max(diag[i] + diag[j] - 2.0 * float(K[i, j]), _TAU)
+        t = min(float(m_up - m_low) / a, room_i, room_j)
         if t == room_i:
             alpha[i] = c if yi > 0.0 else 0.0
         else:

@@ -219,13 +219,15 @@ class TestColumns:
         for column in ("positions", "labels", "participants", "orientations_deg", "distances_m"):
             assert np.array_equal(getattr(loaded, column), getattr(ds, column)), column
 
-    @pytest.mark.parametrize("participant", [1, 1.5, None, b"p00"])
-    def test_participants_must_be_strings(self, participant):
+    @pytest.mark.parametrize("participants", [[1] * 2, [1.5] * 2, [None] * 2, [b"p00"] * 2,
+                                              ["p00", 1]],
+                             ids=["1", "1.5", "None", "p00", "p00-1"])
+    def test_participants_must_be_strings(self, participants):
         # a participant that is no string would save, and its file then fail to load
         with pytest.raises(DataError) as exc:
-            LabeledDataset(np.zeros((2, 25, 3)), [0, 1], [participant] * 2, [0.0, 0.0],
-                           [1.0, 1.0])
-        assert str(exc.value) == f"participant must be a string, got {participant!r}"
+            LabeledDataset(np.zeros((2, 25, 3)), [0, 1], participants, [0.0, 0.0], [1.0, 1.0])
+        wrong = next(p for p in participants if not isinstance(p, str))
+        assert str(exc.value) == f"participant must be a string, got {wrong!r}"
 
     def test_a_dataset_that_builds_saves_and_loads(self, tmp_path):
         ds = LabeledDataset(np.ones((2, 25, 3)), [0, 1], ["1", "2"], [0.0, 0.0], [1.0, 1.0])
