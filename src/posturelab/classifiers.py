@@ -3,10 +3,10 @@
 Four model kinds: one-vs-one SVM (trained by SMO), linear and quadratic
 Gaussian discriminants, and exact 1-nearest-neighbor. One table, CLASSIFIERS,
 gives each classifier name its model class, its fit and its kernel degree.
-Every kind trains through one path, which standardizes features with
-statistics fitted on its own training set (so kernel scales and distances are
-comparable across feature families) and hands the standardized rows to the
-kind's fit.
+Every kind trains through one path on a TrainingFold: the training rows,
+standardized with statistics fitted on them alone (so kernel scales and
+distances are comparable across feature families). Every classifier trained
+on one fold shares its standardizer and, for the SVMs, its dot products.
 
 Each model type checks its fields against each other, the standardizer's
 width and the five postures in __post_init__, so training and loading agree.
@@ -96,6 +96,40 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
     std = X.std(axis=0)  # population stddev
     std = np.where(std < ZERO_STD_FLOOR, 1.0, std)
     return Standardizer(mean, std)
+
+
+class TrainingFold:
+    """What every fit on one training set shares, each part computed once.
+
+    Built from raw (n, d) rows X and their n labels y, it holds X as a float
+    matrix and y as integer labels, the standardizer fitted on X and the
+    standardized rows Xs. On first use it also holds by_class, Xs and y with
+    the rows in stable class order, and dots, their dot products D = Xs Xs'
+    in that order. Every SVM kind and every one-vs-one pair trained on the
+    fold takes its Gram from D.
+    """
+
+    def __init__(self, X, y):
+        self.X = np.asarray(X, dtype=np.float64)
+        self.y = same_kind("labels", y, np.int64)
+        if self.X.ndim != 2 or self.y.shape != self.X.shape[:1]:
+            raise DimensionMismatch("training needs an (n, d) matrix and n labels, "
+                                    f"got shapes {self.X.shape} and {self.y.shape}")
+        self.standardizer = fit_standardizer(self.X)
+        self.Xs = self.standardizer.transform(self.X)
+        self.Xs.setflags(write=False)  # shared by every model fitted on the fold
+
+    @cached_property
+    def by_class(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self.y, kind="stable")
+        return self.Xs[order], self.y[order]
+
+    @cached_property
+    def dots(self) -> np.ndarray:
+        rows, _ = self.by_class
+        dots = linear_kernel().gram(rows, rows)
+        dots.setflags(write=False)
+        return dots
 
 
 class _VotePlan(NamedTuple):
@@ -400,25 +434,38 @@ def _feature_row(model: MulticlassModel, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fits: standardized (n, d) rows and n labels -> the kind's own model fields
+# Fits: a TrainingFold -> the kind's own model fields
 
 
-def _ovo_fit(Xs: np.ndarray, y: np.ndarray, kernel: KernelSpec, c: float, tol: float) -> dict:
+def _ovo_fit(fold: TrainingFold, kernel: KernelSpec, c: float, tol: float) -> dict:
     """One binary SVM per unordered pair of classes present in y.
 
     The positive label of the (a, b) machine is class a (the lower index), so
-    positive decision values vote for a.
+    positive decision values vote for a. The kernel is applied once, to the
+    fold's dot products, whose rows come in class blocks. A machine's rows
+    are the blocks of a and b, and its Gram is the four blocks of the kernel
+    matrix that they span, copied.
     """
-    # With return_counts, np.unique sorts; without, numpy 2 hashes, and the
-    # hashing path costs about 10 ms on its first call in a process.
-    classes, _ = np.unique(y, return_counts=True)
+    rows, y = fold.by_class
+    classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2:
         raise SingleClass("one-vs-one training needs at least two classes")
+    starts = (np.cumsum(counts) - counts).tolist()
+    blocks = {k: slice(start, start + size)
+              for k, start, size in zip(classes.tolist(), starts, counts.tolist())}
+    with np.errstate(all="ignore"):  # smo_train reports a non-finite entry
+        K = kernel.of_dots(fold.dots)
     pairs = tuple(combinations(classes.tolist(), 2))
     machines = []
     for a, b in pairs:
-        mask = (y == a) | (y == b)
-        machines.append(smo_train(Xs[mask], np.where(y[mask] == a, 1.0, -1.0), kernel, c=c, tol=tol))
+        sa, sb = blocks[a], blocks[b]
+        na, nb = sa.stop - sa.start, sb.stop - sb.start
+        gram = np.empty((na + nb, na + nb))  # np.block copies about 10x slower
+        gram[:na, :na], gram[:na, na:] = K[sa, sa], K[sa, sb]
+        gram[na:, :na], gram[na:, na:] = K[sb, sa], K[sb, sb]
+        labels = np.repeat([1.0, -1.0], [na, nb])
+        machines.append(smo_train(np.concatenate([rows[sa], rows[sb]]), labels, kernel,
+                                  c=c, tol=tol, gram=gram))
     return {"pairs": pairs, "machines": tuple(machines)}
 
 
@@ -437,9 +484,10 @@ def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
         ) from None
 
 
-def _gaussian_fit(Xs: np.ndarray, y: np.ndarray) -> tuple[dict, list[np.ndarray]]:
+def _gaussian_fit(fold: TrainingFold) -> tuple[dict, list[np.ndarray]]:
     """What LDA and QDA share: the class indices, means and log priors, and
     each class's rows centered on its mean."""
+    Xs, y = fold.Xs, fold.y
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2:
         raise SingleClass("discriminant training needs at least two classes")
@@ -453,20 +501,21 @@ def _gaussian_fit(Xs: np.ndarray, y: np.ndarray) -> tuple[dict, list[np.ndarray]
     return shared, centered
 
 
-def _lda_fit(Xs: np.ndarray, y: np.ndarray) -> dict:
+def _lda_fit(fold: TrainingFold) -> dict:
     """Gaussian discriminant with one pooled covariance across classes."""
-    shared, centered = _gaussian_fit(Xs, y)
-    pooled = np.zeros((Xs.shape[1], Xs.shape[1]))
+    shared, centered = _gaussian_fit(fold)
+    n, d = fold.Xs.shape
+    pooled = np.zeros((d, d))
     for rows in centered:
         pooled += rows.T @ rows
-    pooled = _regularized(pooled / (Xs.shape[0] - len(centered)))
+    pooled = _regularized(pooled / (n - len(centered)))
     _cholesky(pooled, "pooled covariance")
     return {**shared, "precision": np.linalg.inv(pooled)}
 
 
-def _qda_fit(Xs: np.ndarray, y: np.ndarray) -> dict:
+def _qda_fit(fold: TrainingFold) -> dict:
     """Gaussian discriminant with one covariance per class."""
-    shared, centered = _gaussian_fit(Xs, y)
+    shared, centered = _gaussian_fit(fold)
     covs = [_regularized(rows.T @ rows / (rows.shape[0] - 1)) for rows in centered]
     log_dets = [
         2.0 * np.sum(np.log(np.diag(_cholesky(cov, f"class {k} covariance"))))
@@ -476,8 +525,8 @@ def _qda_fit(Xs: np.ndarray, y: np.ndarray) -> dict:
             "log_dets": np.array(log_dets)}
 
 
-def _knn1_fit(Xs: np.ndarray, y: np.ndarray) -> dict:
-    return {"points": Xs, "labels": y}
+def _knn1_fit(fold: TrainingFold) -> dict:
+    return {"points": fold.Xs, "labels": fold.y}
 
 
 class _Entry(NamedTuple):
@@ -486,8 +535,9 @@ class _Entry(NamedTuple):
     degree: int | None = None  # of the SVM kernel; 1 is the linear kernel
 
 
-# The classifier menu, keyed by ClassifierSpec.name. The SVM rows train
-# through ovo_train, which binds the kernel, c and tol of their fit.
+# The classifier menu, keyed by ClassifierSpec.name. Each fit takes a
+# TrainingFold; the SVM rows train through ovo_train, which binds the kernel,
+# c and tol of their fit.
 CLASSIFIERS = {
     "lda": _Entry(LdaModel, _lda_fit),
     "qda": _Entry(QdaModel, _qda_fit),
@@ -543,49 +593,44 @@ class ClassifierSpec:
         return polynomial_kernel(degree, self.resolve_scale(n_features))
 
 
-def _checked(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """X as an (n, d) float matrix and y as its n integer labels."""
-    X = np.asarray(X, dtype=np.float64)
-    y = same_kind("labels", y, np.int64)
-    if X.ndim != 2 or y.shape != X.shape[:1]:
-        raise DimensionMismatch(
-            f"training needs an (n, d) matrix and n labels, got shapes {X.shape} and {y.shape}"
-        )
-    return X, y
-
-
 def _train(
-    model: type[MulticlassModel], fit: Callable[..., dict], X, y, fingerprint: str, seed: int,
-    **params,
+    model: type[MulticlassModel], fit: Callable[..., dict], fold: TrainingFold,
+    fingerprint: str, seed: int, **params,
 ) -> MulticlassModel:
-    """The one training path: check X and y, fit the standardizer on X, and
-    build the model from the kind's fit on the standardized rows."""
-    X, y = _checked(X, y)
-    standardizer = fit_standardizer(X)
-    fields = fit(standardizer.transform(X), y, **params)
-    return model(standardizer=standardizer, fingerprint=fingerprint, seed=seed, **fields)
+    """The one training path: the model of the kind's fit on the fold."""
+    fields = fit(fold, **params)
+    return model(standardizer=fold.standardizer, fingerprint=fingerprint, seed=seed, **fields)
 
 
 def train_classifier(
-    X: np.ndarray, y: np.ndarray, spec: ClassifierSpec, fingerprint: str = ""
+    X: np.ndarray, y: np.ndarray, spec: ClassifierSpec, fingerprint: str = "",
+    fold: TrainingFold | None = None,
 ) -> MulticlassModel:
-    """The spec's classifier, fitted on raw (n, d) rows X and their n labels y."""
+    """The spec's classifier, fitted on raw (n, d) rows X and their n labels y.
+
+    fold, if given, is TrainingFold(X, y) built by the caller, who shares it
+    among the classifiers trained on these rows.
+    """
+    if fold is None:
+        fold = TrainingFold(X, y)
     entry = CLASSIFIERS[spec.name]
     if entry.degree is None:
-        return _train(entry.model, entry.fit, X, y, fingerprint, spec.seed)
-    # SVMs train through the module attribute ovo_train, which perfbench wraps;
-    # X is checked first because the auto kernel scale reads its width.
-    X, y = _checked(X, y)
-    return ovo_train(X, y, spec.kernel(X.shape[1]), spec.c, spec.tol, spec.seed, fingerprint)
+        return _train(entry.model, entry.fit, fold, fingerprint, spec.seed)
+    # SVMs train through the module attribute ovo_train, which perfbench wraps.
+    kernel = spec.kernel(fold.X.shape[1])
+    return ovo_train(fold.X, fold.y, kernel, spec.c, spec.tol, spec.seed, fingerprint, fold)
 
 
 def ovo_train(
     X: np.ndarray, y: np.ndarray, kernel: KernelSpec, c: float = ClassifierSpec.c,
     tol: float = ClassifierSpec.tol, seed: int = ClassifierSpec.seed, fingerprint: str = "",
+    fold: TrainingFold | None = None,
 ) -> OvoSvmModel:
     """One-vs-one SVM with this kernel. The solver is deterministic: seed is
-    only recorded in the model."""
-    return _train(OvoSvmModel, _ovo_fit, X, y, fingerprint, seed, kernel=kernel, c=c, tol=tol)
+    only recorded in the model. fold is as in train_classifier."""
+    if fold is None:
+        fold = TrainingFold(X, y)
+    return _train(OvoSvmModel, _ovo_fit, fold, fingerprint, seed, kernel=kernel, c=c, tol=tol)
 
 
 _POSTURES = tuple(PostureLabel)  # indexed, not called: an enum call is a lookup by value

@@ -10,12 +10,14 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from .classifiers import ClassifierSpec, MulticlassModel, predict_batch, train_classifier
+from .classifiers import (
+    ClassifierSpec, MulticlassModel, TrainingFold, predict_batch, train_classifier,
+)
 from .dataset import LabeledDataset, encode
 from .errors import (
     ClassTooSmall, EmptyInput, LengthMismatch, UnknownLabel, boolean, check_seed, choose,
@@ -220,34 +222,55 @@ class EvaluationReport:
         return doc
 
 
+class FoldContext(NamedTuple):
+    """One feature set of a dataset on one split, built once and shared by
+    every classifier evaluated on it: the training fold (its rows, their
+    standardizer and, on first SVM use, their dot products), the raw test
+    rows and labels, and the feature fingerprint."""
+
+    training: TrainingFold
+    X_test: np.ndarray
+    y_test: np.ndarray
+    fingerprint: str
+
+
+def fold_context(
+    ds: LabeledDataset, cfg: FeatureConfig, train: np.ndarray, test: np.ndarray
+) -> FoldContext:
+    """Extract cfg's features of ds and split them by the index arrays."""
+    X, fingerprint = extract_matrix(ds.positions, cfg)
+    y = ds.label_indices()
+    return FoldContext(TrainingFold(X[train], y[train]), X[test], y[test], fingerprint)
+
+
 def evaluate(
     ds: LabeledDataset,
     cfg: FeatureConfig,
     classifier: ClassifierSpec,
     split: SplitSpec,
-    extracted: tuple[np.ndarray, str] | None = None,
+    fold: FoldContext | None = None,
 ) -> EvaluationReport:
     """Extract features, fit on the train partition only, score the test one.
 
-    extracted, if given, is extract_matrix(ds.positions, cfg) computed by
-    the caller, which then skips the extraction.
+    fold, if given, is fold_context(ds, cfg, *stratified_split(ds, split))
+    built by the caller, which then skips the extraction, the split and the
+    standardizer fit. timings_ms["extract"] is the time to build the fold
+    context, so about 0 when it is given.
 
     No test observation influences any fitted parameter: the standardizer
     inside the model is fitted on the training rows alone.
     """
     t0 = time.perf_counter()
-    if extracted is None:
-        extracted = extract_matrix(ds.positions, cfg)
-    X, fingerprint = extracted
-    y = ds.label_indices()
+    if fold is None:
+        fold = fold_context(ds, cfg, *stratified_split(ds, split))
+    training = fold.training
     t_extract = time.perf_counter()
 
-    train_idx, test_idx = stratified_split(ds, split)
-    model = train_classifier(X[train_idx], y[train_idx], classifier, fingerprint)
+    model = train_classifier(training.X, training.y, classifier, fold.fingerprint, training)
     t_train = time.perf_counter()
 
-    pred = predict_batch(model, X[test_idx])
-    confusion = confusion_matrix(y[test_idx], pred)
+    pred = predict_batch(model, fold.X_test)
+    confusion = confusion_matrix(fold.y_test, pred)
     t_predict = time.perf_counter()
 
     return EvaluationReport(
@@ -255,10 +278,10 @@ def evaluate(
         features=cfg,
         split=split,
         confusion=confusion,
-        n_train=int(train_idx.shape[0]),
-        n_test=int(test_idx.shape[0]),
+        n_train=int(training.y.shape[0]),
+        n_test=int(fold.y_test.shape[0]),
         dataset_fingerprint=ds.fingerprint,
-        feature_fingerprint=fingerprint,
+        feature_fingerprint=fold.fingerprint,
         timings_ms={
             "extract": (t_extract - t0) * 1e3,
             "train": (t_train - t_extract) * 1e3,
@@ -395,16 +418,21 @@ def evaluate_grid(
 ) -> list[EvaluationReport]:
     """Evaluate every (classifier, feature set) cell, a row per classifier spec.
 
-    Each feature set is extracted once and shared by its cells, so a cell's
-    timings_ms["extract"] is about 0. Cells are mutually independent; this
-    runs them sequentially so that the whole grid is one deterministic pass.
+    The dataset is split once, and each feature set gets one fold context
+    shared by its cells: one extraction, one standardizer fit and, once an
+    SVM cell needs them, one matrix of dot products. So a cell's
+    timings_ms["extract"] is about 0, and the first SVM cell of each feature
+    set carries the dot products in its timings_ms["train"]. Cells are
+    mutually independent; this runs them sequentially so that the whole grid
+    is one deterministic pass.
     """
     configs = [FeatureConfig.from_name(f, angle_mode) for f in GRID_FEATURE_SETS]
-    extracted = [extract_matrix(ds.positions, cfg) for cfg in configs]
+    train, test = stratified_split(ds, split)
+    folds = [fold_context(ds, cfg, train, test) for cfg in configs]
     return [
-        evaluate(ds, cfg, spec, split, X)
+        evaluate(ds, cfg, spec, split, fold)
         for spec in classifiers
-        for cfg, X in zip(configs, extracted)
+        for cfg, fold in zip(configs, folds)
     ]
 
 

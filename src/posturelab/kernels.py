@@ -6,6 +6,11 @@ Polynomial: K(x, y) = (1 + x . y / scale^2) ** degree
 "Quadratic" and "cubic" SVMs are the polynomial kernel at degrees 2 and 3,
 applied to standardized features. KernelSpec's own scale defaults to 1, but
 ClassifierSpec resolves an unset scale to 4 * sqrt(n_features).
+
+Both kernels are elementwise functions of the dot products x . y, so
+KernelSpec.gram(X, Y) is of_dots(X @ Y.T). One-vs-one training uses that:
+it takes the dot products D of a training fold's rows once, through the
+linear kernel's gram, and applies each kernel to D with of_dots.
 """
 from __future__ import annotations
 
@@ -33,10 +38,17 @@ class KernelSpec:
 
     def gram(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Kernel matrix K[i, j] = K(X[i], Y[j]) of 2-D float64 matrices."""
-        dots = X @ Y.T
+        return self.of_dots(X @ Y.T)
+
+    def of_dots(self, dots: np.ndarray) -> np.ndarray:
+        """The kernel of a matrix of dot products x . y: the matrix itself,
+        not a copy, for the linear kernel."""
         if self.kind == LINEAR:
             return dots
-        return (1.0 + dots / (self.scale * self.scale)) ** self.degree
+        K = dots / (self.scale * self.scale)
+        K += 1.0  # in place: one new matrix the size of dots, not two
+        K **= self.degree
+        return K
 
 
 def linear_kernel() -> KernelSpec:

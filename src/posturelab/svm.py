@@ -42,8 +42,13 @@ The solver keeps F itself, not G, and never forms Q: since
 -y_t Q_kt = -y_k K_kt, a step d_i, d_j on alpha_i, alpha_j moves F by
 K_i (-y_i d_i) + K_j (-y_j d_j), two rows of K. I_up and I_low are held as
 additive penalties (0 inside the set, -inf or +inf outside), so each scan is
-one addition into a preallocated buffer followed by argmax or argmin. A Gram
-matrix with a non-finite entry is a NumericError.
+one addition into a preallocated buffer followed by argmax or argmin.
+
+The solver takes K = kernel.gram(X, X) from its caller when given: a
+one-vs-one fit slices each machine's Gram from one kernel matrix of its
+training fold's dot products, so no machine takes a Gram product of its own.
+Called alone, the solver computes K. A K with a non-finite entry is a
+NumericError.
 
 Convergence means zero KKT violations at the requested tolerance, audited
 from exactly recomputed decision values:
@@ -142,8 +147,12 @@ def smo_train(
     tol: float = DEFAULT_TOL,
     record_objective: bool = False,
     max_total_passes: int = 2000,
+    gram: np.ndarray | None = None,
 ) -> BinarySvmModel:
     """Solve the SVM dual for labels y in {-1, +1}.
+
+    gram, if given, is kernel.gram(X, X) computed by the caller, which then
+    saves the solver its own Gram product.
 
     At most max_total_passes * n updates (pair updates and face steps) are made.
 
@@ -164,8 +173,12 @@ def smo_train(
         raise ValueError("c and tol must be finite and positive")
 
     n = X.shape[0]
-    with np.errstate(all="ignore"):  # an overflow is reported just below
-        K = kernel.gram(X, X)
+    if gram is None:
+        with np.errstate(all="ignore"):  # an overflow is reported just below
+            gram = kernel.gram(X, X)
+    K = np.asarray(gram, dtype=np.float64)
+    if K.shape != (n, n):
+        raise DimensionMismatch(f"the Gram matrix of {n} rows must be ({n}, {n}), got {K.shape}")
     if not np.isfinite(K).all():
         raise NumericError("kernel matrix has a non-finite entry; check the kernel scale")
     diag = np.diag(K).tolist()
@@ -284,12 +297,13 @@ def _face_step(K: np.ndarray, F: np.ndarray, y: np.ndarray, alpha: np.ndarray,
     """
     free = np.flatnonzero((alpha > 0.0) & (alpha < c))
     nf = free.size
-    K_ff = K[np.ix_(free, free)]
-    A = np.zeros((nf + 1, nf + 1))
+    K_ff = K.take(free, 0).take(free, 1)
+    A = np.empty((nf + 1, nf + 1))
     A[:nf, :nf] = K_ff
-    diag = np.arange(nf)
-    A[diag, diag] += _FACE_RIDGE * K_ff.diagonal().max()
-    A[:nf, nf] = A[nf, :nf] = 1.0
+    A[nf] = A[:, nf] = 1.0
+    A[nf, nf] = 0.0
+    diag = A.reshape(-1)[: nf * (nf + 2) : nf + 2]  # a view of A[t, t] for t < nf
+    diag += _FACE_RIDGE * diag.max()
     F_f = F[free]
     try:
         u = np.linalg.solve(A, np.append(F_f, 0.0))[:nf]
@@ -297,16 +311,17 @@ def _face_step(K: np.ndarray, F: np.ndarray, y: np.ndarray, alpha: np.ndarray,
         return None
     if not np.isfinite(u).all():
         return None
-    d = y[free] * u
+    y_f = y[free]
+    d = y_f * u
     a_f = alpha[free]
+    bound = c * (d > 0.0)  # the bound that d_t moves alpha_t toward
     with np.errstate(divide="ignore"):  # d_t = 0 never reaches a bound
-        reach = np.where(d > 0.0, c - a_f, a_f) / np.abs(d)
+        # |bound - a_t| is c - a_t or a_t, exactly, for a free a_t
+        reach = np.abs(bound - a_f) / np.abs(d)
     s = min(1.0, float(reach.min()))
-    stepped = a_f + s * d
-    hit = reach == s
-    stepped[hit] = np.where(d[hit] > 0.0, c, 0.0)
+    stepped = np.where(reach == s, bound, a_f + s * d)
     np.clip(stepped, 0.0, c, out=stepped)
-    w = y[free] * (stepped - a_f)  # the step on alpha * y
+    w = y_f * (stepped - a_f)  # the step on alpha * y
     if -(F_f @ w) + 0.5 * (w @ (K_ff @ w)) >= 0.0:  # the change of P
         return None
     alpha = alpha.copy()

@@ -28,6 +28,7 @@ from posturelab.dataset import SynthSpec, synth_generate
 from posturelab.features import FeatureConfig, FeatureVector, extract, extract_matrix
 from posturelab.kernels import linear_kernel, polynomial_kernel
 from posturelab.skeleton import PostureLabel
+from posturelab.svm import smo_train
 
 LDA, QDA, KNN1 = (ClassifierSpec(name) for name in ("lda", "qda", "knn1"))
 
@@ -271,6 +272,42 @@ class TestOvo:
         with pytest.raises(NumericError, match="not finite"):
             predict_label(model, np.full(5, 1e300))
         assert np.array_equal(predict_batch(model, X), y)  # the model still works
+
+    def test_non_finite_kernel_matrix_is_a_numeric_error(self, rng):
+        # scale**2 underflows to 0: the kernel of the fold's dot products is inf or nan
+        X, y = gaussian_blobs(rng, np.eye(5) * 4.0, 8)
+        with pytest.raises(NumericError, match="non-finite"):
+            ovo_train(X, y, polynomial_kernel(2, 1e-200))
+
+
+def dual_objective(machine) -> float:
+    """sum(alpha) - 1/2 (alpha y)' K (alpha y), from a machine's support vectors."""
+    coef, sv = machine.dual_coef, machine.support_vectors
+    return float(np.abs(coef).sum() - 0.5 * coef @ machine.kernel.gram(sv, sv) @ coef)
+
+
+class TestClassBlockOrder:
+    """A one-vs-one machine takes the rows of its pair (a, b) in class blocks,
+    a's before b's. On class-grouped rows that is their order in the data; on
+    shuffled rows it is not, and the solver may take another path to tol."""
+
+    @pytest.mark.parametrize("name", ["svm_linear", "svm_quadratic", "svm_cubic"])
+    def test_shuffled_records_reach_the_same_optimum(self, name):
+        ds = synth_generate(SynthSpec(seed=5, per_class=12))
+        X, _ = extract_matrix(ds.positions, FeatureConfig.from_name("combined"))
+        order = np.random.default_rng(5).permutation(len(ds))
+        X, y = X[order], ds.label_indices()[order]
+        assert (np.diff(y) < 0).any()  # not class-grouped
+        spec = ClassifierSpec(name)
+        model = train_classifier(X, y, spec)
+        Xs, kernel = model.standardizer.transform(X), spec.kernel(X.shape[1])
+        for (a, b), machine in zip(model.pairs, model.machines):
+            assert machine.converged and machine.kkt_violations == 0
+            pair = (y == a) | (y == b)
+            alone = smo_train(Xs[pair], np.where(y[pair] == a, 1.0, -1.0), kernel,
+                              c=spec.c, tol=spec.tol)
+            assert abs(dual_objective(machine) - dual_objective(alone)) <= (
+                1e-3 * abs(dual_objective(alone)))
 
 
 class TestDiscriminants:

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from posturelab.classifiers import ClassifierSpec, fit_standardizer
-from posturelab.dataset import SynthSpec, synth_generate
+from posturelab.classifiers import ClassifierSpec, fit_standardizer, train_classifier
+from posturelab.dataset import ModelFile, SynthSpec, model_file_to_dict, synth_generate
 from posturelab.errors import ClassTooSmall, EmptyInput, LengthMismatch, UnknownLabel
 from posturelab.evaluation import (
     GRID_CLASSIFIERS,
@@ -414,13 +414,51 @@ class TestGridExtraction:
         assert len(reports) == 6
         assert sorted(calls) == ["angles", "combined", "distances"]
 
+    def test_one_split_standardizer_and_training_gram_per_feature_set(self, monkeypatch):
+        import posturelab.classifiers as cl
+        import posturelab.evaluation as ev
+        from posturelab.kernels import KernelSpec
+
+        calls = {"split": 0, "standardizer": 0, "gram": 0, "training gram": 0}
+        split, fit, gram = ev.stratified_split, cl.fit_standardizer, KernelSpec.gram
+
+        def counting_split(*args):
+            calls["split"] += 1
+            return split(*args)
+
+        def counting_fit(X):
+            calls["standardizer"] += 1
+            return fit(X)
+
+        def counting_gram(kernel, X, Y):
+            calls["gram"] += 1
+            calls["training gram"] += X is Y  # the scorers pass test rows and support vectors
+            return gram(kernel, X, Y)
+
+        monkeypatch.setattr(ev, "stratified_split", counting_split)
+        monkeypatch.setattr(cl, "fit_standardizer", counting_fit)
+        monkeypatch.setattr(KernelSpec, "gram", counting_gram)
+        ds = small_dataset(per_class=8)
+        names = ("lda", "svm_linear", "svm_quadratic", "svm_cubic")
+        reports = evaluate_grid(ds, [ClassifierSpec(name, seed=0) for name in names],
+                                SplitSpec(seed=0))
+        assert len(reports) == 12
+        # one dot-product matrix per feature set; one scorer Gram per SVM cell
+        assert calls == {"split": 1, "standardizer": 3, "gram": 3 + 9, "training gram": 3}
+
     def test_grid_cells_equal_single_evaluations(self):
         ds = small_dataset(per_class=8)
         split = SplitSpec(seed=4)
-        specs = [ClassifierSpec(name, seed=4) for name in ("lda", "svm_linear")]
+        specs = [ClassifierSpec(name, seed=4) for name in GRID_CLASSIFIERS]
         reports = evaluate_grid(ds, specs, split)
+        train, _ = stratified_split(ds, split)
         for report in reports:
             alone = evaluate(ds, report.features, report.classifier, split)
             a, b = report.to_dict(), alone.to_dict()
             del a["timings_ms"], b["timings_ms"]
             assert a == b
+            X, fingerprint = extract_matrix(ds.positions, report.features)
+            trained = train_classifier(X[train], ds.label_indices()[train],
+                                       report.classifier, fingerprint)
+            assert (model_file_to_dict(ModelFile(report.model, report.features))
+                    == model_file_to_dict(ModelFile(trained, report.features)))

@@ -158,6 +158,16 @@ class TestKernels:
         k3 = polynomial_kernel(3, scale=2.0).gram(X, Y)
         assert k3[0, 0] == pytest.approx((1 + 2.0 / 4.0) ** 3)
 
+    def test_gram_is_a_function_of_dot_products(self):
+        X = np.array([[1.0, 2.0], [3.0, -4.0]])
+        dots = X @ X.T
+        assert linear_kernel().of_dots(dots) is dots
+        for kern in (polynomial_kernel(2, 3.0), polynomial_kernel(3, 0.5)):
+            # computed in place, with the bits of the expression
+            expected = (1.0 + dots / (kern.scale * kern.scale)) ** kern.degree
+            assert np.array_equal(kern.of_dots(dots), expected)
+            assert np.array_equal(kern.gram(X, X), expected)
+
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             KernelSpec("rbf")
@@ -285,6 +295,15 @@ class TestSmoContract:
         violations = kkt_violation_count(K, y, alpha, m.bias, 1.0, 1e-3)
         assert (violations == 0) == m.converged
 
+
+    def test_given_gram_is_used_as_computed(self, rng):
+        X, y = random_binary_problem(rng, n_max=60)
+        kern = polynomial_kernel(2, 4.0)
+        own = smo_train(X, y, kern)
+        given = smo_train(X, y, kern, gram=kern.gram(X, X))
+        assert np.array_equal(own.dual_coef, given.dual_coef) and own.bias == given.bias
+        with pytest.raises(DimensionMismatch):
+            smo_train(X, y, kern, gram=kern.gram(X[1:], X[1:]))
 
     def test_non_finite_kernel_matrix_is_numeric_error(self):
         # scale**2 underflows to 0: every Gram entry is inf or nan
