@@ -44,7 +44,7 @@ from .errors import (
 )
 from .features import FeatureVector
 from .kernels import KernelSpec, linear_kernel, polynomial_kernel
-from .skeleton import NUM_CLASSES, PostureLabel
+from .skeleton import NUM_CLASSES, PostureLabel, class_indices
 # The benchmark's tracer wraps decision_function (the one-machine reference for
 # OvoSvmModel.decisions), smo_train and ovo_train as attributes of this module.
 from .svm import (  # noqa: F401
@@ -102,16 +102,18 @@ class TrainingFold:
     """What every fit on one training set shares, each part computed once.
 
     Built from raw (n, d) rows X and their n labels y, it holds X as a float
-    matrix and y as integer labels, the standardizer fitted on X and the
-    standardized rows Xs. On first use it also holds by_class, Xs and y with
-    the rows in stable class order, and dots, their dot products D = Xs Xs'
-    in that order. Every SVM kind and every one-vs-one pair trained on the
-    fold takes its Gram from D.
+    matrix and y as class indices (a label outside 0-4 is an UnknownLabel),
+    the standardizer fitted on X and the standardized rows Xs. On first use
+    it also holds by_class, Xs with its rows in stable class order and each
+    present class's block of them, a slice; and dots, their dot products
+    D = Xs Xs' in that order. LDA and QDA read each class from its block, and
+    every SVM kind and every one-vs-one pair trained on the fold takes its
+    Gram from D.
     """
 
     def __init__(self, X, y):
         self.X = np.asarray(X, dtype=np.float64)
-        self.y = same_kind("labels", y, np.int64)
+        self.y = class_indices(same_kind("labels", y, np.int64))
         if self.X.ndim != 2 or self.y.shape != self.X.shape[:1]:
             raise DimensionMismatch("training needs an (n, d) matrix and n labels, "
                                     f"got shapes {self.X.shape} and {self.y.shape}")
@@ -120,9 +122,11 @@ class TrainingFold:
         self.Xs.setflags(write=False)  # shared by every model fitted on the fold
 
     @cached_property
-    def by_class(self) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(self.y, kind="stable")
-        return self.Xs[order], self.y[order]
+    def by_class(self) -> tuple[np.ndarray, dict[int, slice]]:
+        ends = np.cumsum(np.bincount(self.y, minlength=NUM_CLASSES)).tolist()
+        blocks = {k: slice(start, end)
+                  for k, (start, end) in enumerate(zip([0, *ends], ends)) if end > start}
+        return self.Xs[np.argsort(self.y, kind="stable")], blocks
 
     @cached_property
     def dots(self) -> np.ndarray:
@@ -232,14 +236,11 @@ class MulticlassModel:
 
 
 def _union_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(rows, axis=0, return_inverse=True) for finite float rows,
-    without its sort of every row as a structured record: a dict of row
-    bytes finds the distinct rows, then Python's list comparison orders only
-    those, column by column by value, as np.unique orders them.
+    """The distinct rows of finite float rows, in order of first appearance,
+    and each input row's index among them: a dict of row bytes finds them.
 
     Adding +0.0 turns -0.0 into 0.0, so rows equal by value share bytes and
-    merge, as np.unique merges them. Returns (distinct rows in lexicographic
-    order, each input row's index among them).
+    merge.
     """
     rows = np.ascontiguousarray(rows + 0.0)
     keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
@@ -247,9 +248,7 @@ def _union_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     group = np.array([slot.setdefault(key, len(slot)) for key in keys.tolist()], dtype=np.int64)
     distinct = np.empty((len(slot), rows.shape[1]))
     distinct[group] = rows  # the rows of one group have equal bytes
-    listed = distinct.tolist()
-    order = np.array(sorted(range(len(listed)), key=listed.__getitem__), dtype=np.int64)
-    return distinct[order], np.argsort(order)[group]
+    return distinct, group
 
 
 @dataclass(frozen=True)
@@ -446,16 +445,12 @@ def _ovo_fit(fold: TrainingFold, kernel: KernelSpec, c: float, tol: float) -> di
     are the blocks of a and b, and its Gram is the four blocks of the kernel
     matrix that they span, copied.
     """
-    rows, y = fold.by_class
-    classes, counts = np.unique(y, return_counts=True)
-    if classes.size < 2:
+    rows, blocks = fold.by_class
+    if len(blocks) < 2:
         raise SingleClass("one-vs-one training needs at least two classes")
-    starts = (np.cumsum(counts) - counts).tolist()
-    blocks = {k: slice(start, start + size)
-              for k, start, size in zip(classes.tolist(), starts, counts.tolist())}
     with np.errstate(all="ignore"):  # smo_train reports a non-finite entry
         K = kernel.of_dots(fold.dots)
-    pairs = tuple(combinations(classes.tolist(), 2))
+    pairs = tuple(combinations(blocks, 2))
     machines = []
     for a, b in pairs:
         sa, sb = blocks[a], blocks[b]
@@ -487,17 +482,17 @@ def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
 def _gaussian_fit(fold: TrainingFold) -> tuple[dict, list[np.ndarray]]:
     """What LDA and QDA share: the class indices, means and log priors, and
     each class's rows centered on its mean."""
-    Xs, y = fold.Xs, fold.y
-    classes, counts = np.unique(y, return_counts=True)
-    if classes.size < 2:
+    rows, blocks = fold.by_class
+    if len(blocks) < 2:
         raise SingleClass("discriminant training needs at least two classes")
-    if counts.min() < 2:
-        small = int(classes[counts.argmin()])
-        raise SingleClass(f"class {small} has fewer than 2 samples")
-    means = np.vstack([Xs[y == k].mean(axis=0) for k in classes])
-    centered = [Xs[y == k] - mean_k for mean_k, k in zip(means, classes)]
-    shared = {"classes": tuple(classes.tolist()), "means": means,
-              "log_priors": np.log(counts / Xs.shape[0])}
+    groups = {k: rows[block] for k, block in blocks.items()}
+    for k, group in groups.items():
+        if len(group) < 2:
+            raise SingleClass(f"class {k} has fewer than 2 samples")
+    means = np.vstack([group.mean(axis=0) for group in groups.values()])
+    centered = [group - mean_k for group, mean_k in zip(groups.values(), means)]
+    counts = np.array([len(group) for group in groups.values()])
+    shared = {"classes": tuple(groups), "means": means, "log_priors": np.log(counts / len(rows))}
     return shared, centered
 
 
@@ -579,18 +574,15 @@ class ClassifierSpec:
             if getattr(self, key) is not None:
                 real(key, getattr(self, key), positive=svm)
 
-    def resolve_scale(self, n_features: int) -> float:
-        if self.kernel_scale is not None:
-            return float(self.kernel_scale)
-        return AUTO_SCALE_FACTOR * math.sqrt(n_features)
-
-    def kernel(self, n_features: int) -> KernelSpec | None:
+    def kernel(self, n_features: int) -> KernelSpec:
+        """The kernel of an SVM spec; an auto kernel_scale resolves against n_features."""
         degree = CLASSIFIERS[self.name].degree
-        if degree is None:
-            return None
         if degree == 1:
             return linear_kernel()
-        return polynomial_kernel(degree, self.resolve_scale(n_features))
+        scale = self.kernel_scale
+        if scale is None:
+            scale = AUTO_SCALE_FACTOR * math.sqrt(n_features)
+        return polynomial_kernel(degree, float(scale))
 
 
 def _train(

@@ -55,6 +55,7 @@ from .skeleton import (
     NUM_JOINTS,
     PostureLabel,
     Skeleton,
+    class_indices,
     validate_skeleton,
 )
 
@@ -92,9 +93,7 @@ class LabeledDataset:
         n = (len(self.labels),)
         read_only(self, positions=(*n, NUM_JOINTS, 3), labels=n, participants=n,
                   orientations_deg=n, distances_m=n)
-        unknown = (self.labels < -1) | (self.labels >= len(LABEL_NAMES))
-        if unknown.any():
-            raise UnknownLabel(self.labels[unknown][0].item())
+        class_indices(self.labels[self.labels != -1])
         for participant in given.tolist():  # save_dataset writes them as strings
             if not isinstance(participant, str):
                 raise DataError(f"participant must be a string, got {participant!r}")

@@ -20,11 +20,11 @@ from .classifiers import (
 )
 from .dataset import LabeledDataset, encode
 from .errors import (
-    ClassTooSmall, EmptyInput, LengthMismatch, UnknownLabel, boolean, check_seed, choose,
+    ClassTooSmall, EmptyInput, LengthMismatch, boolean, check_seed, choose,
     read_only, real,
 )
 from .features import FeatureConfig, extract_matrix
-from .skeleton import LABEL_NAMES, NUM_CLASSES, PostureLabel
+from .skeleton import LABEL_NAMES, NUM_CLASSES, PostureLabel, class_indices
 
 STRATIFY_MODES = ("label", "label_participant")
 REPORT_FORMATS = ("text", "csv", "json")  # the default first
@@ -144,17 +144,6 @@ class ConfusionMatrix:
         return round_half_up(raw)
 
 
-def _class_indices(labels: np.ndarray) -> np.ndarray:
-    """labels as int64 class indices; a label that is not an integer in 0-4
-    (-1, 5 or 1.7) is an UnknownLabel."""
-    known = np.zeros(labels.shape, dtype=bool)
-    if labels.dtype.kind in "iu":
-        known = (labels >= 0) & (labels < NUM_CLASSES)
-    if not known.all():
-        raise UnknownLabel(labels[~known][0].item())
-    return labels.astype(np.int64, copy=False)
-
-
 def confusion_matrix(truth, pred) -> ConfusionMatrix:
     truth, pred = np.asarray(truth), np.asarray(pred)
     if truth.shape[0] != pred.shape[0]:
@@ -163,7 +152,7 @@ def confusion_matrix(truth, pred) -> ConfusionMatrix:
         )
     if truth.shape[0] == 0:
         raise EmptyInput("cannot build a confusion matrix from no labels")
-    truth, pred = _class_indices(truth), _class_indices(pred)
+    truth, pred = class_indices(truth), class_indices(pred)
     counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(counts, (truth, pred), 1)
     return ConfusionMatrix(counts)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -102,6 +103,17 @@ def label_from_name(name: str, line: int | None = None) -> PostureLabel:
         raise UnknownLabel(name, line) from None
 
 
+def class_indices(labels: np.ndarray) -> np.ndarray:
+    """labels as int64 class indices; a label that is not an integer in 0-4
+    (-1, 5 or 1.7) is an UnknownLabel."""
+    known = np.zeros(labels.shape, dtype=bool)
+    if labels.dtype.kind in "iu":
+        known = (labels >= 0) & (labels < NUM_CLASSES)
+    if not known.all():
+        raise UnknownLabel(labels[~known][0].item())
+    return labels.astype(np.int64, copy=False)
+
+
 def joint_neighbors(j: JointId) -> tuple[JointId, ...]:
     """Neighbors of ``j`` in the bone tree, sorted by canonical index."""
     out = []
@@ -119,29 +131,15 @@ def bone_pairs_at_joint(j: JointId) -> tuple[tuple[JointId, JointId], ...]:
     Pairs come out lower-index-first, enumerated in lexicographic order.
     A leaf joint yields an empty tuple.
     """
-    nbrs = joint_neighbors(j)
-    return tuple(
-        (nbrs[i], nbrs[k])
-        for i in range(len(nbrs))
-        for k in range(i + 1, len(nbrs))
-    )
+    return tuple(combinations(joint_neighbors(j), 2))
 
 
-def adjacent_angle_triples() -> tuple[tuple[JointId, JointId, JointId], ...]:
-    """The 29 (endpoint, vertex, endpoint) triples of adjacent bone segments.
-
-    Emitted per vertex joint in canonical order, neighbor pairs in the
-    bone_pairs_at_joint order. This sequence fixes the layout of the
-    adjacent-segment angle features.
-    """
-    triples = []
-    for j in JointId:
-        for a, b in bone_pairs_at_joint(j):
-            triples.append((a, j, b))
-    return tuple(triples)
-
-
-ADJACENT_ANGLE_TRIPLES = adjacent_angle_triples()
+# The 29 (endpoint, vertex, endpoint) triples of adjacent bone segments, per
+# vertex joint in canonical order, neighbor pairs in the bone_pairs_at_joint
+# order. This sequence fixes the layout of the adjacent-segment angle features.
+ADJACENT_ANGLE_TRIPLES: tuple[tuple[JointId, JointId, JointId], ...] = tuple(
+    (a, j, b) for j in JointId for a, b in bone_pairs_at_joint(j)
+)
 
 
 def check_finite(positions: np.ndarray) -> None:

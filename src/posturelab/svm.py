@@ -42,7 +42,7 @@ The solver keeps F itself, not G, and never forms Q: since
 -y_t Q_kt = -y_k K_kt, a step d_i, d_j on alpha_i, alpha_j moves F by
 K_i (-y_i d_i) + K_j (-y_j d_j), two rows of K. I_up and I_low are held as
 additive penalties (0 inside the set, -inf or +inf outside), so each scan is
-one addition into a preallocated buffer followed by argmax or argmin.
+one addition followed by argmax or argmin.
 
 The solver takes K = kernel.gram(X, X) from its caller when given: a
 one-vs-one fit slices each machine's Gram from one kernel matrix of its
@@ -186,9 +186,6 @@ def smo_train(
     ys = y.tolist()
     F = y.copy()  # -y * (Q alpha - e) at alpha = 0
     pen_up, pen_low = _penalties(np.zeros(n), y, c)
-    scan = np.empty(n)
-    step_i = np.empty(n)
-    step_j = np.empty(n)
     n_free = 0  # variables strictly inside the box
     steady = 0  # pair updates since the face last changed
 
@@ -208,11 +205,9 @@ def smo_train(
     updates = 0
     while True:
         # m and M are read from F: the penalty's +0.0 would turn -0.0 to +0.0
-        np.add(F, pen_up, out=scan)
-        i = int(scan.argmax())
+        i = int((F + pen_up).argmax())
         m_up = F[i]
-        np.add(F, pen_low, out=scan)
-        j = int(scan.argmin())
+        j = int((F + pen_low).argmin())
         m_low = F[j]
         if m_up - m_low <= tol or updates >= max_updates:
             break
@@ -233,10 +228,7 @@ def smo_train(
             alpha[j] = 0.0 if yj > 0.0 else c
         else:
             alpha[j] = min(max(aj - yj * t, 0.0), c)
-        np.multiply(K[i], -yi * (alpha[i] - ai), out=step_i)
-        np.multiply(K[j], -yj * (alpha[j] - aj), out=step_j)
-        np.add(step_i, step_j, out=step_i)
-        np.add(F, step_i, out=F)
+        F += K[i] * (-yi * (alpha[i] - ai)) + K[j] * (-yj * (alpha[j] - aj))
         for k, before in ((i, ai), (j, aj)):
             ak, yk = alpha[k], ys[k]
             pen_up[k] = 0.0 if (ak < c if yk > 0.0 else ak > 0.0) else -np.inf
@@ -254,7 +246,7 @@ def smo_train(
             stepped = _face_step(K, F, y, np.array(alpha), c)
             if stepped is not None:
                 alpha = stepped.tolist()
-                np.subtract(y, K @ (stepped * y), out=F)
+                F = y - K @ (stepped * y)
                 pen_up, pen_low = _penalties(stepped, y, c)
                 n_free = int(np.count_nonzero((stepped > 0.0) & (stepped < c)))
                 updates += 1

@@ -23,6 +23,7 @@ from posturelab.errors import (
     FingerprintMismatch,
     NumericError,
     SingleClass,
+    UnknownLabel,
 )
 from posturelab.dataset import SynthSpec, synth_generate
 from posturelab.features import FeatureConfig, FeatureVector, extract, extract_matrix
@@ -99,6 +100,10 @@ class TestStandardizer:
     def test_empty_rejected(self):
         with pytest.raises(EmptyTrainingSet):
             fit_standardizer(np.empty((0, 3)))
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            fit_standardizer(np.arange(4.0))
 
     def test_dimension_mismatch_on_transform(self):
         std = fit_standardizer(np.zeros((2, 3)))
@@ -338,6 +343,11 @@ class TestDiscriminants:
         queries = rng.normal(scale=3.0, size=(200, 3))
         assert np.array_equal(predict_batch(lda, queries), predict_batch(qda, queries))
 
+    @pytest.mark.parametrize("spec", [LDA, QDA], ids=["lda", "qda"])
+    def test_single_class_rejected(self, rng, spec):
+        with pytest.raises(SingleClass, match="at least two classes"):
+            train_classifier(rng.normal(size=(6, 2)), np.full(6, 2), spec)
+
     def test_single_sample_class_rejected(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [1.2, 0.8]])
         y = np.array([0, 1, 1])
@@ -444,20 +454,25 @@ class TestFingerprints:
 
 
 class TestUnionRows:
+    """The union's contract is free of order: distinct rows, an inverse that
+    rebuilds the input byte for byte, and the row set of np.unique."""
+
     @pytest.mark.parametrize("shape", [(1, 1), (40, 3), (300, 7), (200, 40)])
     def test_matches_numpy_unique_over_rows(self, rng, shape):
         base = rng.choice([-1.5, 0.0, 0.25, 2.0], size=shape)  # many equal rows
         rows = np.vstack([base, base[::3], rng.normal(size=(5, shape[1]))])
         rows = rows[rng.permutation(len(rows))]
         union, inverse = _union_rows(rows)
-        expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
-        assert union.tobytes() == expected.tobytes()
-        assert inverse.tobytes() == expected_inverse.ravel().astype(np.int64).tobytes()
+        assert len({row.tobytes() for row in union}) == len(union)
+        assert union[inverse].tobytes() == (rows + 0.0).tobytes()
+        assert np.unique(union, axis=0).tobytes() == np.unique(rows + 0.0, axis=0).tobytes()
 
     def test_negative_zero_merges_with_zero(self):
-        union, inverse = _union_rows(np.array([[0.0, 1.0], [-0.0, 1.0], [-1.0, 0.0]]))
-        assert union.tobytes() == np.array([[-1.0, 0.0], [0.0, 1.0]]).tobytes()
-        assert inverse.tolist() == [1, 1, 0]
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [-1.0, 0.0]])
+        union, inverse = _union_rows(rows)
+        assert len(union) == 2
+        assert union[inverse].tobytes() == (rows + 0.0).tobytes()
+        assert not np.signbit(union[inverse[1], 0])
 
 
 class TestPredictionPaths:
@@ -510,6 +525,8 @@ class TestPredictionPaths:
             predict_label(model, X[:2])
         with pytest.raises(DimensionMismatch):
             predict_label(model, X[0, :-1])
+        with pytest.raises(DimensionMismatch):
+            predict_batch(model, X[0])
 
     @pytest.mark.parametrize("name", CLASSIFIER_NAMES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -559,6 +576,21 @@ class TestTrainDispatch:
         X, y = gaussian_blobs(rng, np.eye(5, 3) * 6.0, 4)
         with pytest.raises(ValueError, match="labels holds float64 values"):
             train_classifier(X, y + 0.5, ClassifierSpec(name))
+
+    @pytest.mark.parametrize("name", CLASSIFIER_NAMES)
+    @pytest.mark.parametrize("label", [7, -1])
+    def test_label_outside_the_postures_rejected_before_any_fit(
+        self, rng, monkeypatch, name, label
+    ):
+        X, y = gaussian_blobs(rng, np.eye(5, 3) * 6.0, 4)
+        y[5] = label
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("smo_train ran on a label outside 0-4")
+
+        monkeypatch.setattr(classifiers, "smo_train", no_fit)
+        with pytest.raises(UnknownLabel, match=str(label)):
+            train_classifier(X, y, ClassifierSpec(name))
 
     @pytest.mark.parametrize(
         "name, field, change",

@@ -613,6 +613,26 @@ class TestDataErrors:
         assert err.startswith(f"data error: {message}") and err.endswith("not UTF-8 text\n")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [(None, "not found"), ("{\"seed\": ", "Expecting value"),
+         ("[1]", "expected a JSON object")],
+        ids=["missing", "invalid-json", "not-an-object"],
+    )
+    def test_bad_config_file_is_exit_2(self, tmp_path, dataset_path, capsys, text, reason):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert run(["--config", str(path), "featurize", "--data", str(dataset_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: config file ") and str(path) in err and reason in err
+
+    def test_output_in_a_missing_directory_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.jsonl"
+        assert run(["synth", "--per-class", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "nodir" in err and not out.parent.exists()
+
     def test_split_without_test_records_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "tiny.jsonl"
         assert run(["synth", "--seed", "0", "--per-class", "7", "--out", str(path)]) == 0

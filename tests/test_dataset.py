@@ -136,6 +136,38 @@ class TestDatasetFile:
             load_dataset(path)
         assert exc.value.line == 6
 
+    @pytest.mark.parametrize(
+        "header, reason",
+        [
+            (None, "empty dataset file"),
+            ({"format": "other-dataset", "version": 1}, "not a posturelab dataset file"),
+            ({"joint_checksum": "0" * 16}, "joint-order checksum mismatch"),
+        ],
+        ids=["empty-file", "other-format", "joint-checksum"],
+    )
+    def test_bad_header_is_a_line_1_parse_error(self, tmp_path, header, reason):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        lines = path.read_text().splitlines()
+        if header is None:
+            lines = []
+        else:
+            lines[0] = json.dumps({**json.loads(lines[0]), **header})
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ParseError, match=f"^line 1: {reason}$"):
+            load_dataset(path)
+
+    def test_blank_lines_are_skipped_and_keep_the_line_count(self, tmp_path):
+        ds, path = write_dataset(tmp_path, seed=3, per_class=2)
+        lines = path.read_text().splitlines()
+        lines[2:2] = ["", "  \t "]  # lines 3 and 4; the second record moves to line 5
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_dataset(path)
+        assert loaded.fingerprint == ds.fingerprint
+        lines[5] = "{not json"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="^line 6: bad record"):
+            load_dataset(path)
+
     def test_wrong_header_version(self, tmp_path):
         ds, path = write_dataset(tmp_path, seed=3, per_class=2)
         lines = path.read_text().splitlines()
@@ -714,6 +746,12 @@ class TestModelFile:
         doc["version"] = 0
         path.write_text(json.dumps(doc))
         with pytest.raises(VersionMismatch):
+            load_model(path)
+
+    def test_other_format_is_corrupt(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"format": "x"}))
+        with pytest.raises(CorruptModel, match="^not a posturelab model file$"):
             load_model(path)
 
     def test_truncated_file_is_corrupt(self, tmp_path):

@@ -324,6 +324,14 @@ class TestRenderFormats:
         ]
         assert dict(meta)["features.angle_mode"] == "adjacent"
 
+    def test_given_kernel_scale_is_reported(self):
+        spec = ClassifierSpec("svm_quadratic", kernel_scale=7.5, seed=2)
+        report = evaluate(small_dataset(per_class=8), FeatureConfig(), spec, SplitSpec(seed=2))
+        assert json.loads(render_report(report, "json"))["classifier"]["kernel_scale"] == 7.5
+        text = render_report(report, "csv")
+        meta = dict(line.split(",")[1:3] for line in text.splitlines() if line.startswith("meta,"))
+        assert meta["classifier.kernel_scale"] == "7.5"
+
     def test_json_csv_json_round_trip_preserves_counts(self, report):
         doc = json.loads(render_report(report, "json"))
         parsed = parse_csv_report(render_report(report, "csv"))

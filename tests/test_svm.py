@@ -239,6 +239,10 @@ class TestSmoContract:
         with pytest.raises(ValueError):
             smo_train(XOR_X, XOR_Y, linear_kernel(), c=c, tol=tol)
 
+    def test_one_label_too_few_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            smo_train(XOR_X, XOR_Y[:-1], linear_kernel())
+
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
             smo_train(np.zeros((2, 1)), np.array([1.0, 0.0]), linear_kernel())
