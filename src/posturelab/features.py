@@ -4,6 +4,10 @@ joint angles, individually or concatenated.
 All features are invariant to rigid motion; distances are additionally made
 scale-invariant by dividing by the spine segment length (SpineShoulder to
 SpineMid), a proxy for the person's height.
+
+Every length of a 3-vector is the elementwise _lengths, so no BLAS kernel
+decides a bit, and the normalized (SpineMid, SpineShoulder) distance is exactly
+1.0 for every record, from extract and from extract_matrix alike.
 """
 from __future__ import annotations
 
@@ -16,8 +20,8 @@ from itertools import combinations
 import numpy as np
 import numpy.typing as npt
 
-from .errors import (DegenerateNormalizer, NumericError, ZeroLengthSegment, boolean, choose,
-                     read_only)
+from .errors import (DegenerateNormalizer, DimensionMismatch, NumericError, ZeroLengthSegment,
+                     boolean, choose, read_only)
 from .skeleton import (
     ADJACENT_ANGLE_TRIPLES,
     BONES,
@@ -127,19 +131,17 @@ class FeatureVector:
         read_only(self)
 
 
-def _spine(pos: np.ndarray) -> np.ndarray:
-    return pos[..., JointId.SpineShoulder, :] - pos[..., JointId.SpineMid, :]
+def _lengths(d: np.ndarray) -> np.ndarray:
+    """Lengths of 3-vectors d (..., 3): sqrt((x² + y²) + z²), elementwise."""
+    sq = d * d  # keeps d's memory order: for a swapped planes view, three rows
+    return np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])
 
 
-def _spine_lengths(d: np.ndarray) -> np.ndarray:
-    """Lengths of spine vectors d (..., 3), SpineShoulder - SpineMid;
-    DegenerateNormalizer below 1e-6 m.
-
-    For a stack, the error names the first degenerate record's index. The
-    length is a matmul: norm(axis=-1) and einsum differ from the norm of one
-    3-vector in the last bit.
-    """
-    length = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
+def _spine_lengths(pos: np.ndarray) -> np.ndarray:
+    """SpineShoulder-SpineMid lengths of positions (..., 25, 3), the bits of that
+    pair's distance; below 1e-6 m a DegenerateNormalizer, which names a stack's
+    first degenerate record."""
+    length = _lengths(pos[..., JointId.SpineShoulder, :] - pos[..., JointId.SpineMid, :])
     short = length < NORMALIZER_FLOOR_M
     if not short.any():
         return length
@@ -151,25 +153,18 @@ def _spine_lengths(d: np.ndarray) -> np.ndarray:
     )
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x, axis=-1) of real x without its dispatch: the same
-    multiply, add.reduce and sqrt that norm runs for real input, so the same
-    bits."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
-
-
 def _angles_at(pos: np.ndarray, ia, iv, ib, norms=None) -> tuple[np.ndarray, np.ndarray]:
     """Angles at vertex joints iv toward endpoint joints ia and ib, and the
     mask of the entries that are not degenerate.
 
-    norms, when given, are the rays' lengths with the bits _norms gives them.
+    norms, when given, are the rays' lengths with the bits _lengths gives them.
     Degenerate entries (a ray at or below the segment floor) yield 0 instead
     of raising, so one bad joint cannot discard a whole vector.
     """
     vertex = pos.take(iv, axis=-2)  # take gathers what [..., iv, :] does, faster
     u = pos.take(ia, axis=-2) - vertex
     v = pos.take(ib, axis=-2) - vertex
-    nu, nv = (_norms(u), _norms(v)) if norms is None else norms
+    nu, nv = (_lengths(u), _lengths(v)) if norms is None else norms
     ok = (nu > SEGMENT_FLOOR) & (nv > SEGMENT_FLOOR)
     denom = np.where(ok, nu * nv, 1.0)
     cosine = np.einsum("...ij,...ij->...i", u, v) / denom
@@ -181,16 +176,14 @@ def _values(pos: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """Feature values of positions (..., 25, 3), one skeleton or a stack, with
     the same bits for a record either way: distances, then angles.
 
-    The pair differences are taken on the x, y and z planes (..., 3, 25), and
-    a length is (dx² + dy²) + dz², the order in which _norms sums a 3-vector,
-    so the same bits. With distances, the angle rays' norms are these lengths."""
+    The pair differences are taken on the x, y and z planes (..., 3, 300).
+    With distances, the angle rays' norms are these lengths."""
     parts, norms = [], None
     if cfg.use_distances:
         planes = pos.swapaxes(-1, -2)
         diffs = planes.take(_PAIR_I, axis=-1) - planes.take(_PAIR_J, axis=-1)
-        sq = diffs * diffs
-        lengths = np.sqrt((sq[..., 0, :] + sq[..., 1, :]) + sq[..., 2, :])
-        parts.append(lengths / _spine_lengths(_spine(pos))[..., None])
+        lengths = _lengths(diffs.swapaxes(-1, -2))
+        parts.append(lengths / _spine_lengths(pos)[..., None])
         if cfg.use_angles:
             norms = [lengths.take(rays, axis=-1) for rays in _RAY_PAIRS[cfg.angle_mode]]
     if cfg.use_angles:
@@ -214,7 +207,7 @@ def normalizer(skel: Skeleton) -> float:
 
     Raises DegenerateNormalizer when shorter than 1e-6 m.
     """
-    return float(_spine_lengths(_spine(skel.positions)))
+    return float(_spine_lengths(skel.positions))
 
 
 def pairwise_distances(skel: Skeleton) -> np.ndarray:
@@ -269,10 +262,13 @@ def extract_matrix(skeletons, cfg: FeatureConfig) -> tuple[np.ndarray, str]:
     The matrix is C-ordered: the standardizer's column sums depend on it.
     """
     fingerprint = config_fingerprint(cfg)
-    pos = np.asarray(skeletons, dtype=np.float64).reshape(-1, NUM_JOINTS, 3)
+    pos = np.asarray(skeletons, dtype=np.float64)
+    if pos.shape != (0,) and pos.shape[1:] != (NUM_JOINTS, 3):  # (0,): no records
+        raise DimensionMismatch(f"expected an (n, {NUM_JOINTS}, 3) stack, got {pos.shape}")
+    pos = pos.reshape(-1, NUM_JOINTS, 3)
     check_finite(pos)
     if cfg.use_distances:
-        _spine_lengths(_spine(pos))  # names a degenerate record by its stack index
+        _spine_lengths(pos)  # names a degenerate record by its stack index
     X = np.empty((len(pos), cfg.length))
     for lo in range(0, len(pos), _BLOCK):
         X[lo : lo + _BLOCK] = _values(pos[lo : lo + _BLOCK], cfg)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from posturelab.features import normalizer
-from posturelab.skeleton import NUM_JOINTS, Skeleton
+from posturelab.skeleton import NUM_JOINTS, JointId, Skeleton
 
 
 def random_skeleton(rng: np.random.Generator, span: float = 1.0) -> Skeleton:
@@ -16,6 +16,16 @@ def random_skeleton(rng: np.random.Generator, span: float = 1.0) -> Skeleton:
                 return skel
         except Exception:
             continue
+
+
+def feature_stack() -> list[Skeleton]:
+    """64 seeded random skeletons; in record 5 Head sits on Neck, a degenerate ray."""
+    rng = np.random.default_rng(2018)
+    skeletons = [random_skeleton(rng) for _ in range(64)]
+    pos = skeletons[5].positions.copy()
+    pos[JointId.Head] = pos[JointId.Neck]
+    skeletons[5] = Skeleton(pos)
+    return skeletons
 
 
 def payload(arr, dtype="<f8") -> dict:

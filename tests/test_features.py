@@ -1,13 +1,16 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from conftest import random_rotation, random_skeleton
+from conftest import feature_stack, random_rotation, random_skeleton
 from posturelab import features
+from posturelab.dataset import SynthSpec, synth_generate
 from posturelab.errors import (
-    DataError, DegenerateNormalizer, NonFiniteCoordinate, NumericError, ZeroLengthSegment,
+    DataError, DegenerateNormalizer, DimensionMismatch, NonFiniteCoordinate, NumericError,
+    ZeroLengthSegment,
 )
 from posturelab.features import (
     AngleMode,
@@ -94,6 +97,18 @@ class TestPairwiseDistances:
             expected = np.array(expected)
             rel = np.abs(d - expected) / np.maximum(np.abs(expected), 1e-300)
             assert rel.max() <= 1e-12
+
+    @pytest.mark.parametrize("stack", ["feature_stack", "synth seed 1"])
+    def test_normalized_spine_distance_is_exactly_one(self, stack):
+        """The normalizer is the bits of its own pair's distance, on any BLAS."""
+        skeletons = (feature_stack() if stack == "feature_stack"
+                     else synth_generate(SynthSpec(seed=1)).skeletons())
+        spine = list(combinations(range(NUM_JOINTS), 2)).index(
+            (int(JointId.SpineMid), int(JointId.SpineShoulder)))
+        cfg = FeatureConfig(True, False)
+        X, _ = extract_matrix(skeletons, cfg)
+        assert np.count_nonzero(X[:, spine] != 1.0) == 0
+        assert sum(extract(s, cfg).values[spine] != 1.0 for s in skeletons) == 0
 
 
 class TestJointAngle:
@@ -258,6 +273,12 @@ class TestExtract:
         cfg = FeatureConfig.from_name(features_set, mode)
         X, _ = extract_matrix([], cfg)
         assert X.shape == (0, cfg.length)
+
+    def test_matrix_rejects_records_that_are_not_25_by_3(self, rng):
+        pos = np.stack([random_skeleton(rng).positions for _ in range(25)])
+        for bad in (pos[:, :24], pos.reshape(25, 75), pos[0]):
+            with pytest.raises(DimensionMismatch, match=re.escape(f"got {bad.shape}")):
+                extract_matrix(bad, FeatureConfig())
 
     def test_matrix_is_c_ordered(self, rng):
         cfg = FeatureConfig()

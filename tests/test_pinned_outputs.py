@@ -15,32 +15,52 @@ updates in all instead of 278) and keeps its support vectors, its dual
 coefficients move by at most 0.049 and its bias by at most 3e-4, and every
 prediction is unchanged.
 
-A float may round differently on another numpy or BLAS build. CI prints
-numpy's version and build configuration before the tests, so that such a
-failure can be traced to its cause.
+Taking the spine normalizer by the elementwise length formula of the pair
+distances, not by a BLAS matmul, moved the distance and combined feature
+hashes (distances were 9daec811...99ed8, combined/adjacent f92b3034...aeb8,
+combined/all_triples 5d5a1267...7f43) and the four model files, which hold
+features (model-knn1 was 91af0247...c47c, model-lda 00706a17...1b3e,
+model-qda c1db5c20...89cb, model-svm_quadratic 8d4a65ad...33dd). On the
+AVX-512 OpenBLAS kernel, 2001 of the 19,200 distances of feature_stack() (8
+of its 64 records) moved by at most 2 ulp; the other kernels gave the new
+distance bits already. No prediction, synth file, grid or angle hash moved.
+
+Who decides a pinned value: the code alone decides synth, synth-heldout, the
+grid, model-knn1, every predict file and every feature matrix (on one numpy
+build: angles take np.arccos's SIMD loop). The BLAS kernel and its thread
+count also decide model-lda and model-qda (LAPACK inverse and Cholesky) and
+model-svm_quadratic (Gram products), so on another OpenBLAS kernel only
+those three may fail. test_code_decided_outputs_match_under_other_blas_kernels
+checks the first group across kernels. CI prints numpy's version, its build
+configuration and the OpenBLAS core before the tests, so that a failure can
+be traced to its cause.
 """
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
-from conftest import random_skeleton
+from conftest import feature_stack
 
+import posturelab
 from posturelab.cli import run
 from posturelab.features import FeatureConfig, config_fingerprint, extract_matrix
-from posturelab.skeleton import JointId, Skeleton
 
 PINNED = {
     "synth": "f5f6adbdbbe1c8a52efa7991321540f7ad4978e011576f1b15b611cacd052c45",
     "synth-heldout": "723dc9fbc5761b8f3f3d8ce33b9c71cc955f15a574e58cc9dcd6ef06549e4ffc",
     "grid": "96bfc709f67daed38b752919a054b64955aa9f77b4339ac5630c4df2aba64a19",
-    "model-lda": "00706a17b75b923b1caba3fcbbc07979ed9bb17a5d1b873b1597dde34aef1b3e",
+    "model-lda": "9a242ef3d9fe8ccd814c41bfb4c64d127c23c0f252630f6aeb0ebed86d352a4b",
     "predict-lda": "10af4c70426a291724ca7c96b77762d87b4ae816d6082bf1204eabfaed63f1cd",
-    "model-qda": "c1db5c20cb0271f2fdfa15823e52ddd78a4db80762d788200aebcc8bf0aa89cb",
+    "model-qda": "b363aa585063b8f9c349a44e4364f4a63c2d7faa16d2affdd2299e93b3281fbd",
     "predict-qda": "2defde0639cbec98b34414c6302c2f0e2b03c265ceb9a6738a91c55b2cbc4d3e",
-    "model-knn1": "91af024714262f31a0190edf70dd2c05a8ec2c31fa1756f52ec1ad78bf5cc47c",
+    "model-knn1": "4d7b8b9cc86fc38db509ba9ed4a86994614e2780258f2882a2e9897857b5487e",
     "predict-knn1": "73124fdbd64818d65951c734f375ffb1ba09e3e4f0117f563df1b68bc77fb401",
-    "model-svm_quadratic": "8d4a65adafd18679737e3015dd0e0d987d2463ade79b2b0e794f476f276233dd",
+    "model-svm_quadratic": "713f714f5a5db7c82e1610f769c28f3c2021e1b189844c8bca89d4713c7ddfdd",
     "predict-svm_quadratic": "0e7fd3b6e16005cf2da01e5fa8da4385be1a6a000ced223005840936453a5cbf",
 }
 
@@ -49,21 +69,15 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def pipeline_hashes(tmp_path) -> dict[str, str]:
-    """Synth a training and a noisier held-out file, grid the first (timings
-    stripped), then train four kinds on it and predict the held-out file."""
-    train, heldout, grid = tmp_path / "train.jsonl", tmp_path / "heldout.jsonl", tmp_path / "grid"
+def synth_hashes(tmp_path, kinds) -> tuple[dict[str, str], Path]:
+    """Synth a training and a noisier held-out file, then train each kind on
+    the first and predict the second. Also returns the training file."""
+    train, heldout = tmp_path / "train.jsonl", tmp_path / "heldout.jsonl"
     assert run(["synth", "--seed", "3", "--per-class", "24", "--out", str(train)]) == 0
     assert run(["synth", "--seed", "4", "--per-class", "24", "--noise", "0.1",
                 "--out", str(heldout)]) == 0
-    assert run(["grid", "--data", str(train), "--seed", "3", "--format", "json",
-                "--out", str(grid)]) == 0
-    docs = json.loads(grid.read_text())
-    for doc in docs:
-        del doc["timings_ms"]
-    hashes = {"synth": sha256(train.read_bytes()), "synth-heldout": sha256(heldout.read_bytes()),
-              "grid": sha256(json.dumps(docs, sort_keys=True).encode())}
-    for name in ("lda", "qda", "knn1", "svm_quadratic"):
+    hashes = {"synth": sha256(train.read_bytes()), "synth-heldout": sha256(heldout.read_bytes())}
+    for name in kinds:
         model, pred = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
         assert run(["train", "--data", str(train), "--classifier", name, "--seed", "3",
                     "--model-out", str(model)]) == 0
@@ -71,7 +85,20 @@ def pipeline_hashes(tmp_path) -> dict[str, str]:
                     "--out", str(pred)]) == 0
         hashes[f"model-{name}"] = sha256(model.read_bytes())
         hashes[f"predict-{name}"] = sha256(pred.read_bytes())
-    return hashes
+    return hashes, train
+
+
+def pipeline_hashes(tmp_path) -> dict[str, str]:
+    """synth_hashes of four kinds, plus the grid of the training file (timings
+    stripped)."""
+    hashes, train = synth_hashes(tmp_path, ("lda", "qda", "knn1", "svm_quadratic"))
+    grid = tmp_path / "grid"
+    assert run(["grid", "--data", str(train), "--seed", "3", "--format", "json",
+                "--out", str(grid)]) == 0
+    docs = json.loads(grid.read_text())
+    for doc in docs:
+        del doc["timings_ms"]
+    return {**hashes, "grid": sha256(json.dumps(docs, sort_keys=True).encode())}
 
 
 def test_pipeline_outputs_match_pinned_hashes(tmp_path):
@@ -82,28 +109,18 @@ def test_pipeline_outputs_match_pinned_hashes(tmp_path):
 # bytes of feature_stack()). Distances do not depend on the angle mode.
 EXTRACT_PINNED = {
     ("distances", "adjacent"): (
-        "1edfa0f34a9073ac", "9daec8110483e9f340c24f6d299d54521b097e083ffdd56acb4caef738799ed8"),
+        "1edfa0f34a9073ac", "0aaa275bf57002dab1bcb244bcb6ef0f1f900785775e49fa2f1a5962b6cc0990"),
     ("angles", "adjacent"): (
         "b45713a08d1ed75a", "abf6f6f3a98b57017aa7e1cc2aeb42b7efb5bb428a9bb44889f5bd4ae9927664"),
     ("combined", "adjacent"): (
-        "1e9e062406bb5287", "f92b3034801aad74875bc8ca7a68cd2ab71411f01a55a14536fc257a8510aeb8"),
+        "1e9e062406bb5287", "a74388e2cd935c8ac1301e1bd5474876c15c94027df5c01e1d9085b02ba233da"),
     ("distances", "all_triples"): (
-        "63ef0e0264369621", "9daec8110483e9f340c24f6d299d54521b097e083ffdd56acb4caef738799ed8"),
+        "63ef0e0264369621", "0aaa275bf57002dab1bcb244bcb6ef0f1f900785775e49fa2f1a5962b6cc0990"),
     ("angles", "all_triples"): (
         "e9abb9aa31a77a3f", "27b904bd89b77dd88f590a081ad9ea135c101cd179509dd12e5537a846c4d235"),
     ("combined", "all_triples"): (
-        "dcb0ca5fb4ff0fdb", "5d5a126799480ee7b9255a6c6b29d4e2ec5ed968c48d5340402ac9970e567f43"),
+        "dcb0ca5fb4ff0fdb", "d941d5c73186862f02c9c8a0af53f0905e7aaebbbd78ac487d2b59bdfcbfb6fe"),
 }
-
-
-def feature_stack() -> list[Skeleton]:
-    """64 seeded random skeletons; in record 5 Head sits on Neck, a degenerate ray."""
-    rng = np.random.default_rng(2018)
-    skeletons = [random_skeleton(rng) for _ in range(64)]
-    pos = skeletons[5].positions.copy()
-    pos[JointId.Head] = pos[JointId.Neck]
-    skeletons[5] = Skeleton(pos)
-    return skeletons
 
 
 @pytest.mark.parametrize("features_set, mode", EXTRACT_PINNED)
@@ -113,3 +130,41 @@ def test_feature_matrix_and_fingerprint_match_pinned(features_set, mode):
     assert X.shape == (64, cfg.length)
     assert (fingerprint, config_fingerprint(cfg)) == (EXTRACT_PINNED[features_set, mode][0],) * 2
     assert sha256(X.tobytes()) == EXTRACT_PINNED[features_set, mode][1]
+
+
+def code_decided_hashes(tmp_path) -> dict[str, str]:
+    """The outputs that no BLAS kernel decides: the synth files, the knn1 model
+    (it holds features) and its predictions, and the six feature matrices of
+    feature_stack()."""
+    hashes, _ = synth_hashes(tmp_path, ("knn1",))
+    for features_set, mode in EXTRACT_PINNED:
+        X, _ = extract_matrix(feature_stack(), FeatureConfig.from_name(features_set, mode))
+        hashes[f"{features_set}/{mode}"] = sha256(X.tobytes())
+    return hashes
+
+
+_CHILD = """
+import json, pathlib, sys
+sys.path.insert(0, sys.argv[1])
+from test_pinned_outputs import code_decided_hashes
+print(json.dumps(code_decided_hashes(pathlib.Path(sys.argv[2]))))
+"""
+
+
+# OPENBLAS_CORETYPE names x86 kernels; NUM_THREADS=1 changes the BLAS's split.
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core types are x86-64 kernel names")
+@pytest.mark.parametrize("blas", [{"OPENBLAS_CORETYPE": "Prescott"},
+                                  {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}])
+def test_code_decided_outputs_match_under_other_blas_kernels(tmp_path, blas):
+    """A child process under another OpenBLAS kernel writes the same bytes as
+    this one, whatever kernel this host picks."""
+    here = code_decided_hashes(tmp_path)
+    child_dir = tmp_path / "child"
+    child_dir.mkdir()
+    pythonpath = [str(Path(posturelab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **blas, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    child = subprocess.run([sys.executable, "-c", _CHILD, str(Path(__file__).parent),
+                            str(child_dir)], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == here
