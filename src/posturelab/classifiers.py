@@ -12,10 +12,11 @@ Each model type checks its fields against each other, the standardizer's
 width and the five postures in __post_init__, so training and loading agree.
 
 Every fitted model has one scorer, which maps standardized rows to class
-indices with a few BLAS calls. It is built from the fitted parameters on the
-model's first prediction and cached on the instance. It is not a dataclass
-field, so it is never saved: a model file has the same bytes whether or not
-the model has predicted.
+indices with a few BLAS calls. It is built on the model's first prediction
+and cached on the instance. LDA and QDA save what theirs reads, so only the
+SVM (its support-vector union) and 1-NN (its points' squared norms) build
+anything. It is not a dataclass field, so it is never saved: a model file
+has the same bytes whether or not the model has predicted.
 """
 from __future__ import annotations
 
@@ -315,30 +316,27 @@ def _gaussian_shape(model) -> tuple[int, int]:
 @dataclass(frozen=True)
 class LdaModel(MulticlassModel):
     classes: tuple[int, ...] = ()
-    means: npt.NDArray[np.float64] = None
-    precision: npt.NDArray[np.float64] = None  # pooled inverse covariance
-    log_priors: npt.NDArray[np.float64] = None
+    coef: npt.NDArray[np.float64] = None  # (d, k): pooled precision @ means'
+    intercept: npt.NDArray[np.float64] = None  # (k,)
 
     kind: ClassVar[str] = "lda"
 
     def __post_init__(self):
         k, d = _gaussian_shape(self)
-        read_only(self, means=(k, d), precision=(d, d), log_priors=(k,))
+        read_only(self, coef=(d, k), intercept=(k,))
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
-        coef = self.precision @ self.means.T  # (d, K)
-        intercept = -0.5 * np.einsum("kd,dk->k", self.means, coef) + self.log_priors
         classes = np.asarray(self.classes)
         # argmax ties go to the lowest class index.
-        return lambda Xs: classes[np.argmax(Xs @ coef + intercept, axis=1)]
+        return lambda Xs: classes[np.argmax(Xs @ self.coef + self.intercept, axis=1)]
 
 
 @dataclass(frozen=True)
 class QdaModel(MulticlassModel):
     classes: tuple[int, ...] = ()
     means: npt.NDArray[np.float64] = None
-    precisions: npt.NDArray[np.float64] = None  # per-class inverse covariances
+    whiteners: npt.NDArray[np.float64] = None  # Cholesky factors L_k of the class precisions
     log_dets: npt.NDArray[np.float64] = None  # of the regularized covariances
     log_priors: npt.NDArray[np.float64] = None
 
@@ -346,23 +344,19 @@ class QdaModel(MulticlassModel):
 
     def __post_init__(self):
         k, d = _gaussian_shape(self)
-        read_only(self, means=(k, d), precisions=(k, d, d), log_dets=(k,), log_priors=(k,))
+        read_only(self, means=(k, d), whiteners=(k, d, d), log_dets=(k,), log_priors=(k,))
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
         """Sphering (ESL 4.3): with precision_k = L_k L_k', the Mahalanobis
         term is |(x - mu_k) L_k|^2, one matrix product per class."""
-        whiteners = [
-            _cholesky(p, f"class {k} precision") for p, k in zip(self.precisions, self.classes)
-        ]
-        means, log_dets, log_priors = self.means, self.log_dets, self.log_priors
         classes = np.asarray(self.classes)
 
         def score(Xs: np.ndarray) -> np.ndarray:
             maha = np.column_stack(
-                [np.square((Xs - mu) @ L).sum(axis=1) for mu, L in zip(means, whiteners)]
+                [np.square((Xs - mu) @ L).sum(axis=1) for mu, L in zip(self.means, self.whiteners)]
             )
-            return classes[np.argmax(-0.5 * log_dets - 0.5 * maha + log_priors, axis=1)]
+            return classes[np.argmax(-0.5 * self.log_dets - 0.5 * maha + self.log_priors, axis=1)]
 
         return score
 
@@ -497,7 +491,7 @@ def _gaussian_fit(fold: TrainingFold) -> tuple[dict, list[np.ndarray]]:
 
 
 def _lda_fit(fold: TrainingFold) -> dict:
-    """Gaussian discriminant with one pooled covariance across classes."""
+    """Gaussian discriminant with one pooled covariance: linear scores (ESL 4.3.2)."""
     shared, centered = _gaussian_fit(fold)
     n, d = fold.Xs.shape
     pooled = np.zeros((d, d))
@@ -505,7 +499,9 @@ def _lda_fit(fold: TrainingFold) -> dict:
         pooled += rows.T @ rows
     pooled = _regularized(pooled / (n - len(centered)))
     _cholesky(pooled, "pooled covariance")
-    return {**shared, "precision": np.linalg.inv(pooled)}
+    coef = np.linalg.inv(pooled) @ shared["means"].T
+    intercept = -0.5 * np.einsum("kd,dk->k", shared["means"], coef) + shared["log_priors"]
+    return {"classes": shared["classes"], "coef": coef, "intercept": intercept}
 
 
 def _qda_fit(fold: TrainingFold) -> dict:
@@ -516,8 +512,9 @@ def _qda_fit(fold: TrainingFold) -> dict:
         2.0 * np.sum(np.log(np.diag(_cholesky(cov, f"class {k} covariance"))))
         for cov, k in zip(covs, shared["classes"])
     ]
-    return {**shared, "precisions": np.stack([np.linalg.inv(cov) for cov in covs]),
-            "log_dets": np.array(log_dets)}
+    whiteners = [_cholesky(np.linalg.inv(cov), f"class {k} precision")
+                 for cov, k in zip(covs, shared["classes"])]
+    return {**shared, "whiteners": np.stack(whiteners), "log_dets": np.array(log_dets)}
 
 
 def _knn1_fit(fold: TrainingFold) -> dict:

@@ -280,7 +280,7 @@ def _cmd_featurize(r: _Resolver) -> int:
                     "values": row}, sort_keys=True)
         for i, (y, row) in enumerate(zip(ds.labels.tolist(), X.tolist()))
     ]
-    _write_out(r.args.out, "\n".join(lines) + "\n")
+    _write_out(r.args.out, "".join(line + "\n" for line in lines))
     return 0
 
 
@@ -313,7 +313,7 @@ def _cmd_predict(r: _Resolver) -> int:
         f'{{"index": {i}, "label": {labels[p]}}}'
         for i, p in enumerate(predict_batch(mf.model, X).tolist())
     ]
-    _write_out(r.args.out, "\n".join(lines) + "\n")
+    _write_out(r.args.out, "".join(line + "\n" for line in lines))
     return 0
 
 

@@ -62,7 +62,7 @@ from .skeleton import (
 DATASET_FORMAT = "posturelab-dataset"
 MODEL_FORMAT = "posturelab-model"
 DATASET_VERSION = 1
-MODEL_VERSION = 2  # 1 held arrays as nested JSON lists
+MODEL_VERSION = 3  # 1 held arrays as nested JSON lists; 2 LDA/QDA precisions
 
 _JOINT_CHECKSUM = hashlib.sha256(",".join(JOINT_NAMES).encode()).hexdigest()[:16]
 _JOINTS_IN_ORDER = operator.itemgetter(*JOINT_NAMES)

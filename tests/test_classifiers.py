@@ -9,6 +9,7 @@ from posturelab.classifiers import (
     ClassifierSpec,
     Knn1Model,
     Standardizer,
+    TrainingFold,
     fit_standardizer,
     ovo_train,
     predict_batch,
@@ -360,9 +361,14 @@ class TestDiscriminants:
         X, y = gaussian_blobs(rng, [[0.0, 0.0], [8.0, 8.0]], 10)
         X = np.vstack([X, rng.normal(scale=0.3, size=(30, 2))])
         y = np.concatenate([y, np.zeros(30, dtype=int)])
-        model = train_classifier(X, y, LDA)
-        assert np.exp(model.log_priors[0]) == pytest.approx(40 / 50)
-        assert np.exp(model.log_priors[1]) == pytest.approx(10 / 50)
+        fold = TrainingFold(X, y)
+        lda, qda = (train_classifier(X, y, spec, fold=fold) for spec in (LDA, QDA))
+        # LDA keeps its log priors inside its intercepts: the fold's class
+        # means recover them.
+        means = np.vstack([fold.Xs[y == k].mean(axis=0) for k in (0, 1)])
+        lda_log_priors = lda.intercept + 0.5 * np.einsum("kd,dk->k", means, lda.coef)
+        for log_priors in (lda_log_priors, qda.log_priors):
+            assert np.exp(log_priors) == pytest.approx([40 / 50, 10 / 50])
 
 
 class TestKnn1:
@@ -594,7 +600,7 @@ class TestTrainDispatch:
 
     @pytest.mark.parametrize(
         "name, field, change",
-        [("lda", "log_priors", lambda v: v[:-1]), ("qda", "classes", lambda v: v[::-1]),
+        [("lda", "intercept", lambda v: v[:-1]), ("qda", "classes", lambda v: v[::-1]),
          ("knn1", "labels", lambda v: v + 5), ("svm_quadratic", "pairs", lambda v: v[1:])],
     )
     def test_model_checks_its_fields_wherever_built(self, rng, name, field, change):

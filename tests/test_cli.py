@@ -99,11 +99,11 @@ SVM = "svm_quadratic"
 # Hand edits that make a model file contradict itself: id -> (classifier,
 # edit(doc)). Each must be refused at load as a malformed model file.
 MALFORMED_MODELS = {
-    "lda-log-priors-short": ("lda", _param("log_priors", SHORT)),
-    "lda-means-short": ("lda", _param("means", SHORT)),
-    "lda-precision-narrow": ("lda", _param("precision", NARROW)),
+    "lda-intercept-short": ("lda", _param("intercept", SHORT)),
+    "lda-coef-short": ("lda", _param("coef", SHORT)),
+    "lda-coef-narrow": ("lda", _param("coef", NARROW)),
     "lda-classes-short": ("lda", lambda d: d["params"]["classes"].pop()),
-    "qda-precisions-short": ("qda", _param("precisions", SHORT)),
+    "qda-whiteners-short": ("qda", _param("whiteners", SHORT)),
     "qda-log-dets-short": ("qda", _param("log_dets", SHORT)),
     "qda-means-narrow": ("qda", _param("means", NARROW)),
     "knn1-labels-short": ("knn1", _param("labels", SHORT)),
@@ -129,7 +129,7 @@ MALFORMED_MODELS = {
     # consistent in itself, but one feature narrower than its feature config
     "lda-narrower-than-features": ("lda", lambda d: (
         _with_array(d["standardizer"], "mean", SHORT), _with_array(d["standardizer"], "std", SHORT),
-        _param("means", NARROW)(d), _param("precision", lambda a: a[:-1, :-1])(d))),
+        _param("coef", SHORT)(d))),
 }
 
 
@@ -791,24 +791,25 @@ class TestModelFiles:
         assert (machine.bias, machine.c) == (0.0, 1.0) and type(machine.bias) is float
         assert self.predict(path, data, tmp_path) == 0
 
-    def test_qda_precision_not_positive_definite_is_exit_3(self, tmp_path, trained, capsys):
-        # a precision's Cholesky factor is taken at the first prediction, not at load
+    def test_qda_negated_whitener_loads_and_predicts(self, tmp_path, trained):
+        # the scorer reads the whiteners as saved and factors nothing, so a
+        # file that loads also predicts; a negated whitener spheres alike
         data, models = trained
-        path = self.edited(models["qda"], tmp_path, _param("precisions", _negated_first))
+        assert self.predict(models["qda"], data, tmp_path) == 0
+        expected = (tmp_path / "preds.jsonl").read_bytes()
+        path = self.edited(models["qda"], tmp_path, _param("whiteners", _negated_first))
         load_model(path)
-        capsys.readouterr()
-        assert self.predict(path, data, tmp_path) == 3
-        err = capsys.readouterr().err
-        assert err == "numeric failure: class 0 precision is singular even after regularization\n"
+        assert self.predict(path, data, tmp_path) == 0
+        assert (tmp_path / "preds.jsonl").read_bytes() == expected
 
-    @pytest.mark.parametrize("version", [1, 0, "2", None])
+    @pytest.mark.parametrize("version", [2, 1, 0, "3", None])
     def test_other_version_is_exit_2(self, tmp_path, dataset_path, capsys, version):
         path = _train(tmp_path, dataset_path, "lda")
         _edit_model(path, lambda doc: doc.update(version=version))
         capsys.readouterr()
         assert self.predict(path, dataset_path, tmp_path) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: file version {version!r}, reader supports 2")
+        assert err.startswith(f"data error: file version {version!r}, reader supports 3")
         assert "retrain" in err
 
     def test_predict_lines_are_sorted_key_json(self, tmp_path, dataset_path, capsys):
@@ -906,6 +907,17 @@ class TestPipeline:
         first = json.loads(lines[0])
         assert len(first["values"]) == 300
         assert first["label"] == "Standing"
+
+    @pytest.mark.parametrize("command", ["featurize", "lda", "qda", "knn1", SVM])
+    def test_header_only_dataset_writes_an_empty_file(self, tmp_path, trained, command):
+        data, models = trained
+        header_only = tmp_path / "empty.jsonl"
+        header_only.write_text(data.read_text().splitlines(keepends=True)[0])
+        out = tmp_path / "out.jsonl"
+        argv = (["featurize"] if command == "featurize"
+                else ["predict", "--model", str(models[command])])
+        assert run([*argv, "--data", str(header_only), "--out", str(out)]) == 0
+        assert out.read_bytes() == b""
 
     def test_evaluate_text_report(self, dataset_path, capsys):
         code = run([

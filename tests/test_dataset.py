@@ -615,7 +615,7 @@ class TestModelFile:
             arrays = [getattr(part, f.name) for part in parts for f in dataclasses.fields(part)]
             arrays = [a for a in arrays if isinstance(a, np.ndarray)]
             # the standardizer's mean and std, then the kind's; each of 10 machines holds 2
-            assert len(arrays) == {"lda": 5, "qda": 6, "knn1": 4}.get(name, 2 + 2 * 10)
+            assert len(arrays) == {"lda": 4, "qda": 6, "knn1": 4}.get(name, 2 + 2 * 10)
             for array in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     array.flat[0] = 1.0
@@ -639,7 +639,7 @@ class TestModelFile:
     @pytest.mark.parametrize(
         "name, corrupt",
         [
-            ("lda", lambda p: p.update(means="not a matrix")),
+            ("lda", lambda p: p.update(coef="not a matrix")),
             ("lda", lambda p: p.update(classes=5)),
             ("knn1", lambda p: p.update(labels={"a": 1})),
             ("svm_quadratic", lambda p: p.update(pairs=[[0, 1, 2]])),
@@ -727,7 +727,7 @@ class TestModelFile:
         path = tmp_path / "model.json"
         save_model(ModelFile(model, cfg, ds.fingerprint), path)
         doc = json.loads(path.read_text())
-        assert doc["version"] == MODEL_VERSION == 2
+        assert doc["version"] == MODEL_VERSION == 3
         assert doc["kind"] == "ovo_svm" and doc["standardizer"]["mean"]["dtype"] == "<f8"
         assert doc["params"]["pairs"] == [list(p) for p in model.pairs]
         machine, fitted = doc["params"]["machines"][0], model.machines[0]

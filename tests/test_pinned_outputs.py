@@ -25,11 +25,23 @@ AVX-512 OpenBLAS kernel, 2001 of the 19,200 distances of feature_stack() (8
 of its 64 records) moved by at most 2 ulp; the other kernels gave the new
 distance bits already. No prediction, synth file, grid or angle hash moved.
 
+Model format 3 stores what the LDA and QDA scorers read: LDA its
+coefficients and intercepts instead of its means, pooled precision and log
+priors, QDA each class's whitener (the Cholesky factor of its precision)
+instead of the precision. Each is computed at training by the expressions
+the scorers evaluated before, so every prediction keeps its bits. That moved
+model-lda (it was 9a242ef3...52a4b; 25,098 bytes instead of 1,179,728) and
+model-qda (it was b363aa58...81fbd). The version number moved model-knn1
+(it was 4d7b8b9c...5487e) and model-svm_quadratic (it was 713f714f...ddfdd)
+in that field alone: with "version":2 written back, each file has its old
+hash. No prediction, synth file or grid hash moved.
+
 Who decides a pinned value: the code alone decides synth, synth-heldout, the
 grid, model-knn1, every predict file and every feature matrix (on one numpy
 build: angles take np.arccos's SIMD loop). The BLAS kernel and its thread
-count also decide model-lda and model-qda (LAPACK inverse and Cholesky) and
-model-svm_quadratic (Gram products), so on another OpenBLAS kernel only
+count also decide model-lda and model-qda (LAPACK inverse and Cholesky, and
+LDA's coefficient product) and model-svm_quadratic (Gram products), so on
+another OpenBLAS kernel only
 those three may fail. test_code_decided_outputs_match_under_other_blas_kernels
 checks the first group across kernels. CI prints numpy's version, its build
 configuration and the OpenBLAS core before the tests, so that a failure can
@@ -54,13 +66,13 @@ PINNED = {
     "synth": "f5f6adbdbbe1c8a52efa7991321540f7ad4978e011576f1b15b611cacd052c45",
     "synth-heldout": "723dc9fbc5761b8f3f3d8ce33b9c71cc955f15a574e58cc9dcd6ef06549e4ffc",
     "grid": "96bfc709f67daed38b752919a054b64955aa9f77b4339ac5630c4df2aba64a19",
-    "model-lda": "9a242ef3d9fe8ccd814c41bfb4c64d127c23c0f252630f6aeb0ebed86d352a4b",
+    "model-lda": "b98d5a60cf093c5fe6faf76836ae5922c5de0f74f91d89fe837e19b6e296d5b3",
     "predict-lda": "10af4c70426a291724ca7c96b77762d87b4ae816d6082bf1204eabfaed63f1cd",
-    "model-qda": "b363aa585063b8f9c349a44e4364f4a63c2d7faa16d2affdd2299e93b3281fbd",
+    "model-qda": "85feea277db47f522c2d05a8d059c98fc66c797c6e9bb2afc01c5f208750957b",
     "predict-qda": "2defde0639cbec98b34414c6302c2f0e2b03c265ceb9a6738a91c55b2cbc4d3e",
-    "model-knn1": "4d7b8b9cc86fc38db509ba9ed4a86994614e2780258f2882a2e9897857b5487e",
+    "model-knn1": "56973bff5ac7b15094aa0dc3044f0de13a541cfcc1002453ba76b29a687d2cdb",
     "predict-knn1": "73124fdbd64818d65951c734f375ffb1ba09e3e4f0117f563df1b68bc77fb401",
-    "model-svm_quadratic": "713f714f5a5db7c82e1610f769c28f3c2021e1b189844c8bca89d4713c7ddfdd",
+    "model-svm_quadratic": "2792dad6b7fbe73a79a1c40cc1960f17b2cd701437046fcb88d09555036aea24",
     "predict-svm_quadratic": "0e7fd3b6e16005cf2da01e5fa8da4385be1a6a000ced223005840936453a5cbf",
 }
 

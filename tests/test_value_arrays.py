@@ -41,14 +41,13 @@ VALUE_TYPES = {
     ),
     "LdaModel": (LdaModel, {"standardizer": _unit(), "fingerprint": "", "seed": 0,
                             "classes": (0, 1)}, {
-        "means": np.arange(6.0).reshape(2, 3),
-        "precision": np.eye(3),
-        "log_priors": np.log([0.5, 0.5]),
+        "coef": np.arange(6.0).reshape(3, 2),
+        "intercept": np.array([0.5, -0.5]),
     }),
     "QdaModel": (QdaModel, {"standardizer": _unit(), "fingerprint": "", "seed": 0,
                             "classes": (0, 1)}, {
         "means": np.arange(6.0).reshape(2, 3),
-        "precisions": np.stack([np.eye(3), 2.0 * np.eye(3)]),
+        "whiteners": np.stack([np.eye(3), np.sqrt(2.0) * np.eye(3)]),
         "log_dets": np.array([0.0, -3.0 * np.log(2.0)]),
         "log_priors": np.log([0.5, 0.5]),
     }),
@@ -146,7 +145,7 @@ class TestDtypeAndShape:
         ("ConfusionMatrix", "counts", np.zeros((4, 5), dtype=np.int64)),
         ("BinarySvmModel", "dual_coef", np.array([0.5, -0.25, -0.25])),
         ("Standardizer", "std", np.ones(4)),
-        ("LdaModel", "precision", np.eye(2)),
+        ("LdaModel", "coef", np.ones((2, 2))),
     ])
     def test_a_wrong_shape_is_a_dimension_mismatch(self, name, field, bad):
         arrays = {**VALUE_TYPES[name][2], field: bad}
