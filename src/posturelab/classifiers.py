@@ -2,7 +2,7 @@
 
 Four model kinds: one-vs-one SVM (trained by SMO), linear and quadratic
 Gaussian discriminants, and exact 1-nearest-neighbor. One table, CLASSIFIERS,
-gives each classifier name its model class, its fit and its kernel degree.
+gives each classifier name its model class and its fit or its kernel degree.
 Every kind trains through one path on a TrainingFold: the training rows,
 standardized with statistics fitted on them alone (so kernel scales and
 distances are comparable across feature families). Every classifier trained
@@ -336,7 +336,7 @@ class LdaModel(MulticlassModel):
 class QdaModel(MulticlassModel):
     classes: tuple[int, ...] = ()
     means: npt.NDArray[np.float64] = None
-    whiteners: npt.NDArray[np.float64] = None  # Cholesky factors L_k of the class precisions
+    whiteners: npt.NDArray[np.float64] = None  # W_k: W_k W_k' is class k's precision
     log_dets: npt.NDArray[np.float64] = None  # of the regularized covariances
     log_priors: npt.NDArray[np.float64] = None
 
@@ -348,13 +348,14 @@ class QdaModel(MulticlassModel):
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Sphering (ESL 4.3): with precision_k = L_k L_k', the Mahalanobis
-        term is |(x - mu_k) L_k|^2, one matrix product per class."""
+        """Sphering (ESL 4.3): with precision_k = W_k W_k', the Mahalanobis
+        term is |(x - mu_k) W_k|^2, one matrix product per class. W_k is the
+        transposed inverse of the Cholesky factor of class k's covariance."""
         classes = np.asarray(self.classes)
 
         def score(Xs: np.ndarray) -> np.ndarray:
             maha = np.column_stack(
-                [np.square((Xs - mu) @ L).sum(axis=1) for mu, L in zip(self.means, self.whiteners)]
+                [np.square((Xs - mu) @ W).sum(axis=1) for mu, W in zip(self.means, self.whiteners)]
             )
             return classes[np.argmax(-0.5 * self.log_dets - 0.5 * maha + self.log_priors, axis=1)]
 
@@ -458,19 +459,20 @@ def _ovo_fit(fold: TrainingFold, kernel: KernelSpec, c: float, tol: float) -> di
     return {"pairs": pairs, "machines": tuple(machines)}
 
 
-def _regularized(cov: np.ndarray) -> np.ndarray:
+def _whitener(scatter: np.ndarray, dof: int, what: str) -> tuple[np.ndarray, float]:
+    """W and log det S of the regularized covariance S = scatter / dof + ridge I,
+    with inv(S) = W W'. S is factored once, S = L L', and W = inv(L)'; nothing
+    inverts S or factors an inverse, which would square the condition number
+    the factor sees (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 14)."""
+    cov = scatter / dof
     d = cov.shape[0]
-    ridge = COVARIANCE_RIDGE * (np.trace(cov) / d)
-    return cov + ridge * np.eye(d)
-
-
-def _cholesky(mat: np.ndarray, what: str) -> np.ndarray:
+    cov = cov + COVARIANCE_RIDGE * (np.trace(cov) / d) * np.eye(d)
     try:
-        return np.linalg.cholesky(mat)
+        L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        raise DegenerateCovariance(
-            f"{what} is singular even after regularization"
-        ) from None
+        raise DegenerateCovariance(f"{what} is singular even after regularization") from None
+    return np.linalg.inv(L).T, 2.0 * np.sum(np.log(np.diag(L)))
 
 
 def _gaussian_fit(fold: TrainingFold) -> tuple[dict, list[np.ndarray]]:
@@ -497,9 +499,8 @@ def _lda_fit(fold: TrainingFold) -> dict:
     pooled = np.zeros((d, d))
     for rows in centered:
         pooled += rows.T @ rows
-    pooled = _regularized(pooled / (n - len(centered)))
-    _cholesky(pooled, "pooled covariance")
-    coef = np.linalg.inv(pooled) @ shared["means"].T
+    W, _ = _whitener(pooled, n - len(centered), "pooled covariance")
+    coef = W @ (W.T @ shared["means"].T)
     intercept = -0.5 * np.einsum("kd,dk->k", shared["means"], coef) + shared["log_priors"]
     return {"classes": shared["classes"], "coef": coef, "intercept": intercept}
 
@@ -507,13 +508,10 @@ def _lda_fit(fold: TrainingFold) -> dict:
 def _qda_fit(fold: TrainingFold) -> dict:
     """Gaussian discriminant with one covariance per class."""
     shared, centered = _gaussian_fit(fold)
-    covs = [_regularized(rows.T @ rows / (rows.shape[0] - 1)) for rows in centered]
-    log_dets = [
-        2.0 * np.sum(np.log(np.diag(_cholesky(cov, f"class {k} covariance"))))
-        for cov, k in zip(covs, shared["classes"])
-    ]
-    whiteners = [_cholesky(np.linalg.inv(cov), f"class {k} precision")
-                 for cov, k in zip(covs, shared["classes"])]
+    whiteners, log_dets = zip(*(
+        _whitener(rows.T @ rows, rows.shape[0] - 1, f"class {k} covariance")
+        for rows, k in zip(centered, shared["classes"])
+    ))
     return {**shared, "whiteners": np.stack(whiteners), "log_dets": np.array(log_dets)}
 
 
@@ -523,20 +521,20 @@ def _knn1_fit(fold: TrainingFold) -> dict:
 
 class _Entry(NamedTuple):
     model: type[MulticlassModel]
-    fit: Callable[..., dict]
+    fit: Callable[[TrainingFold], dict] | None  # None: an SVM, fitted by ovo_train
     degree: int | None = None  # of the SVM kernel; 1 is the linear kernel
 
 
 # The classifier menu, keyed by ClassifierSpec.name. Each fit takes a
 # TrainingFold; the SVM rows train through ovo_train, which binds the kernel,
-# c and tol of their fit.
+# c and tol of _ovo_fit.
 CLASSIFIERS = {
     "lda": _Entry(LdaModel, _lda_fit),
     "qda": _Entry(QdaModel, _qda_fit),
     "knn1": _Entry(Knn1Model, _knn1_fit),
-    "svm_linear": _Entry(OvoSvmModel, _ovo_fit, 1),
-    "svm_quadratic": _Entry(OvoSvmModel, _ovo_fit, 2),
-    "svm_cubic": _Entry(OvoSvmModel, _ovo_fit, 3),
+    "svm_linear": _Entry(OvoSvmModel, None, 1),
+    "svm_quadratic": _Entry(OvoSvmModel, None, 2),
+    "svm_cubic": _Entry(OvoSvmModel, None, 3),
 }
 CLASSIFIER_NAMES = tuple(CLASSIFIERS)
 # Model class of each kind a model file names.
@@ -582,15 +580,6 @@ class ClassifierSpec:
         return polynomial_kernel(degree, float(scale))
 
 
-def _train(
-    model: type[MulticlassModel], fit: Callable[..., dict], fold: TrainingFold,
-    fingerprint: str, seed: int, **params,
-) -> MulticlassModel:
-    """The one training path: the model of the kind's fit on the fold."""
-    fields = fit(fold, **params)
-    return model(standardizer=fold.standardizer, fingerprint=fingerprint, seed=seed, **fields)
-
-
 def train_classifier(
     X: np.ndarray, y: np.ndarray, spec: ClassifierSpec, fingerprint: str = "",
     fold: TrainingFold | None = None,
@@ -603,11 +592,11 @@ def train_classifier(
     if fold is None:
         fold = TrainingFold(X, y)
     entry = CLASSIFIERS[spec.name]
-    if entry.degree is None:
-        return _train(entry.model, entry.fit, fold, fingerprint, spec.seed)
-    # SVMs train through the module attribute ovo_train, which perfbench wraps.
-    kernel = spec.kernel(fold.X.shape[1])
-    return ovo_train(fold.X, fold.y, kernel, spec.c, spec.tol, spec.seed, fingerprint, fold)
+    if entry.fit is None:  # through the module attribute ovo_train, which perfbench wraps
+        kernel = spec.kernel(fold.X.shape[1])
+        return ovo_train(fold.X, fold.y, kernel, spec.c, spec.tol, spec.seed, fingerprint, fold)
+    return entry.model(standardizer=fold.standardizer, fingerprint=fingerprint, seed=spec.seed,
+                       **entry.fit(fold))
 
 
 def ovo_train(
@@ -619,7 +608,8 @@ def ovo_train(
     only recorded in the model. fold is as in train_classifier."""
     if fold is None:
         fold = TrainingFold(X, y)
-    return _train(OvoSvmModel, _ovo_fit, fold, fingerprint, seed, kernel=kernel, c=c, tol=tol)
+    return OvoSvmModel(standardizer=fold.standardizer, fingerprint=fingerprint, seed=seed,
+                       **_ovo_fit(fold, kernel, c, tol))
 
 
 _POSTURES = tuple(PostureLabel)  # indexed, not called: an enum call is a lookup by value

@@ -370,6 +370,36 @@ class TestDiscriminants:
         for log_priors in (lda_log_priors, qda.log_priors):
             assert np.exp(log_priors) == pytest.approx([40 / 50, 10 / 50])
 
+    def test_far_more_features_than_class_records(self):
+        # 3 records per class in 600 angle features: each class covariance is
+        # rank 2 plus the ridge (condition about 4e8). Its Cholesky factor
+        # exists; a factor of its rounded inverse need not.
+        ds = synth_generate(SynthSpec(seed=1, per_class=8))
+        X, _ = extract_matrix(ds.skeletons(), FeatureConfig.from_name("angles", "all_triples"))
+        keep = np.arange(len(ds)) % 8 < 3
+        X, y = X[keep, :600], ds.labels[keep]
+        fold = TrainingFold(X, y)
+        lda, qda = (train_classifier(X, y, spec, fold=fold) for spec in (LDA, QDA))
+
+        def regularized(scatter, dof):
+            cov = scatter / dof
+            return cov + classifiers.COVARIANCE_RIDGE * np.trace(cov) / 600 * np.eye(600)
+
+        # A backward-stable factor leaves residuals near cond(S) * eps (at
+        # most 3e-8 and 1.3e-7 here); the bound allows 100 times that.
+        def tol(S):
+            eigenvalues = np.linalg.eigvalsh(S)
+            return 100 * eigenvalues[-1] / eigenvalues[0] * np.finfo(np.float64).eps
+
+        rows, blocks = fold.by_class
+        centered = [rows[b] - rows[b].mean(axis=0) for b in blocks.values()]
+        for c, W in zip(centered, qda.whiteners, strict=True):
+            S = regularized(c.T @ c, len(c) - 1)
+            assert np.abs(W.T @ S @ W - np.eye(600)).max() < tol(S)
+        S = regularized(sum(c.T @ c for c in centered), len(rows) - len(centered))
+        means = np.vstack([rows[b].mean(axis=0) for b in blocks.values()])
+        assert np.abs(S @ lda.coef - means.T).max() < tol(S) * np.abs(means).max()
+
 
 class TestKnn1:
     def test_training_point_maps_to_its_label(self, rng):

@@ -684,6 +684,21 @@ class TestDataErrors:
         assert captured.err.startswith("numeric failure: kernel matrix has a non-finite entry")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
+    @pytest.mark.parametrize("name, what", [("qda", "class 0 covariance"),
+                                            ("lda", "pooled covariance")], ids=["qda", "lda"])
+    def test_zero_scatter_is_a_degenerate_covariance(self, tmp_path, capsys, name, what):
+        # noiseless records of one scale, orientation and distance: each
+        # class's two records are equal, so every covariance and its ridge are 0
+        path, model = tmp_path / "same.jsonl", tmp_path / "model.json"
+        assert run(["synth", "--seed", "1", "--per-class", "2", "--noise", "0",
+                    "--scale-min", "1", "--scale-max", "1", "--orientations", "0",
+                    "--distances", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        argv = ["train", "--data", str(path), "--classifier", name, "--model-out", str(model)]
+        assert run(argv) == 3 and not model.exists()
+        assert capsys.readouterr().err == (
+            f"numeric failure: {what} is singular even after regularization\n")
+
 
 class TestModelFiles:
     def predict(self, model_path, dataset_path, tmp_path) -> int:

@@ -36,14 +36,23 @@ model-qda (it was b363aa58...81fbd). The version number moved model-knn1
 in that field alone: with "version":2 written back, each file has its old
 hash. No prediction, synth file or grid hash moved.
 
+Factoring each regularized covariance once moved model-lda (it was
+b98d5a60...d5b3) and model-qda (it was 85feea27...957b). With S = L L' its
+Cholesky factorization and W = inv(L)', LDA's coefficients are W (W' means')
+instead of inv(S) means', and QDA's whiteners are W_k instead of the
+Cholesky factor of inv(S_k), which fails when the rounded inverse of a
+class with far fewer records than features is not positive definite. Both
+W_k W_k' and the old factor's product are inv(S_k) to rounding; no
+prediction, synth file or grid hash moved.
+
 Who decides a pinned value: the code alone decides synth, synth-heldout, the
 grid, model-knn1, every predict file and every feature matrix (on one numpy
 build: angles take np.arccos's SIMD loop). The BLAS kernel and its thread
-count also decide model-lda and model-qda (LAPACK inverse and Cholesky, and
-LDA's coefficient product) and model-svm_quadratic (Gram products), so on
-another OpenBLAS kernel only
-those three may fail. test_code_decided_outputs_match_under_other_blas_kernels
-checks the first group across kernels. CI prints numpy's version, its build
+count also decide model-lda and model-qda (LAPACK Cholesky and inverse of
+its factor, and LDA's coefficient products) and model-svm_quadratic (Gram
+products), so on another OpenBLAS kernel only those three may fail.
+test_code_decided_outputs_match_under_other_blas_kernels checks the first
+group across kernels. CI prints numpy's version, its build
 configuration and the OpenBLAS core before the tests, so that a failure can
 be traced to its cause.
 """
@@ -66,9 +75,9 @@ PINNED = {
     "synth": "f5f6adbdbbe1c8a52efa7991321540f7ad4978e011576f1b15b611cacd052c45",
     "synth-heldout": "723dc9fbc5761b8f3f3d8ce33b9c71cc955f15a574e58cc9dcd6ef06549e4ffc",
     "grid": "96bfc709f67daed38b752919a054b64955aa9f77b4339ac5630c4df2aba64a19",
-    "model-lda": "b98d5a60cf093c5fe6faf76836ae5922c5de0f74f91d89fe837e19b6e296d5b3",
+    "model-lda": "0f337b255d8be1336f64d2ccf63070f835a2df3721ea0546da5a42214cbfde10",
     "predict-lda": "10af4c70426a291724ca7c96b77762d87b4ae816d6082bf1204eabfaed63f1cd",
-    "model-qda": "85feea277db47f522c2d05a8d059c98fc66c797c6e9bb2afc01c5f208750957b",
+    "model-qda": "f8e6799c0f8e84d2dd620defbc2a8d2aa41dabfd73bf8c977bffce5b9e750504",
     "predict-qda": "2defde0639cbec98b34414c6302c2f0e2b03c265ceb9a6738a91c55b2cbc4d3e",
     "model-knn1": "56973bff5ac7b15094aa0dc3044f0de13a541cfcc1002453ba76b29a687d2cdb",
     "predict-knn1": "73124fdbd64818d65951c734f375ffb1ba09e3e4f0117f563df1b68bc77fb401",
@@ -81,15 +90,15 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def synth_hashes(tmp_path, kinds) -> tuple[dict[str, str], Path]:
-    """Synth a training and a noisier held-out file, then train each kind on
-    the first and predict the second. Also returns the training file."""
+def pipeline_hashes(tmp_path) -> dict[str, str]:
+    """Synth a training and a noisier held-out file, train four kinds on the
+    first and predict the second, and grid the first (timings stripped)."""
     train, heldout = tmp_path / "train.jsonl", tmp_path / "heldout.jsonl"
     assert run(["synth", "--seed", "3", "--per-class", "24", "--out", str(train)]) == 0
     assert run(["synth", "--seed", "4", "--per-class", "24", "--noise", "0.1",
                 "--out", str(heldout)]) == 0
     hashes = {"synth": sha256(train.read_bytes()), "synth-heldout": sha256(heldout.read_bytes())}
-    for name in kinds:
+    for name in ("lda", "qda", "knn1", "svm_quadratic"):
         model, pred = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
         assert run(["train", "--data", str(train), "--classifier", name, "--seed", "3",
                     "--model-out", str(model)]) == 0
@@ -97,13 +106,6 @@ def synth_hashes(tmp_path, kinds) -> tuple[dict[str, str], Path]:
                     "--out", str(pred)]) == 0
         hashes[f"model-{name}"] = sha256(model.read_bytes())
         hashes[f"predict-{name}"] = sha256(pred.read_bytes())
-    return hashes, train
-
-
-def pipeline_hashes(tmp_path) -> dict[str, str]:
-    """synth_hashes of four kinds, plus the grid of the training file (timings
-    stripped)."""
-    hashes, train = synth_hashes(tmp_path, ("lda", "qda", "knn1", "svm_quadratic"))
     grid = tmp_path / "grid"
     assert run(["grid", "--data", str(train), "--seed", "3", "--format", "json",
                 "--out", str(grid)]) == 0
@@ -144,11 +146,16 @@ def test_feature_matrix_and_fingerprint_match_pinned(features_set, mode):
     assert sha256(X.tobytes()) == EXTRACT_PINNED[features_set, mode][1]
 
 
+# The pipeline files whose last bits the BLAS kernel also decides.
+BLAS_DECIDED = ("model-lda", "model-qda", "model-svm_quadratic")
+
+
 def code_decided_hashes(tmp_path) -> dict[str, str]:
-    """The outputs that no BLAS kernel decides: the synth files, the knn1 model
-    (it holds features) and its predictions, and the six feature matrices of
-    feature_stack()."""
-    hashes, _ = synth_hashes(tmp_path, ("knn1",))
+    """The outputs that no BLAS kernel decides: the pipeline's synth files,
+    grid, knn1 model (it holds features) and every predict file, and the six
+    feature matrices of feature_stack()."""
+    hashes = {key: value for key, value in pipeline_hashes(tmp_path).items()
+              if key not in BLAS_DECIDED}
     for features_set, mode in EXTRACT_PINNED:
         X, _ = extract_matrix(feature_stack(), FeatureConfig.from_name(features_set, mode))
         hashes[f"{features_set}/{mode}"] = sha256(X.tobytes())
