@@ -14,6 +14,7 @@ from .classifiers import (
     OvoSvmModel,
     QdaModel,
     Standardizer,
+    TrainingFold,
     fit_standardizer,
     ovo_train,
     predict_batch,

@@ -431,34 +431,6 @@ def _feature_row(model: MulticlassModel, x) -> np.ndarray:
 # Fits: a TrainingFold -> the kind's own model fields
 
 
-def _ovo_fit(fold: TrainingFold, kernel: KernelSpec, c: float, tol: float) -> dict:
-    """One binary SVM per unordered pair of classes present in y.
-
-    The positive label of the (a, b) machine is class a (the lower index), so
-    positive decision values vote for a. The kernel is applied once, to the
-    fold's dot products, whose rows come in class blocks. A machine's rows
-    are the blocks of a and b, and its Gram is the four blocks of the kernel
-    matrix that they span, copied.
-    """
-    rows, blocks = fold.by_class
-    if len(blocks) < 2:
-        raise SingleClass("one-vs-one training needs at least two classes")
-    with np.errstate(all="ignore"):  # smo_train reports a non-finite entry
-        K = kernel.of_dots(fold.dots)
-    pairs = tuple(combinations(blocks, 2))
-    machines = []
-    for a, b in pairs:
-        sa, sb = blocks[a], blocks[b]
-        na, nb = sa.stop - sa.start, sb.stop - sb.start
-        gram = np.empty((na + nb, na + nb))  # np.block copies about 10x slower
-        gram[:na, :na], gram[:na, na:] = K[sa, sa], K[sa, sb]
-        gram[na:, :na], gram[na:, na:] = K[sb, sa], K[sb, sb]
-        labels = np.repeat([1.0, -1.0], [na, nb])
-        machines.append(smo_train(np.concatenate([rows[sa], rows[sb]]), labels, kernel,
-                                  c=c, tol=tol, gram=gram))
-    return {"pairs": pairs, "machines": tuple(machines)}
-
-
 def _whitener(scatter: np.ndarray, dof: int, what: str) -> tuple[np.ndarray, float]:
     """W and log det S of the regularized covariance S = scatter / dof + ridge I,
     with inv(S) = W W'. S is factored once, S = L L', and W = inv(L)'; nothing
@@ -526,8 +498,8 @@ class _Entry(NamedTuple):
 
 
 # The classifier menu, keyed by ClassifierSpec.name. Each fit takes a
-# TrainingFold; the SVM rows train through ovo_train, which binds the kernel,
-# c and tol of _ovo_fit.
+# TrainingFold; the SVM rows train through ovo_train, which also takes the
+# spec's kernel, c and tol.
 CLASSIFIERS = {
     "lda": _Entry(LdaModel, _lda_fit),
     "qda": _Entry(QdaModel, _qda_fit),
@@ -593,23 +565,43 @@ def train_classifier(
         fold = TrainingFold(X, y)
     entry = CLASSIFIERS[spec.name]
     if entry.fit is None:  # through the module attribute ovo_train, which perfbench wraps
-        kernel = spec.kernel(fold.X.shape[1])
-        return ovo_train(fold.X, fold.y, kernel, spec.c, spec.tol, spec.seed, fingerprint, fold)
+        kernel = spec.kernel(fold.Xs.shape[1])
+        return ovo_train(fold, kernel, spec.c, spec.tol, spec.seed, fingerprint)
     return entry.model(standardizer=fold.standardizer, fingerprint=fingerprint, seed=spec.seed,
                        **entry.fit(fold))
 
 
 def ovo_train(
-    X: np.ndarray, y: np.ndarray, kernel: KernelSpec, c: float = ClassifierSpec.c,
+    fold: TrainingFold, kernel: KernelSpec, c: float = ClassifierSpec.c,
     tol: float = ClassifierSpec.tol, seed: int = ClassifierSpec.seed, fingerprint: str = "",
-    fold: TrainingFold | None = None,
 ) -> OvoSvmModel:
-    """One-vs-one SVM with this kernel. The solver is deterministic: seed is
-    only recorded in the model. fold is as in train_classifier."""
-    if fold is None:
-        fold = TrainingFold(X, y)
+    """One binary SVM with this kernel per unordered pair of classes in the
+    fold. The solver is deterministic: seed is only recorded in the model.
+
+    The positive label of the (a, b) machine is class a (the lower index), so
+    positive decision values vote for a. The kernel is applied once, to the
+    fold's dot products, whose rows come in class blocks. A machine's rows
+    are the blocks of a and b, and its Gram is the four blocks of the kernel
+    matrix that they span, copied.
+    """
+    rows, blocks = fold.by_class
+    if len(blocks) < 2:
+        raise SingleClass("one-vs-one training needs at least two classes")
+    with np.errstate(all="ignore"):  # smo_train reports a non-finite entry
+        K = kernel.of_dots(fold.dots)
+    pairs = tuple(combinations(blocks, 2))
+    machines = []
+    for a, b in pairs:
+        sa, sb = blocks[a], blocks[b]
+        na, nb = sa.stop - sa.start, sb.stop - sb.start
+        gram = np.empty((na + nb, na + nb))  # np.block copies about 10x slower
+        gram[:na, :na], gram[:na, na:] = K[sa, sa], K[sa, sb]
+        gram[na:, :na], gram[na:, na:] = K[sb, sa], K[sb, sb]
+        labels = np.repeat([1.0, -1.0], [na, nb])
+        machines.append(smo_train(np.concatenate([rows[sa], rows[sb]]), labels, kernel,
+                                  c=c, tol=tol, gram=gram))
     return OvoSvmModel(standardizer=fold.standardizer, fingerprint=fingerprint, seed=seed,
-                       **_ovo_fit(fold, kernel, c, tol))
+                       pairs=pairs, machines=tuple(machines))
 
 
 _POSTURES = tuple(PostureLabel)  # indexed, not called: an enum call is a lookup by value

@@ -25,6 +25,7 @@ from .classifiers import (
     train_classifier,
 )
 from .dataset import (
+    LABEL_SPELLINGS,
     ModelFile,
     SynthSpec,
     load_dataset,
@@ -46,7 +47,6 @@ from .evaluation import (
     render_report,
 )
 from .features import FEATURE_SETS, AngleMode, FeatureConfig, extract_matrix
-from .skeleton import LABEL_NAMES
 
 SEED_ENV_VAR = "POSTURELAB_SEED"
 _FORMATS = {"evaluate": REPORT_FORMATS, "grid": GRID_FORMATS}
@@ -274,9 +274,8 @@ def _cmd_featurize(r: _Resolver) -> int:
     cfg = _feature_config(r)
     ds = load_dataset(_existing(r.args.data, "dataset"))
     X, fingerprint = extract_matrix(ds.positions, cfg)
-    names = [*LABEL_NAMES, None]  # label -1 (unlabeled) reads the last
     lines = [
-        json.dumps({"index": i, "label": names[y], "fingerprint": fingerprint,
+        json.dumps({"index": i, "label": LABEL_SPELLINGS[y], "fingerprint": fingerprint,
                     "values": row}, sort_keys=True)
         for i, (y, row) in enumerate(zip(ds.labels.tolist(), X.tolist()))
     ]
@@ -307,7 +306,7 @@ def _cmd_predict(r: _Resolver) -> int:
     mf = load_model(_existing(r.args.model, "model"))
     ds = load_dataset(_existing(r.args.data, "dataset"))
     X, _ = extract_matrix(ds.positions, mf.feature_config)  # ModelFile checks the fingerprint
-    labels = {k: json.dumps(name) for k, name in enumerate(LABEL_NAMES)}
+    labels = [json.dumps(name) for name in LABEL_SPELLINGS]
     # the bytes of json.dumps({"index": i, "label": name}, sort_keys=True)
     lines = [
         f'{{"index": {i}, "label": {labels[p]}}}'

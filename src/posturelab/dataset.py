@@ -66,6 +66,8 @@ MODEL_VERSION = 3  # 1 held arrays as nested JSON lists; 2 LDA/QDA precisions
 
 _JOINT_CHECKSUM = hashlib.sha256(",".join(JOINT_NAMES).encode()).hexdigest()[:16]
 _JOINTS_IN_ORDER = operator.itemgetter(*JOINT_NAMES)
+# The label spelling of each class index; label -1 (unlabeled) reads the last.
+LABEL_SPELLINGS = (*LABEL_NAMES, None)
 # A record's label spelling -> its labels column value; absent or null is -1.
 _LABEL_INDEX = {None: -1, **{name: i for i, name in enumerate(LABEL_NAMES)}}
 _FLOAT_MAX = sys.float_info.max
@@ -129,12 +131,12 @@ def _dumps(obj) -> str:
 
 def record_lines(ds: LabeledDataset) -> list[str]:
     """Canonical one-line serialization of every record, in order."""
-    names = [*LABEL_NAMES, None]  # label -1 (unlabeled) reads the last
     columns = (ds.positions.tolist(), ds.labels.tolist(), ds.participants.tolist(),
                ds.orientations_deg.tolist(), ds.distances_m.tolist())
     return [
-        _dumps({"participant": participant, "label": names[label], "orientation_deg": orientation,
-                "distance_m": distance, "joints": dict(zip(JOINT_NAMES, joints))})
+        _dumps({"participant": participant, "label": LABEL_SPELLINGS[label],
+                "orientation_deg": orientation, "distance_m": distance,
+                "joints": dict(zip(JOINT_NAMES, joints))})
         for joints, label, participant, orientation, distance in zip(*columns)
     ]
 
@@ -326,9 +328,9 @@ _TOP_LEVEL_FIELDS = {
 
 
 @functools.cache  # get_type_hints re-evaluates string annotations per call
-def _saved_fields(cls) -> tuple[tuple[str, object], ...]:
+def _typed_fields(cls) -> tuple[tuple[str, object], ...]:
     hints = get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in fields(cls) if f.metadata.get("saved", True))
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
 
 
 def _item_types(tp, items) -> tuple:
@@ -345,7 +347,7 @@ def encode(tp, value):
     if value is None:
         return None
     if is_dataclass(tp):
-        return {name: encode(t, getattr(value, name)) for name, t in _saved_fields(tp)}
+        return {name: encode(t, getattr(value, name)) for name, t in _typed_fields(tp)}
     if get_origin(tp) is np.ndarray:
         dtype = array_dtype(tp).newbyteorder("<")
         arr = np.ascontiguousarray(value, dtype=dtype)
@@ -388,7 +390,7 @@ def _decode(tp, doc):
     """Inverse of encode; array dtypes come from the annotation. A scalar must
     have its field's JSON type, and a non-finite float is rejected."""
     if is_dataclass(tp):
-        return tp(**{name: _decode(t, doc[name]) for name, t in _saved_fields(tp)})
+        return tp(**{name: _decode(t, doc[name]) for name, t in _typed_fields(tp)})
     if get_origin(tp) is np.ndarray:
         return _decode_array(array_dtype(tp).newbyteorder("<"), doc)
     if get_origin(tp) is tuple:

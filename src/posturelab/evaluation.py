@@ -430,14 +430,16 @@ def render_grid(reports: list[EvaluationReport], fmt: str = GRID_FORMATS[0]) -> 
     the JSON list of the reports' documents.
 
     A cell whose model holds a non-converged binary SVM is marked with *.
+    Two reports in one (classifier, feature set) cell are a ValueError.
     """
     if choose("format", fmt, GRID_FORMATS) == "json":
         return json.dumps([r.to_dict() for r in reports], sort_keys=True) + "\n"
-    cells = {
-        (r.classifier.name, r.features.name):
-            _format_pct(100.0 * r.accuracy) + ("*" if r.nonconverged_machines else "")
-        for r in reports
-    }
+    cells: dict[tuple[str, str], str] = {}
+    for r in reports:
+        cell = (r.classifier.name, r.features.name)
+        if cell in cells:
+            raise ValueError(f"two reports in the grid cell {cell[0]}/{cell[1]}")
+        cells[cell] = _format_pct(100.0 * r.accuracy) + ("*" if r.nonconverged_machines else "")
     classifier_names = list(dict.fromkeys(cname for cname, _ in cells))
     feature_names = list(dict.fromkeys(fname for _, fname in cells))
     width = 12

@@ -75,20 +75,9 @@ def _build_pose(
     pos[JointId.Neck] = spine_shoulder + _NECK * trunk
     pos[JointId.Head] = pos[JointId.Neck] + _HEAD * _pitched(pitch + math.radians(8.0))
 
-    sides = (
-        (1.0, JointId.ShoulderLeft, JointId.ElbowLeft, JointId.WristLeft,
-         JointId.HandLeft, JointId.HandTipLeft, JointId.ThumbLeft,
-         JointId.HipLeft, JointId.KneeLeft, JointId.AnkleLeft, JointId.FootLeft,
-         0, 0),
-        (-1.0, JointId.ShoulderRight, JointId.ElbowRight, JointId.WristRight,
-         JointId.HandRight, JointId.HandTipRight, JointId.ThumbRight,
-         JointId.HipRight, JointId.KneeRight, JointId.AnkleRight, JointId.FootRight,
-         1, 1),
-    )
-    for (side, shoulder, elbow, wrist, hand, tip, thumb,
-         hip, knee, ankle, foot, ai, li) in sides:
-        swing = math.radians(arm_swing_deg[ai])
-        bend = math.radians(elbow_bend_deg[ai])
+    for k, (side, name) in enumerate(((1.0, "Left"), (-1.0, "Right"))):
+        swing = math.radians(arm_swing_deg[k])
+        bend = math.radians(elbow_bend_deg[k])
         upper_dir = _hanging(swing)
         fore_dir = _hanging(swing + bend)
         hand_dir = _hanging(swing + bend + math.radians(12.0))
@@ -96,24 +85,21 @@ def _build_pose(
         p_shoulder = spine_shoulder + np.array([side * _SHOULDER_HALF, -0.02, 0.01])
         p_elbow = p_shoulder + _UPPER_ARM * upper_dir
         p_wrist = p_elbow + _FOREARM * fore_dir
-        pos[shoulder] = p_shoulder
-        pos[elbow] = p_elbow
-        pos[wrist] = p_wrist
-        pos[hand] = p_wrist + _HAND * hand_dir
-        pos[tip] = pos[hand] + _HAND_TIP * tip_dir
-        pos[thumb] = p_wrist + np.array([-side * _THUMB, 0.0, 0.0])
+        p_hand = p_wrist + _HAND * hand_dir
 
-        hip_pitch = math.radians(hip_pitch_deg[li])
-        knee_bend = math.radians(knee_bend_deg[li])
+        hip_pitch = math.radians(hip_pitch_deg[k])
+        knee_bend = math.radians(knee_bend_deg[k])
         thigh_dir = _hanging(hip_pitch)
         shank_dir = _hanging(hip_pitch - knee_bend)
         p_hip = base + np.array([side * _HIP_HALF, -_HIP_DROP, 0.0])
         p_knee = p_hip + _THIGH * thigh_dir
         p_ankle = p_knee + _SHANK * shank_dir
-        pos[hip] = p_hip
-        pos[knee] = p_knee
-        pos[ankle] = p_ankle
-        pos[foot] = p_ankle + _FOOT_FWD
+        parts = {"Shoulder": p_shoulder, "Elbow": p_elbow, "Wrist": p_wrist, "Hand": p_hand,
+                 "HandTip": p_hand + _HAND_TIP * tip_dir,
+                 "Thumb": p_wrist + np.array([-side * _THUMB, 0.0, 0.0]),
+                 "Hip": p_hip, "Knee": p_knee, "Ankle": p_ankle, "Foot": p_ankle + _FOOT_FWD}
+        for part, p in parts.items():
+            pos[JointId[part + name]] = p
     return pos
 
 

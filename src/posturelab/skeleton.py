@@ -96,13 +96,6 @@ NUM_CLASSES = 5
 LABEL_NAMES: tuple[str, ...] = tuple(c.name for c in PostureLabel)
 
 
-def label_from_name(name: str, line: int | None = None) -> PostureLabel:
-    try:
-        return PostureLabel[name]
-    except KeyError:
-        raise UnknownLabel(name, line) from None
-
-
 def class_indices(labels: np.ndarray) -> np.ndarray:
     """labels as int64 class indices; a label that is not an integer in 0-4
     (-1, 5 or 1.7) is an UnknownLabel."""

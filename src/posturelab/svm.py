@@ -60,7 +60,7 @@ returned, flagged with converged=False.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -94,7 +94,6 @@ class BinarySvmModel:
     converged: bool
     n_passes: int = 0  # solver updates: pair updates plus kept face steps
     kkt_violations: int = 0
-    objective_trace: tuple[float, ...] | None = field(default=None, metadata={"saved": False})
 
     def __post_init__(self):
         read_only(self, dual_coef=(len(self.support_vectors),))
@@ -145,7 +144,7 @@ def smo_train(
     kernel: KernelSpec,
     c: float = DEFAULT_C,
     tol: float = DEFAULT_TOL,
-    record_objective: bool = False,
+    trace: list[float] | None = None,
     max_total_passes: int = 2000,
     gram: np.ndarray | None = None,
 ) -> BinarySvmModel:
@@ -156,9 +155,10 @@ def smo_train(
 
     At most max_total_passes * n updates (pair updates and face steps) are made.
 
-    With record_objective=True the dual objective is recomputed from scratch
-    after every update and stored on the returned model (objective_trace),
-    for instrumented runs.
+    trace, if given, is a list for instrumented runs. It receives 0.0, the
+    dual objective at alpha = 0, and then the objective recomputed from
+    scratch after every update, each update first checked against the box
+    and the equality constraint (a NumericError if either fails).
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -189,9 +189,8 @@ def smo_train(
     n_free = 0  # variables strictly inside the box
     steady = 0  # pair updates since the face last changed
 
-    trace: list[float] | None = None
-    if record_objective:
-        trace = [0.0]
+    if trace is not None:
+        trace.append(0.0)
 
     def record(a: np.ndarray) -> None:
         if not (np.all(a >= 0.0) and np.all(a <= c)):
@@ -267,7 +266,6 @@ def smo_train(
         converged=violations == 0,
         n_passes=updates,
         kkt_violations=violations,
-        objective_trace=tuple(trace) if trace is not None else None,
     )
 
 

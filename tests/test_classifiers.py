@@ -74,7 +74,7 @@ def table_scorer(rng, pairs):
     tables as its rows: it votes on them as on its machines' decisions."""
     classes = sorted({k for pair in pairs for k in pair})
     X, y = gaussian_blobs(rng, np.eye(len(classes)) * 4.0, 6)
-    model = ovo_train(X, np.asarray(classes)[y], linear_kernel())
+    model = ovo_train(TrainingFold(X, np.asarray(classes)[y]), linear_kernel())
     assert model.pairs == pairs
     vars(model)["decisions"] = lambda table: table  # the cached property's slot
     return model.scorer
@@ -243,7 +243,7 @@ class TestVoting:
 class TestOvo:
     def test_five_classes_give_ten_machines(self, rng):
         X, y = gaussian_blobs(rng, np.eye(5) * 4.0, 8)
-        model = ovo_train(X, y, linear_kernel(), seed=0)
+        model = ovo_train(TrainingFold(X, y), linear_kernel(), seed=0)
         assert len(model.machines) == 10
         assert model.pairs == tuple(
             (a, b) for a in range(5) for b in range(a + 1, 5)
@@ -252,7 +252,7 @@ class TestOvo:
     def test_two_classes_give_one_machine(self, rng):
         X, y = gaussian_blobs(rng, [[0.0, 0.0], [5.0, 5.0]], 10)
         y = np.where(y == 0, 0, 2)  # Standing vs Sitting
-        model = ovo_train(X, y, linear_kernel(), seed=0)
+        model = ovo_train(TrainingFold(X, y), linear_kernel(), seed=0)
         assert len(model.machines) == 1
         label = predict_label(model, np.array([5.0, 5.0]))
         assert label == PostureLabel.Sitting
@@ -260,18 +260,18 @@ class TestOvo:
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
-            ovo_train(np.zeros((4, 2)), np.zeros(4, dtype=int), linear_kernel())
+            ovo_train(TrainingFold(np.zeros((4, 2)), np.zeros(4, dtype=int)), linear_kernel())
 
     def test_separated_blobs_reach_perfect_training_accuracy(self, rng):
         centers = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
         X, y = gaussian_blobs(rng, centers, 15)
-        model = ovo_train(X, y, linear_kernel(), seed=1)
+        model = ovo_train(TrainingFold(X, y), linear_kernel(), seed=1)
         assert np.array_equal(predict_batch(model, X), y)
 
     def test_overflowing_rows_are_a_numeric_error(self, rng):
         # (1 + x.y / scale^2)^2 overflows; no RuntimeWarning escapes
         X, y = gaussian_blobs(rng, np.eye(5) * 4.0, 8)
-        model = ovo_train(X, y, polynomial_kernel(2, 2.0), seed=0)
+        model = ovo_train(TrainingFold(X, y), polynomial_kernel(2, 2.0), seed=0)
         for rows in (np.full((3, 5), 1e300), np.full((1, 5), -1e300)):
             with pytest.raises(NumericError, match="not finite"):
                 predict_batch(model, rows)
@@ -283,7 +283,7 @@ class TestOvo:
         # scale**2 underflows to 0: the kernel of the fold's dot products is inf or nan
         X, y = gaussian_blobs(rng, np.eye(5) * 4.0, 8)
         with pytest.raises(NumericError, match="non-finite"):
-            ovo_train(X, y, polynomial_kernel(2, 1e-200))
+            ovo_train(TrainingFold(X, y), polynomial_kernel(2, 1e-200))
 
 
 def dual_objective(machine) -> float:

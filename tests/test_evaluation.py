@@ -357,6 +357,16 @@ class TestGrid:
         for name in ("lda", "knn1", "svm_linear", "svm_quadratic", "svm_cubic"):
             assert any(line.startswith(name) for line in lines[1:])
 
+    def test_two_reports_in_one_cell_are_an_error(self):
+        # two svm_linear rows: the text grid has one cell per (name, feature set)
+        ds = synth_generate(SynthSpec(seed=1, per_class=12, noise_std_m=0.2))
+        specs = [ClassifierSpec("svm_linear", c=0.01), ClassifierSpec("svm_linear", c=100.0)]
+        reports = evaluate_grid(ds, specs, SplitSpec(seed=1))
+        assert len(reports) == 6
+        with pytest.raises(ValueError, match="svm_linear/angles"):
+            render_grid(reports)
+        assert len(json.loads(render_grid(reports, "json"))) == 6  # a list keeps every report
+
 
 class TestNonConvergedReports:
     @pytest.fixture

@@ -50,7 +50,8 @@ grid, model-knn1, every predict file and every feature matrix (on one numpy
 build: angles take np.arccos's SIMD loop). The BLAS kernel and its thread
 count also decide model-lda and model-qda (LAPACK Cholesky and inverse of
 its factor, and LDA's coefficient products) and model-svm_quadratic (Gram
-products), so on another OpenBLAS kernel only those three may fail.
+products), so on another OpenBLAS kernel only
+test_blas_decided_pipeline_outputs_match_pinned_hashes may fail.
 test_code_decided_outputs_match_under_other_blas_kernels checks the first
 group across kernels. CI prints numpy's version, its build
 configuration and the OpenBLAS core before the tests, so that a failure can
@@ -115,8 +116,24 @@ def pipeline_hashes(tmp_path) -> dict[str, str]:
     return {**hashes, "grid": sha256(json.dumps(docs, sort_keys=True).encode())}
 
 
-def test_pipeline_outputs_match_pinned_hashes(tmp_path):
-    assert pipeline_hashes(tmp_path) == PINNED
+# The pipeline files whose last bits the BLAS kernel also decides.
+BLAS_DECIDED = ("model-lda", "model-qda", "model-svm_quadratic")
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory) -> dict[str, str]:
+    return pipeline_hashes(tmp_path_factory.mktemp("pipeline"))
+
+
+def test_code_decided_pipeline_outputs_match_pinned_hashes(pipeline):
+    assert pipeline.keys() == PINNED.keys()
+    code_decided = {key: value for key, value in PINNED.items() if key not in BLAS_DECIDED}
+    assert {key: pipeline[key] for key in code_decided} == code_decided
+
+
+def test_blas_decided_pipeline_outputs_match_pinned_hashes(pipeline):
+    blas_decided = {key: PINNED[key] for key in BLAS_DECIDED}
+    assert {key: pipeline[key] for key in BLAS_DECIDED} == blas_decided
 
 
 # (feature set, angle mode) -> (fingerprint, sha256 of the extract_matrix
@@ -144,10 +161,6 @@ def test_feature_matrix_and_fingerprint_match_pinned(features_set, mode):
     assert X.shape == (64, cfg.length)
     assert (fingerprint, config_fingerprint(cfg)) == (EXTRACT_PINNED[features_set, mode][0],) * 2
     assert sha256(X.tobytes()) == EXTRACT_PINNED[features_set, mode][1]
-
-
-# The pipeline files whose last bits the BLAS kernel also decides.
-BLAS_DECIDED = ("model-lda", "model-qda", "model-svm_quadratic")
 
 
 def code_decided_hashes(tmp_path) -> dict[str, str]:

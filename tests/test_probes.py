@@ -55,3 +55,21 @@ def test_probes_install_record_and_restore(tracer, tmp_path):
     nested = {(name, spans[parent][0]) for name, parent in spans if parent >= 0}
     assert ("features.fingerprint", "features.extract") in nested
     assert ("kernels.gram", "classifiers.predict_label") in nested
+
+
+def test_grid_feeds_its_training_and_evaluation_probes(tracer, tmp_path):
+    """A grid op reaches SVM training and each cell's evaluation through the
+    module attributes that the probes replace; a call that bypassed one would
+    zero its per-layer metrics."""
+    tr = tracer.Tracer()
+    probes = tracer.Probes(tr)
+    try:
+        tr.begin_op("grid-check", 0, True)
+        path = tmp_path / "ds.jsonl"
+        assert run(["synth", "--seed", "1", "--per-class", "4", "--out", str(path)]) == 0
+        assert run(["grid", "--data", str(path), "--out", str(tmp_path / "grid.txt")]) == 0
+    finally:
+        probes.remove()
+    for name in ("classifiers.ovo_train", "svm.smo_train", "evaluation.evaluate",
+                 "evaluation.grid", "evaluation.confusion"):
+        assert name in tr.names

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from posturelab.errors import MissingJoint, NonFiniteCoordinate, UnknownLabel
+from posturelab.errors import MissingJoint, NonFiniteCoordinate
 from posturelab.skeleton import (
     ADJACENT_ANGLE_TRIPLES,
     BONES,
@@ -15,7 +15,6 @@ from posturelab.skeleton import (
     Skeleton,
     bone_pairs_at_joint,
     joint_neighbors,
-    label_from_name,
     validate_skeleton,
 )
 
@@ -35,10 +34,6 @@ class TestJointModel:
     def test_label_order_is_frozen(self):
         assert LABEL_NAMES == ("Standing", "Bending", "Sitting", "Walking", "Crouching")
         assert int(PostureLabel.Crouching) == 4
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(UnknownLabel):
-            label_from_name("Jumping")
 
     def test_bones_form_spanning_tree(self):
         assert len(BONES) == 24

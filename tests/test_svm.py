@@ -35,15 +35,14 @@ def random_binary_problem(rng, n_max=200, d_max=20):
     return X, y
 
 
-def _reference_smo(X, y, kernel, c=1.0, tol=1e-3, record_objective=False,
-                   max_total_passes=2000):
+def _reference_smo(X, y, kernel, c=1.0, tol=1e-3, trace=None, max_total_passes=2000):
     """The solver in its gradient form: G = Q alpha - e, updated with two
     rows of Q = K * yy', and I_up/I_low as masks scanned with np.where. The
     face is compared as a whole after each pair update, and a face step
     solves [Q_FF y_F; y_F' 0][d; nu] = [-G_F; 0] as written.
 
     Kept as the oracle that smo_train must match bit for bit. Returns the
-    fields of a fitted model as a dict.
+    fields of a fitted model as a dict; trace is as in smo_train.
     """
     K = kernel.gram(X, X)
     Q = K * np.outer(y, y)
@@ -54,7 +53,8 @@ def _reference_smo(X, y, kernel, c=1.0, tol=1e-3, record_objective=False,
     neg_y = -y
     up = y > 0.0
     low = y < 0.0
-    trace = [0.0] if record_objective else None
+    if trace is not None:
+        trace.append(0.0)
 
     def record():
         ay = alpha * y
@@ -141,7 +141,6 @@ def _reference_smo(X, y, kernel, c=1.0, tol=1e-3, record_objective=False,
         "bias": float(bias),
         "n_passes": updates,
         "kkt_violations": kkt_violation_count(K, y, alpha, bias, c, tol),
-        "objective_trace": tuple(trace) if trace is not None else None,
     }
 
 
@@ -273,14 +272,14 @@ class TestSmoContract:
             X, y = random_binary_problem(rng, n_max=120)
             kern = kernels[trial % 3]
             c = float(rng.choice([0.5, 1.0, 5.0]))
-            m = smo_train(X, y, kern, c=c, tol=1e-3, record_objective=True)
+            trace = []
+            m = smo_train(X, y, kern, c=c, tol=1e-3, trace=trace)
             alphas = np.abs(m.dual_coef)
             assert np.all(alphas > 0)
             assert np.all(alphas <= c + 1e-12)
             assert abs(m.dual_coef.sum()) <= 1e-8
             if m.converged:
                 assert m.kkt_violations == 0
-            trace = np.array(m.objective_trace)
             assert np.all(np.diff(trace) >= -1e-9)
 
     def test_kkt_audit_matches_model_flag(self, rng):
@@ -336,7 +335,6 @@ class TestOracleIdentity:
         assert model.bias == ref["bias"]
         assert model.n_passes == ref["n_passes"]
         assert model.kkt_violations == ref["kkt_violations"]
-        assert model.objective_trace == ref["objective_trace"]
 
     @pytest.mark.parametrize("kern", [linear_kernel(), polynomial_kernel(2, 4.0),
                                       polynomial_kernel(3, 4.0)], ids=["linear", "quad", "cubic"])
@@ -360,9 +358,11 @@ class TestOracleIdentity:
     def test_recorded_objective(self, rng):
         for kern in (linear_kernel(), polynomial_kernel(2, 4.0)):
             X, y = random_binary_problem(rng, n_max=60)
-            model = smo_train(X, y, kern, c=1.0, record_objective=True)
-            ref = _reference_smo(X, y, kern, c=1.0, record_objective=True)
-            self.assert_identical(model, ref)
+            got, want = [], []
+            model = smo_train(X, y, kern, c=1.0, trace=got)
+            self.assert_identical(model, _reference_smo(X, y, kern, c=1.0, trace=want))
+            # 0.0, then one objective per update
+            assert got == want and len(got) == model.n_passes + 1 and got[0] == 0.0
 
 
 class TestFaceSteps:
@@ -393,16 +393,18 @@ class TestFaceSteps:
         face_step = svm._face_step
         monkeypatch.setattr(svm, "_face_step", counted)
         c = 10.0
-        m = smo_train(X, y, linear_kernel(), c=c, record_objective=True)
+        got, want = [], []
+        m = smo_train(X, y, linear_kernel(), c=c, trace=got)
         assert max(free_counts) > 4  # [K_FF 1; 1' 0] has rank 5 at most: singular
         assert m.converged
         alphas = np.abs(m.dual_coef)
         assert np.all(alphas >= 0.0) and np.all(alphas <= c)
         assert np.count_nonzero(alphas < c) > 3  # more free SVs than features
         assert abs(m.dual_coef.sum()) <= 1e-8
-        assert np.all(np.diff(m.objective_trace) >= -1e-9)
+        assert np.all(np.diff(got) >= -1e-9)
         TestOracleIdentity.assert_identical(
-            m, _reference_smo(X, y, linear_kernel(), c=c, record_objective=True))
+            m, _reference_smo(X, y, linear_kernel(), c=c, trace=want))
+        assert got == want
 
 
 class TestSolverBudgetAndAccuracy:
@@ -411,8 +413,7 @@ class TestSolverBudgetAndAccuracy:
         y = np.where(rng.random(100) < 0.5, 1.0, -1.0)
         X = rng.normal(size=(100, 5)) + 0.3 * y[:, None]
         kern = linear_kernel()
-        m = smo_train(X, y, kern, c=1.0, tol=1e-3, max_total_passes=1,
-                      record_objective=True)
+        m = smo_train(X, y, kern, c=1.0, tol=1e-3, max_total_passes=1, trace=[])
         assert m.n_passes == 100
         assert not m.converged
         assert m.kkt_violations > 0
