@@ -37,8 +37,8 @@ from .errors import (
     FingerprintMismatch,
     NumericError,
     SingleClass,
-    check_seed,
     choose,
+    count,
     read_only,
     real,
     same_kind,
@@ -105,11 +105,11 @@ class TrainingFold:
     Built from raw (n, d) rows X and their n labels y, it holds X as a float
     matrix and y as class indices (a label outside 0-4 is an UnknownLabel),
     the standardizer fitted on X and the standardized rows Xs. On first use
-    it also holds by_class, Xs with its rows in stable class order and each
-    present class's block of them, a slice; and dots, their dot products
-    D = Xs Xs' in that order. LDA and QDA read each class from its block, and
-    every SVM kind and every one-vs-one pair trained on the fold takes its
-    Gram from D.
+    it also holds by_class, Xs with its rows in stable class order (read-only)
+    and each present class's block of them, a slice; and dots, their dot
+    products D = Xs Xs' in that order. LDA and QDA read each class from its
+    block, and every SVM kind and every one-vs-one pair trained on the fold
+    takes its Gram from D.
     """
 
     def __init__(self, X, y):
@@ -127,7 +127,9 @@ class TrainingFold:
         ends = np.cumsum(np.bincount(self.y, minlength=NUM_CLASSES)).tolist()
         blocks = {k: slice(start, end)
                   for k, (start, end) in enumerate(zip([0, *ends], ends)) if end > start}
-        return self.Xs[np.argsort(self.y, kind="stable")], blocks
+        rows = self.Xs[np.argsort(self.y, kind="stable")]
+        rows.setflags(write=False)  # shared like Xs
+        return rows, blocks
 
     @cached_property
     def dots(self) -> np.ndarray:
@@ -205,12 +207,6 @@ def vote_batch(
     return _winners(plan, decisions), votes, _margin_sums(plan, decisions)
 
 
-def _check_indices(name: str, index) -> None:
-    index = np.asarray(index, dtype=np.int64)
-    if not ((index >= 0) & (index < NUM_CLASSES)).all():
-        raise ValueError(f"{name} holds a class index outside 0-{NUM_CLASSES - 1}")
-
-
 @dataclass(frozen=True)
 class MulticlassModel:
     """Shared fields of every fitted five-class model."""
@@ -260,7 +256,7 @@ class OvoSvmModel(MulticlassModel):
     kind: ClassVar[str] = "ovo_svm"
 
     def __post_init__(self):
-        _check_indices("pairs", self.pairs)
+        class_indices(np.asarray(self.pairs))
         pairs = tuple(combinations(sorted({k for pair in self.pairs for k in pair}), 2))
         if not self.machines or self.pairs != pairs or len(self.machines) != len(pairs):
             raise ValueError("expected one machine per pair of classes, pairs in order")
@@ -307,7 +303,7 @@ class OvoSvmModel(MulticlassModel):
 
 def _gaussian_shape(model) -> tuple[int, int]:
     """LDA/QDA: (k, d) of sorted distinct classes in d features."""
-    _check_indices("classes", model.classes)
+    class_indices(np.asarray(model.classes))
     if not model.classes or list(model.classes) != sorted(set(model.classes)):
         raise ValueError(f"classes must be sorted, distinct and not empty: {model.classes}")
     return len(model.classes), model.dim
@@ -374,7 +370,7 @@ class Knn1Model(MulticlassModel):
         if n < 1:
             raise ValueError("1-NN needs at least one stored point")
         read_only(self, points=(n, self.dim), labels=(n,))
-        _check_indices("labels", self.labels)
+        class_indices(self.labels)
 
     @cached_property
     def scorer(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -493,8 +489,8 @@ def _knn1_fit(fold: TrainingFold) -> dict:
 
 class _Entry(NamedTuple):
     model: type[MulticlassModel]
-    fit: Callable[[TrainingFold], dict] | None  # None: an SVM, fitted by ovo_train
-    degree: int | None = None  # of the SVM kernel; 1 is the linear kernel
+    fit: Callable[[TrainingFold], dict] | None  # None for an SVM, fitted by ovo_train
+    degree: int | None = None  # of an SVM's kernel, 1 the linear one; None: not an SVM
 
 
 # The classifier menu, keyed by ClassifierSpec.name. Each fit takes a
@@ -533,7 +529,7 @@ class ClassifierSpec:
 
     def __post_init__(self):
         choose("classifier", self.name, CLASSIFIERS)
-        check_seed(self.seed)
+        count("seed", self.seed)
         # Every classifier's report writes these values, and JSON has no
         # infinity or NaN; only the SVMs use them, so only they need them > 0.
         svm = CLASSIFIERS[self.name].degree is not None
@@ -564,7 +560,7 @@ def train_classifier(
     if fold is None:
         fold = TrainingFold(X, y)
     entry = CLASSIFIERS[spec.name]
-    if entry.fit is None:  # through the module attribute ovo_train, which perfbench wraps
+    if entry.degree is not None:  # through the module attribute ovo_train, which perfbench wraps
         kernel = spec.kernel(fold.Xs.shape[1])
         return ovo_train(fold, kernel, spec.c, spec.tol, spec.seed, fingerprint)
     return entry.model(standardizer=fold.standardizer, fingerprint=fingerprint, seed=spec.seed,

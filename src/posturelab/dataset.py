@@ -22,10 +22,10 @@ import math
 import operator
 import sys
 import types
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_origin
 
 import numpy as np
 import numpy.typing as npt
@@ -40,12 +40,13 @@ from .errors import (
     UnknownLabel,
     VersionMismatch,
     array_dtype,
-    check_seed,
     choose,
+    count,
     finite_real,
     integer,
     read_only,
     real,
+    typed_fields,
 )
 from .features import FeatureConfig, config_fingerprint
 from .poses import POSE_TEMPLATES, rotation_about_y
@@ -55,6 +56,7 @@ from .skeleton import (
     NUM_JOINTS,
     PostureLabel,
     Skeleton,
+    check_finite,
     class_indices,
     validate_skeleton,
 )
@@ -71,13 +73,15 @@ LABEL_SPELLINGS = (*LABEL_NAMES, None)
 # A record's label spelling -> its labels column value; absent or null is -1.
 _LABEL_INDEX = {None: -1, **{name: i for i, name in enumerate(LABEL_NAMES)}}
 _FLOAT_MAX = sys.float_info.max
+_INT64_MAX = 2**63 - 1  # the largest count that numpy's repeat and integers take
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
     """Records held once as read-only columns of one length n.
 
-    positions is the (n, 25, 3) joint stack; labels holds PostureLabel
+    positions is the (n, 25, 3) joint stack, finite (else a
+    NonFiniteCoordinate naming the record); labels holds PostureLabel
     indices, -1 for an unlabeled record; participants (str), orientations_deg
     and distances_m carry the capture metadata. Record order is part of the
     identity: split determinism depends on it.
@@ -95,6 +99,7 @@ class LabeledDataset:
         n = (len(self.labels),)
         read_only(self, positions=(*n, NUM_JOINTS, 3), labels=n, participants=n,
                   orientations_deg=n, distances_m=n)
+        check_finite(self.positions)  # what save_dataset and load_dataset require
         class_indices(self.labels[self.labels != -1])
         for participant in given.tolist():  # save_dataset writes them as strings
             if not isinstance(participant, str):
@@ -256,10 +261,10 @@ class SynthSpec:
     participants: int = 13
 
     def __post_init__(self):
-        check_seed(self.seed)
+        count("seed", self.seed)
         for name in ("per_class", "participants"):
-            if integer(name, getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 1 <= integer(name, getattr(self, name)) <= _INT64_MAX:
+                raise ValueError(f"{name} must be in 1 to 2**63 - 1, got {getattr(self, name)}")
         if not real("noise_std_m", self.noise_std_m) >= 0:
             raise ValueError(f"noise_std_m must not be negative, got {self.noise_std_m}")
         lo, hi = (real("scale_range", v, positive=True) for v in self.scale_range)
@@ -327,12 +332,6 @@ _TOP_LEVEL_FIELDS = {
 }
 
 
-@functools.cache  # get_type_hints re-evaluates string annotations per call
-def _typed_fields(cls) -> tuple[tuple[str, object], ...]:
-    hints = get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in fields(cls))
-
-
 def _item_types(tp, items) -> tuple:
     """Element types of tuple[T, ...] or tuple[T1, T2, ...] for these items."""
     args = get_args(tp)
@@ -347,7 +346,7 @@ def encode(tp, value):
     if value is None:
         return None
     if is_dataclass(tp):
-        return {name: encode(t, getattr(value, name)) for name, t in _typed_fields(tp)}
+        return {name: encode(t, getattr(value, name)) for name, t in typed_fields(tp)}
     if get_origin(tp) is np.ndarray:
         dtype = array_dtype(tp).newbyteorder("<")
         arr = np.ascontiguousarray(value, dtype=dtype)
@@ -390,7 +389,7 @@ def _decode(tp, doc):
     """Inverse of encode; array dtypes come from the annotation. A scalar must
     have its field's JSON type, and a non-finite float is rejected."""
     if is_dataclass(tp):
-        return tp(**{name: _decode(t, doc[name]) for name, t in _typed_fields(tp)})
+        return tp(**{name: _decode(t, doc[name]) for name, t in typed_fields(tp)})
     if get_origin(tp) is np.ndarray:
         return _decode_array(array_dtype(tp).newbyteorder("<"), doc)
     if get_origin(tp) is tuple:
@@ -428,7 +427,7 @@ def model_file_from_dict(doc: dict) -> ModelFile:
         cls = MODEL_KINDS[choose("model kind", doc["kind"], MODEL_KINDS)]
         shared = {name: doc[key] for name, key in _TOP_LEVEL_FIELDS.items()}
         model = _decode(cls, {**doc["params"], **shared})
-        return ModelFile(model, cfg, str(doc.get("dataset_fingerprint", "")))
+        return ModelFile(model, cfg, _decode(str, doc["dataset_fingerprint"]))
     except (KeyError, TypeError, ValueError, OverflowError, DataError) as e:
         raise CorruptModel(f"malformed model file: {e}") from None
 

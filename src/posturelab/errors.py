@@ -3,15 +3,16 @@
 Two families matter for the CLI exit-code contract: DataError (malformed or
 insufficient input, exit 2) and NumericError (a computation that cannot
 proceed, exit 3). choose is the one rejection of an unknown name; integer,
-real, boolean, count and check_seed reject a value that is no integer, no
-finite number, no bool, no count or no seed. same_kind casts an array
-within its dtype's kind, and read_only holds the array fields of a
-dataclass one way: read-only, of their annotated dtype.
+real, boolean and count reject a value that is no integer, no finite number,
+no bool or no count (a seed is a count). typed_fields reads a dataclass's
+annotated fields; same_kind casts an array within its dtype's kind, and
+read_only holds the array fields of a dataclass one way: read-only, typed.
 """
 from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import fields
 from numbers import Real
 from typing import get_args, get_origin, get_type_hints
 
@@ -164,21 +165,23 @@ def count(what: str, value) -> int:
     return value
 
 
-def check_seed(seed) -> None:
-    """A seed is a non-negative integer, the one kind that numpy's generators take."""
-    count("seed", seed)
-
-
 def array_dtype(tp) -> np.dtype | None:
     """The dtype of an npt.NDArray[...] annotation; None for any other type."""
     return np.dtype(get_args(get_args(tp)[1])[0]) if get_origin(tp) is np.ndarray else None
 
 
 @functools.cache  # get_type_hints re-evaluates string annotations per call
+def typed_fields(cls) -> tuple[tuple[str, object], ...]:
+    """(name, annotated type) of each field of the dataclass cls, in field order."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+@functools.cache
 def _array_fields(cls) -> dict[str, np.dtype]:
     """Name -> dtype of each npt.NDArray[...] field of the dataclass cls."""
-    hints = get_type_hints(cls).items()
-    return {name: dtype for name, tp in hints if (dtype := array_dtype(tp)) is not None}
+    return {name: dtype for name, tp in typed_fields(cls)
+            if (dtype := array_dtype(tp)) is not None}
 
 
 def same_kind(what: str, value, dtype) -> np.ndarray:

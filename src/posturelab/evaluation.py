@@ -20,8 +20,7 @@ from .classifiers import (
 )
 from .dataset import LabeledDataset, encode
 from .errors import (
-    ClassTooSmall, EmptyInput, LengthMismatch, boolean, check_seed, choose,
-    read_only, real,
+    ClassTooSmall, EmptyInput, LengthMismatch, boolean, choose, count, read_only, real,
 )
 from .features import FeatureConfig, extract_matrix
 from .skeleton import LABEL_NAMES, NUM_CLASSES, PostureLabel, class_indices
@@ -57,7 +56,7 @@ class SplitSpec:
     resubstitution: bool = False
 
     def __post_init__(self):
-        check_seed(self.seed)
+        count("seed", self.seed)
         if not (0.0 < real("train_fraction", self.train_fraction) < 1.0):
             raise ValueError("train_fraction must be in (0, 1)")
         choose("stratify mode", self.stratify_by, STRATIFY_MODES)
@@ -160,27 +159,21 @@ def confusion_matrix(truth, pred) -> ConfusionMatrix:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """One evaluated (classifier, feature set, split) cell."""
+    """One evaluated (classifier, feature set, split) cell; its model holds the
+    feature fingerprint, its confusion matrix the test count."""
 
     classifier: ClassifierSpec
     features: FeatureConfig
     split: SplitSpec
     confusion: ConfusionMatrix
     n_train: int
-    n_test: int
     dataset_fingerprint: str
-    feature_fingerprint: str
     timings_ms: dict
     model: MulticlassModel = field(repr=False, compare=False)
 
     @property
     def accuracy(self) -> float:
         return self.confusion.overall_accuracy
-
-    @property
-    def nonconverged_machines(self) -> int | None:
-        """Binary SVMs of the model left with KKT violations; None if not an SVM."""
-        return self.model.nonconverged
 
     def to_dict(self) -> dict:
         per_class = [
@@ -193,20 +186,20 @@ class EvaluationReport:
             "features": {
                 "set": self.features.name,
                 **encode(FeatureConfig, self.features),
-                "fingerprint": self.feature_fingerprint,
+                "fingerprint": self.model.fingerprint,
             },
             "split": {
                 **encode(SplitSpec, self.split),
                 "n_train": self.n_train,
-                "n_test": self.n_test,
+                "n_test": self.confusion.total,
             },
             "dataset_fingerprint": self.dataset_fingerprint,
             "counts": self.confusion.counts.tolist(),
             "accuracy": self.accuracy,
             "per_class": per_class,
         }
-        if self.nonconverged_machines is not None:
-            doc["nonconverged_machines"] = self.nonconverged_machines
+        if self.model.nonconverged is not None:
+            doc["nonconverged_machines"] = self.model.nonconverged
         doc["timings_ms"] = {k: float(v) for k, v in self.timings_ms.items()}
         return doc
 
@@ -268,9 +261,7 @@ def evaluate(
         split=split,
         confusion=confusion,
         n_train=int(training.y.shape[0]),
-        n_test=int(fold.y_test.shape[0]),
         dataset_fingerprint=ds.fingerprint,
-        feature_fingerprint=fold.fingerprint,
         timings_ms={
             "extract": (t_extract - t0) * 1e3,
             "train": (t_train - t_extract) * 1e3,
@@ -302,16 +293,16 @@ def render_text(report: EvaluationReport) -> str:
     )
     f = report.features
     lines.append(f"features: {f.name} (angle_mode={f.angle_mode.value}, "
-                 f"length={f.length}, fingerprint={report.feature_fingerprint})")
+                 f"length={f.length}, fingerprint={report.model.fingerprint})")
     s = report.split
     mode = "resubstitution" if s.resubstitution else f"stratified by {s.stratify_by}"
     lines.append(
         f"split: {mode}, fraction={s.train_fraction:g}, seed={s.seed}, "
-        f"train={report.n_train}, test={report.n_test}"
+        f"train={report.n_train}, test={report.confusion.total}"
     )
     lines.append(f"dataset: {report.dataset_fingerprint}")
     lines.append(f"overall accuracy: {_format_pct(100.0 * report.accuracy)}")
-    bad = report.nonconverged_machines
+    bad = report.model.nonconverged
     if bad:
         lines.append(
             f"warning: {bad} of {len(report.model.machines)} binary SVMs did not "
@@ -369,11 +360,10 @@ def parse_csv_report(text: str) -> dict:
     counts = [[0] * NUM_CLASSES for _ in range(NUM_CLASSES)]
     meta: dict = {}
     per_class: list = [None] * NUM_CLASSES
-    label_index = {name: i for i, name in enumerate(LABEL_NAMES)}
     for row in rows[1:]:
         section, name, values = row[0], row[1], row[2:]
         if section == "counts":
-            counts[label_index[name]] = [int(v) for v in values]
+            counts[PostureLabel[name]] = [int(v) for v in values]
         elif section == "per_class":
             per_class = [float(v) if v else None for v in values]
         elif section == "meta":
@@ -439,7 +429,7 @@ def render_grid(reports: list[EvaluationReport], fmt: str = GRID_FORMATS[0]) -> 
         cell = (r.classifier.name, r.features.name)
         if cell in cells:
             raise ValueError(f"two reports in the grid cell {cell[0]}/{cell[1]}")
-        cells[cell] = _format_pct(100.0 * r.accuracy) + ("*" if r.nonconverged_machines else "")
+        cells[cell] = _format_pct(100.0 * r.accuracy) + ("*" if r.model.nonconverged else "")
     classifier_names = list(dict.fromkeys(cname for cname, _ in cells))
     feature_names = list(dict.fromkeys(fname for _, fname in cells))
     width = 12

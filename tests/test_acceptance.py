@@ -83,7 +83,7 @@ def test_synthetic_benchmark_quadratic_svm(benchmark_dataset):
             SplitSpec(train_fraction=0.8, seed=BENCH_SEED),
         )
         elapsed = time.perf_counter() - t0
-        assert report.n_train == 832 and report.n_test == 208
+        assert report.n_train == 832 and report.confusion.total == 208
         assert report.accuracy >= 0.90, f"accuracy {report.accuracy:.4f} < 0.90"
         assert elapsed <= 60.0, f"evaluation took {elapsed:.1f}s > 60s"
 
@@ -104,7 +104,7 @@ def test_linear_svm_on_angles_converges(benchmark_dataset):
                 f"pair {pair}: {machine.kkt_violations} KKT violations after "
                 f"{machine.n_passes} updates"
             )
-        assert report.nonconverged_machines == 0
+        assert report.model.nonconverged == 0
 
 
 def test_trend_check_against_noisier_data(noisy_dataset):

@@ -111,10 +111,13 @@ def test_choose_returns_an_accepted_name():
     assert choose("classifier", "qda", dict.fromkeys(CLASSIFIERS)) == "qda"
 
 
-# Mistyped spec fields: id -> (the field as its message names it, the construction)
+# Mistyped or out-of-range spec fields: id -> (the field as its message names it,
+# the construction)
 MISTYPED_FIELDS = {
     "synth-per-class-fraction": ("per_class", lambda: SynthSpec(per_class=2.5)),
     "synth-participants-fraction": ("participants", lambda: SynthSpec(participants=2.5)),
+    "synth-per-class-beyond-int64": ("per_class", lambda: SynthSpec(per_class=2**63)),
+    "synth-participants-beyond-int64": ("participants", lambda: SynthSpec(participants=2**63)),
     "synth-per-class-bool": ("per_class", lambda: SynthSpec(per_class=True)),
     "synth-noise-bool": ("noise_std_m", lambda: SynthSpec(noise_std_m=True)),
     "synth-orientation-bool": ("orientations_deg", lambda: SynthSpec(orientations_deg=(True,))),

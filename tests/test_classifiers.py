@@ -315,6 +315,14 @@ class TestClassBlockOrder:
             assert abs(dual_objective(machine) - dual_objective(alone)) <= (
                 1e-3 * abs(dual_objective(alone)))
 
+    def test_fold_arrays_shared_by_its_fits_are_read_only(self, rng):
+        X, y = gaussian_blobs(rng, np.eye(5, 3) * 6.0, 4)
+        fold = TrainingFold(X, y)
+        rows, _ = fold.by_class
+        for shared in (fold.Xs, rows, fold.dots):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0, 0] = 1.0
+
 
 class TestDiscriminants:
     def test_lda_boundary_is_midplane_for_symmetric_classes(self, rng):
@@ -636,7 +644,8 @@ class TestTrainDispatch:
     def test_model_checks_its_fields_wherever_built(self, rng, name, field, change):
         X, y = gaussian_blobs(rng, np.eye(5) * 6.0, 6)
         model = train_classifier(X, y, ClassifierSpec(name))
-        with pytest.raises((ValueError, DimensionMismatch)):
+        error = {"intercept": DimensionMismatch, "labels": UnknownLabel}.get(field, ValueError)
+        with pytest.raises(error):
             dataclasses.replace(model, **{field: change(getattr(model, field))})
 
     def test_unknown_classifier_rejected(self):

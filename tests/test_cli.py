@@ -126,6 +126,11 @@ MALFORMED_MODELS = {
     "negative-std": ("lda", lambda d: _with_array(d["standardizer"], "std", _negated_first)),
     "feature-config-changed": ("lda", lambda d: d["feature_config"].update(use_angles=False)),
     "feature-fingerprint-changed": ("knn1", lambda d: d.update(feature_fingerprint="0" * 16)),
+    # the dataset fingerprint is a string like every other str field
+    "dataset-fingerprint-null": ("lda", lambda d: d.update(dataset_fingerprint=None)),
+    "dataset-fingerprint-number": ("lda", lambda d: d.update(dataset_fingerprint=5)),
+    "dataset-fingerprint-bool": ("lda", lambda d: d.update(dataset_fingerprint=True)),
+    "dataset-fingerprint-missing": ("lda", lambda d: d.pop("dataset_fingerprint")),
     # consistent in itself, but one feature narrower than its feature config
     "lda-narrower-than-features": ("lda", lambda d: (
         _with_array(d["standardizer"], "mean", SHORT), _with_array(d["standardizer"], "std", SHORT),
@@ -183,6 +188,9 @@ REJECTED_SPEC_VALUES = {
     "synth-noise-negative": (["synth", "--noise", "-1"], None, None),
     "synth-noise-nan": (["synth", "--noise", "nan"], None, None),
     "synth-participants-0": (["synth", "--participants", "0"], None, None),
+    # beyond int64: numpy's repeat and integers would raise, not a usage error
+    "synth-per-class-huge": (["synth", "--per-class", str(2**63)], None, None),
+    "synth-participants-huge": (["synth", "--participants", str(10**20)], None, None),
     "synth-no-orientations": (["synth", "--orientations", ""], None, None),
     "synth-no-distances": (["synth", "--distances", ","], None, None),
     "synth-orientations-not-numbers": (["synth", "--orientations", "0,x"], None, None),
@@ -298,6 +306,15 @@ class TestSynthCommand:
         code = run(["synth", "--seed", "42", "--per-class", "208", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 1040
+
+    def test_non_finite_records_are_a_data_error(self, tmp_path, capsys):
+        """Noise of 1e308 overflows coordinates, which no dataset file may hold."""
+        out = tmp_path / "n.jsonl"
+        capsys.readouterr()
+        assert run(["synth", "--noise", "1e308", "--per-class", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: record 0: non-finite ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -763,7 +780,7 @@ class TestModelFiles:
         name, edit = CLASS_INDEX_EDITS[case]
         path = _train(tmp_path, dataset_path, name)
         _edit_model(path, lambda doc: edit(doc["params"], value))
-        with pytest.raises(CorruptModel, match="class index outside 0-4"):
+        with pytest.raises(CorruptModel, match=f"unknown posture label {value}"):
             load_model(path)
         capsys.readouterr()
         assert self.predict(path, dataset_path, tmp_path) == 2

@@ -102,7 +102,7 @@ class TestStratifiedSplit:
         train, test = stratified_split(ds, split)
         assert np.array_equal(train, np.arange(5)) and np.array_equal(test, np.arange(5))
         report = evaluate(ds, FeatureConfig(), ClassifierSpec("knn1", seed=0), split)
-        assert report.n_train == report.n_test == 5
+        assert report.n_train == report.confusion.total == 5
 
     def test_evaluate_splits_through_stratified_split_under_resubstitution(self, monkeypatch):
         import posturelab.evaluation as ev
@@ -117,7 +117,7 @@ class TestStratifiedSplit:
         split = SplitSpec(seed=2, resubstitution=True)
         report = evaluate(small_dataset(), FeatureConfig(), ClassifierSpec("lda"), split)
         assert calls == [split]
-        assert report.n_train == report.n_test == 50
+        assert report.n_train == report.confusion.total == 50
 
     def test_label_and_participant_stratification(self):
         ds = small_dataset(per_class=40)
@@ -259,7 +259,7 @@ class TestEvaluate:
             SplitSpec(seed=0, resubstitution=True),
         )
         assert report.accuracy == 1.0
-        assert report.n_train == report.n_test == len(ds)
+        assert report.n_train == report.confusion.total == len(ds)
 
     def test_report_identities(self):
         ds = small_dataset(per_class=10)
@@ -268,7 +268,7 @@ class TestEvaluate:
         )
         cm = report.confusion
         assert report.accuracy == np.trace(cm.counts) / cm.counts.sum()
-        assert cm.counts.sum() == report.n_test
+        assert cm.counts.sum() == report.to_dict()["split"]["n_test"]
 
     def test_deterministic_reports(self):
         ds = small_dataset(per_class=10)
@@ -410,7 +410,7 @@ class TestNonConvergedReports:
             report = evaluate(
                 ds, FeatureConfig(), ClassifierSpec(name, seed=3), SplitSpec(seed=3)
             )
-            assert report.nonconverged_machines is None
+            assert report.model.nonconverged is None
             assert "nonconverged_machines" not in report.to_dict()
             assert "nonconverged_machines" not in render_report(report, "csv")
 

@@ -406,6 +406,20 @@ class TestFaceSteps:
             m, _reference_smo(X, y, linear_kernel(), c=c, trace=want))
         assert got == want
 
+    @pytest.mark.parametrize("K, F", [
+        # K = 0: the ridge scales with K's diagonal, so the face system stays singular
+        (np.zeros((4, 4)), np.zeros(4)),
+        # a step of about F / 1e-300 overflows to infinity
+        (1e-300 * np.eye(4), np.array([1e308, 1e308, -1e308, -1e308])),
+        # F = 0: the step is zero, and P does not strictly fall
+        (np.eye(4), np.zeros(4)),
+    ], ids=["singular", "non-finite-step", "no-decrease"])
+    def test_face_step_refuses(self, K, F):
+        """Four free variables (y = [1, 1, -1, -1], alpha = 0.5, c = 1) on which
+        the Newton step is refused and the pair updates go on."""
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        assert svm._face_step(K, F, y, np.full(4, 0.5), 1.0) is None
+
 
 class TestSolverBudgetAndAccuracy:
     def test_update_budget_exhausted_is_flagged(self):

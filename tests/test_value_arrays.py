@@ -8,11 +8,11 @@ import pytest
 
 from posturelab.classifiers import Knn1Model, LdaModel, QdaModel, Standardizer
 from posturelab.dataset import LabeledDataset
-from posturelab.errors import DimensionMismatch, UnknownLabel
+from posturelab.errors import DimensionMismatch, NonFiniteCoordinate, UnknownLabel
 from posturelab.evaluation import ConfusionMatrix
 from posturelab.features import FeatureVector
 from posturelab.kernels import linear_kernel
-from posturelab.skeleton import NUM_JOINTS, Skeleton
+from posturelab.skeleton import NUM_JOINTS, JointId, Skeleton
 from posturelab.svm import BinarySvmModel
 
 
@@ -176,6 +176,14 @@ class TestLabeledDatasetColumns:
     def test_a_label_outside_the_postures_is_unknown(self, label):
         with pytest.raises(UnknownLabel, match=str(label)):
             LabeledDataset(**self.columns(labels=np.array([0, label])))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_position_is_rejected_by_record(self, value):
+        positions = self.columns()["positions"].copy()
+        positions[1, JointId.Neck, 1] = value
+        with pytest.raises(NonFiniteCoordinate,
+                           match="^record 1: non-finite y coordinate for joint 'Neck'$"):
+            LabeledDataset(**self.columns(positions=positions))
 
     def test_plain_lists_build_typed_columns(self):
         ds = LabeledDataset(**{k: v.tolist() for k, v in self.columns().items()})
