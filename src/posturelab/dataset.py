@@ -83,8 +83,9 @@ class LabeledDataset:
     positions is the (n, 25, 3) joint stack, finite (else a
     NonFiniteCoordinate naming the record); labels holds PostureLabel
     indices, -1 for an unlabeled record; participants (str), orientations_deg
-    and distances_m carry the capture metadata. Record order is part of the
-    identity: split determinism depends on it.
+    and distances_m (finite, else a DataError naming the record) carry the
+    capture metadata. Record order is part of the identity: split
+    determinism depends on it.
     """
 
     positions: npt.NDArray[np.float64]
@@ -100,6 +101,11 @@ class LabeledDataset:
         read_only(self, positions=(*n, NUM_JOINTS, 3), labels=n, participants=n,
                   orientations_deg=n, distances_m=n)
         check_finite(self.positions)  # what save_dataset and load_dataset require
+        for name in ("orientations_deg", "distances_m"):  # so is the camera metadata
+            column = getattr(self, name)
+            if not np.isfinite(column).all():
+                k = int(np.argmin(np.isfinite(column)))
+                raise DataError(f"record {k}: {name} must be finite, got {column[k]}")
         class_indices(self.labels[self.labels != -1])
         for participant in given.tolist():  # save_dataset writes them as strings
             if not isinstance(participant, str):

@@ -3,10 +3,12 @@ joint angles, individually or concatenated.
 
 All features are invariant to rigid motion; distances are additionally made
 scale-invariant by dividing by the spine segment length (SpineShoulder to
-SpineMid), a proxy for the person's height.
+SpineMid), a proxy for the person's height. An angle feature is the angle's
+cosine, clipped to [-1, 1].
 
-Every length of a 3-vector is the elementwise _lengths, so no BLAS kernel
-decides a bit, and the normalized (SpineMid, SpineShoulder) distance is exactly
+Every product of 3-vectors is the elementwise _dots, and every length is its
+square root, so neither a BLAS kernel nor numpy's SIMD dispatch decides a
+feature bit, and the normalized (SpineMid, SpineShoulder) distance is exactly
 1.0 for every record, from extract and from extract_matrix alike.
 """
 from __future__ import annotations
@@ -105,14 +107,17 @@ class FeatureConfig:
 
 @functools.cache  # per frame it would rebuild and re-hash the same string
 def config_fingerprint(cfg: FeatureConfig) -> str:
-    """Stable hash of (feature config, joint order, bone topology).
+    """Stable hash of (feature config, angle encoding, joint order, bone
+    topology).
 
     Models refuse feature vectors whose fingerprint differs from the one they
-    were trained with.
+    were trained with. The angles field names the encoding, so a model of
+    angles in radians (hashed as "angles=1") refuses cosine features.
     """
     h = hashlib.sha256()
+    angles = "cosine" if cfg.use_angles else "0"
     h.update(
-        f"distances={int(cfg.use_distances)};angles={int(cfg.use_angles)};"
+        f"distances={int(cfg.use_distances)};angles={angles};"
         f"mode={cfg.angle_mode.value};".encode()
     )
     h.update(",".join(JOINT_NAMES).encode())
@@ -131,10 +136,16 @@ class FeatureVector:
         read_only(self)
 
 
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products of 3-vectors u and v (..., 3): (u₀v₀ + u₁v₁) + u₂v₂,
+    elementwise."""
+    p = u * v  # keeps the memory order: for a swapped planes view, three rows
+    return (p[..., 0] + p[..., 1]) + p[..., 2]
+
+
 def _lengths(d: np.ndarray) -> np.ndarray:
-    """Lengths of 3-vectors d (..., 3): sqrt((x² + y²) + z²), elementwise."""
-    sq = d * d  # keeps d's memory order: for a swapped planes view, three rows
-    return np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])
+    """Lengths of 3-vectors d (..., 3): sqrt((x² + y²) + z²)."""
+    return np.sqrt(_dots(d, d))
 
 
 def _spine_lengths(pos: np.ndarray) -> np.ndarray:
@@ -153,13 +164,14 @@ def _spine_lengths(pos: np.ndarray) -> np.ndarray:
     )
 
 
-def _angles_at(pos: np.ndarray, ia, iv, ib, norms=None) -> tuple[np.ndarray, np.ndarray]:
-    """Angles at vertex joints iv toward endpoint joints ia and ib, and the
-    mask of the entries that are not degenerate.
+def _cosines_at(pos: np.ndarray, ia, iv, ib, norms=None) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines of the angles at vertex joints iv toward endpoint joints ia and
+    ib, clipped to [-1, 1], and the mask of the entries that are not degenerate.
 
     norms, when given, are the rays' lengths with the bits _lengths gives them.
-    Degenerate entries (a ray at or below the segment floor) yield 0 instead
-    of raising, so one bad joint cannot discard a whole vector.
+    Degenerate entries (a ray at or below the segment floor) yield 0, the
+    cosine of a right angle, instead of raising, so one bad joint cannot
+    discard a whole vector.
     """
     vertex = pos.take(iv, axis=-2)  # take gathers what [..., iv, :] does, faster
     u = pos.take(ia, axis=-2) - vertex
@@ -167,9 +179,9 @@ def _angles_at(pos: np.ndarray, ia, iv, ib, norms=None) -> tuple[np.ndarray, np.
     nu, nv = (_lengths(u), _lengths(v)) if norms is None else norms
     ok = (nu > SEGMENT_FLOOR) & (nv > SEGMENT_FLOOR)
     denom = np.where(ok, nu * nv, 1.0)
-    cosine = np.einsum("...ij,...ij->...i", u, v) / denom
+    cosine = _dots(u, v) / denom
     np.minimum(np.maximum(cosine, -1.0, out=cosine), 1.0, out=cosine)  # clip, undispatched
-    return np.where(ok, np.arccos(cosine), 0.0), ok
+    return np.where(ok, cosine, 0.0), ok
 
 
 def _values(pos: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
@@ -187,7 +199,7 @@ def _values(pos: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
         if cfg.use_angles:
             norms = [lengths.take(rays, axis=-1) for rays in _RAY_PAIRS[cfg.angle_mode]]
     if cfg.use_angles:
-        parts.append(_angles_at(pos, *_ANGLE_TRIPLES[cfg.angle_mode], norms)[0])
+        parts.append(_cosines_at(pos, *_ANGLE_TRIPLES[cfg.angle_mode], norms)[0])
     return np.concatenate(parts, axis=-1)
 
 
@@ -219,30 +231,32 @@ def pairwise_distances(skel: Skeleton) -> np.ndarray:
 
 
 def joint_angle(a, b, c) -> float:
-    """Angle at vertex ``b`` between rays b->a and b->c, in [0, pi].
+    """Angle at vertex ``b`` between rays b->a and b->c, in [0, pi]: the
+    arccos of the cosine that the angle features hold.
 
     Raises ZeroLengthSegment if either ray is shorter than 1e-9.
     """
     pos = np.array([a, b, c], dtype=np.float64)
-    angles, ok = _angles_at(pos, [0], [1], [2])
+    cosines, ok = _cosines_at(pos, [0], [1], [2])
     if not ok.all():
         raise ZeroLengthSegment(
             f"a ray at the angle vertex is not longer than {SEGMENT_FLOOR}"
         )
-    return float(angles[0])
+    return float(np.arccos(cosines[0]))
 
 
 def angle_features(
     skel: Skeleton, mode: AngleMode = AngleMode.ADJACENT
 ) -> tuple[np.ndarray, int]:
-    """Angle features plus the count of degenerate (zeroed) entries.
+    """Angle features, the cosines of the angles in [-1, 1], plus the count
+    of degenerate entries, which read 0 (a right angle).
 
     ADJACENT: the 29 angles between bone segments meeting at each joint.
     ALL_TRIPLES: one angle per joint triple {i < j < k}, vertex at j; 2300
     entries in lexicographic triple order.
     """
-    angles, ok = _angles_at(skel.positions, *_ANGLE_TRIPLES[AngleMode(mode)])
-    return angles, int(np.count_nonzero(~ok))
+    cosines, ok = _cosines_at(skel.positions, *_ANGLE_TRIPLES[AngleMode(mode)])
+    return cosines, int(np.count_nonzero(~ok))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow

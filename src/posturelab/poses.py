@@ -58,9 +58,10 @@ def _build_pose(
     the same for the arms. Tuples are (left, right).
 
     Chains carry small built-in bends (bowed spine, nodding head, cupped
-    hand, rounded shoulders): no bone pair is ever exactly collinear, which
-    would put adjacent-segment angles on the arccos singularity where float
-    noise is amplified by ~1e8.
+    hand, rounded shoulders), so no bone pair is ever exactly collinear. The
+    angle features need no such margin: they are cosines, which near ±1 do
+    not amplify float noise as an arccos does. The bends stay because every
+    synth file's bytes depend on them.
     """
     pos = np.zeros((NUM_JOINTS, 3))
     pitch = math.radians(trunk_pitch_deg)

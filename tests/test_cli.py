@@ -1,5 +1,6 @@
 import base64
 import functools
+import hashlib
 import json
 import warnings
 
@@ -843,6 +844,35 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: file version {version!r}, reader supports 3")
         assert "retrain" in err
+
+    # The fingerprints of angle features in radians, before they became cosines.
+    RADIAN_FINGERPRINTS = {"angles": "b45713a08d1ed75a", "combined": "1e9e062406bb5287"}
+
+    @pytest.mark.parametrize("features", RADIAN_FINGERPRINTS)
+    def test_a_model_of_radian_angles_is_exit_2(self, tmp_path, dataset_path, capsys, features):
+        path = tmp_path / "model.json"
+        assert run(["train", "--data", str(dataset_path), "--classifier", "knn1",
+                    "--features", features, "--model-out", str(path)]) == 0
+        radians = self.RADIAN_FINGERPRINTS[features]
+        _edit_model(path, lambda doc: doc.update(feature_fingerprint=radians))
+        capsys.readouterr()
+        assert self.predict(path, dataset_path, tmp_path) == 2
+        assert capsys.readouterr().err == ("data error: malformed model file: the "
+                                           f"{features} features do not have the model's "
+                                           f"fingerprint {radians}\n")
+
+    def test_a_distances_model_keeps_its_bytes_and_predictions(self, tmp_path, dataset_path):
+        # the knn1 file and its predictions as written before angles became
+        # cosines: distance features and their fingerprint did not move
+        path = tmp_path / "model.json"
+        assert run(["train", "--data", str(dataset_path), "--classifier", "knn1",
+                    "--features", "distances", "--model-out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "8303301eeb4c6a6b2dab66842b611e190c0df31716dac85ccb8ce453c69d2bcb")
+        assert load_model(path).model.fingerprint == "1edfa0f34a9073ac"
+        assert self.predict(path, dataset_path, tmp_path) == 0
+        assert hashlib.sha256((tmp_path / "preds.jsonl").read_bytes()).hexdigest() == (
+            "a4a28be9ef92649e5ef0fb24ae8fda29835f5892b34807bc0777289c46f547da")
 
     def test_predict_lines_are_sorted_key_json(self, tmp_path, dataset_path, capsys):
         path = _train(tmp_path, dataset_path, "lda")

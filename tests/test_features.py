@@ -134,14 +134,14 @@ class TestJointAngle:
             assert math.isfinite(angle)
             assert 0 <= angle <= math.pi
 
-
     def test_agrees_bitwise_with_angle_features(self, rng):
+        # the angle features hold the cosine whose arccos joint_angle returns
         for _ in range(20):
             s = random_skeleton(rng)
             vals, _ = angle_features(s)
             pos = s.positions
-            for (a, v, b), expected in zip(ADJACENT_ANGLE_TRIPLES, vals):
-                assert joint_angle(pos[a], pos[v], pos[b]) == expected
+            for (a, v, b), cosine in zip(ADJACENT_ANGLE_TRIPLES, vals):
+                assert joint_angle(pos[a], pos[v], pos[b]) == np.arccos(cosine)
 
 
 class TestAngleFeatures:
@@ -149,16 +149,17 @@ class TestAngleFeatures:
         vals, bad = angle_features(random_skeleton(rng), AngleMode.ADJACENT)
         assert vals.shape == (29,)
         assert bad == 0
-        assert np.all((vals >= 0) & (vals <= math.pi))
+        assert np.all((vals >= -1) & (vals <= 1))  # cosines of angles in [0, pi]
 
     def test_all_triples_length(self, rng):
         vals, bad = angle_features(random_skeleton(rng), AngleMode.ALL_TRIPLES)
         assert vals.shape == (2300,)
-        assert np.all((vals >= 0) & (vals <= math.pi))
+        assert np.all((vals >= -1) & (vals <= 1))
 
     def test_t_pose_trunk_shoulder_is_right_angle(self):
         # vertical trunk, purely lateral shoulder: the adjacent-segment angle
-        # at SpineShoulder between SpineMid and ShoulderLeft is exactly pi/2
+        # at SpineShoulder between SpineMid and ShoulderLeft is exactly pi/2,
+        # whose cosine (a zero dot product over positive lengths) is exactly 0
         s = skeleton_with(
             SpineMid=[0, 0, 0],
             SpineShoulder=[0, 0.5, 0],
@@ -168,19 +169,18 @@ class TestAngleFeatures:
         idx = ADJACENT_ANGLE_TRIPLES.index(
             (JointId.SpineMid, JointId.SpineShoulder, JointId.ShoulderLeft)
         )
-        assert vals[idx] == pytest.approx(math.pi / 2, abs=1e-12)
+        assert vals[idx] == 0.0
 
     def test_standing_template_has_no_collinear_adjacent_segments(self):
-        # exact collinearity would sit on the arccos singularity and amplify
-        # float noise under rigid transforms
+        # the template's built-in bends keep every adjacent angle more than
+        # 1e-3 rad from 0 and from pi, so its cosine is below cos(1e-3) in size
         vals, bad = angle_features(template_skeleton(PostureLabel.Standing))
         assert bad == 0
-        assert vals.max() < math.pi - 1e-3
-        assert vals.min() > 1e-3
+        assert np.abs(vals).max() < math.cos(1e-3)
 
     def test_degenerate_triple_yields_zero_and_count(self):
         # Head coincides with Neck: every triple with vertex at one of them
-        # and the other as endpoint is degenerate
+        # and the other as endpoint is degenerate and reads 0, a right angle
         s = skeleton_with(Head=[0.5, 0.5, 0.5], Neck=[0.5, 0.5, 0.5])
         vals, bad = angle_features(s, AngleMode.ALL_TRIPLES)
         assert bad >= 1
@@ -191,7 +191,8 @@ class TestAngleFeatures:
 
     def test_vertex_is_middle_index(self):
         # triple (SpineBase, SpineMid, Neck) with all three collinear iff the
-        # angle is measured at SpineMid
+        # angle is measured at SpineMid: rays (0, -1, 0) and (0, 3, 0), whose
+        # cosine -3 / (1 * 3) is exactly -1
         s = skeleton_with(
             SpineBase=[0, -1, 0],
             SpineMid=[0, 0, 0],
@@ -203,7 +204,7 @@ class TestAngleFeatures:
         idx = triples.index(
             (int(JointId.SpineBase), int(JointId.SpineMid), int(JointId.Neck))
         )
-        assert vals[idx] == pytest.approx(math.pi)
+        assert vals[idx] == -1.0
 
 
 class TestExtract:

@@ -45,17 +45,37 @@ class with far fewer records than features is not positive definite. Both
 W_k W_k' and the old factor's product are inv(S_k) to rounding; no
 prediction, synth file or grid hash moved.
 
+Angle features became the clipped cosine of each angle instead of its
+np.arccos, and every 3-vector product the elementwise (u0 v0 + u1 v1) + u2 v2
+instead of an einsum; the fingerprint names the encoding ("angles=cosine"
+for "angles=1"). That moved the four angle and combined feature rows
+(angles/adjacent was b45713a08d1ed75a and abf6f6f3...7664,
+combined/adjacent 1e9e062406bb5287 and a74388e2...33da,
+angles/all_triples e9abb9aa31a77a3f and 27b904bd...c235,
+combined/all_triples dcb0ca5fb4ff0fdb and d941d5c7...b6fe) and every
+pipeline output of the default combined features: model-lda (it was
+0f337b25...de10), model-qda (f8e6799c...0504), model-knn1
+(56973bff...2cdb), model-svm_quadratic (2792dad6...ea24), predict-lda
+(10af4c70...f1cd), predict-qda (2defde06...4d3e), predict-knn1
+(73124fdb...b401), predict-svm_quadratic (0e7fd3b6...5cbf) and the grid
+(96bfc709...4a19). The models fit other features, so 28, 1, 9 and 2 of the
+120 held-out labels of the 10 cm file moved for lda, qda, knn1 and
+svm_quadratic, at held-out accuracy 0.483 -> 0.508, 0.208 -> 0.200,
+0.608 -> 0.558 and 0.667 -> 0.667. The synth files and both distance rows
+kept their bits.
+
 Who decides a pinned value: the code alone decides synth, synth-heldout, the
-grid, model-knn1, every predict file and every feature matrix (on one numpy
-build: angles take np.arccos's SIMD loop). The BLAS kernel and its thread
-count also decide model-lda and model-qda (LAPACK Cholesky and inverse of
-its factor, and LDA's coefficient products) and model-svm_quadratic (Gram
-products), so on another OpenBLAS kernel only
+grid, model-knn1, every predict file and every feature matrix. Features take
+only elementwise +, -, *, / and sqrt, which IEEE 754 rounds the same on every
+SIMD target, so numpy's CPU dispatch moves none of them. The BLAS kernel and
+its thread count also decide model-lda and model-qda (LAPACK Cholesky and
+inverse of its factor, and LDA's coefficient products) and
+model-svm_quadratic (Gram products), so on another OpenBLAS kernel only
 test_blas_decided_pipeline_outputs_match_pinned_hashes may fail.
 test_code_decided_outputs_match_under_other_blas_kernels checks the first
-group across kernels. CI prints numpy's version, its build
-configuration and the OpenBLAS core before the tests, so that a failure can
-be traced to its cause.
+group across kernels, and with numpy's AVX-512 loops disabled. CI prints
+numpy's version, its build configuration and the OpenBLAS core before the
+tests, so that a failure can be traced to its cause.
 """
 import hashlib
 import json
@@ -75,15 +95,15 @@ from posturelab.features import FeatureConfig, config_fingerprint, extract_matri
 PINNED = {
     "synth": "f5f6adbdbbe1c8a52efa7991321540f7ad4978e011576f1b15b611cacd052c45",
     "synth-heldout": "723dc9fbc5761b8f3f3d8ce33b9c71cc955f15a574e58cc9dcd6ef06549e4ffc",
-    "grid": "96bfc709f67daed38b752919a054b64955aa9f77b4339ac5630c4df2aba64a19",
-    "model-lda": "0f337b255d8be1336f64d2ccf63070f835a2df3721ea0546da5a42214cbfde10",
-    "predict-lda": "10af4c70426a291724ca7c96b77762d87b4ae816d6082bf1204eabfaed63f1cd",
-    "model-qda": "f8e6799c0f8e84d2dd620defbc2a8d2aa41dabfd73bf8c977bffce5b9e750504",
-    "predict-qda": "2defde0639cbec98b34414c6302c2f0e2b03c265ceb9a6738a91c55b2cbc4d3e",
-    "model-knn1": "56973bff5ac7b15094aa0dc3044f0de13a541cfcc1002453ba76b29a687d2cdb",
-    "predict-knn1": "73124fdbd64818d65951c734f375ffb1ba09e3e4f0117f563df1b68bc77fb401",
-    "model-svm_quadratic": "2792dad6b7fbe73a79a1c40cc1960f17b2cd701437046fcb88d09555036aea24",
-    "predict-svm_quadratic": "0e7fd3b6e16005cf2da01e5fa8da4385be1a6a000ced223005840936453a5cbf",
+    "grid": "b93e39ef47dd6169c8fd94ca7744546d74476ddeb248fc541161e6f66c9a95fd",
+    "model-lda": "2cc5184dcda4b777529ee4acc8a7a0c2abcb079189e02e4242b4c0ce671a9da1",
+    "predict-lda": "7b205bd39b393710b2960059b16e4809a75c906e6b76c0b51f371ab92d2beac3",
+    "model-qda": "504fa1c60dd7f624d15d8d43ed28ddce72a0154f5c14b1674d33e6f8307b7f25",
+    "predict-qda": "0222c1907f10ae0afa6f7e388c135c6f65f04172e56b858d20b2d2cef800527a",
+    "model-knn1": "6d2a82e9ec3a17a3bf270b35c69c9236ab454b2555a3159584655d0a4c8a74a3",
+    "predict-knn1": "1fb6cd83de5b612b8d5e44c6ec963c02f822e5ab8a34ccbb42dd65836acc4449",
+    "model-svm_quadratic": "532fc3ec52295218f176ea66d47bc91f64e6d52f886804679d9e41d943dd23c6",
+    "predict-svm_quadratic": "b485ea508a0be19a3905823a6b0995e6a078bfc1feed0e58ac98ba237e614084",
 }
 
 
@@ -142,15 +162,15 @@ EXTRACT_PINNED = {
     ("distances", "adjacent"): (
         "1edfa0f34a9073ac", "0aaa275bf57002dab1bcb244bcb6ef0f1f900785775e49fa2f1a5962b6cc0990"),
     ("angles", "adjacent"): (
-        "b45713a08d1ed75a", "abf6f6f3a98b57017aa7e1cc2aeb42b7efb5bb428a9bb44889f5bd4ae9927664"),
+        "b7fe2a44e09482f6", "9e3b1a0ed3c1c3779df76f2bdef3dc41a5e1b05d839c54220369e046df867bf4"),
     ("combined", "adjacent"): (
-        "1e9e062406bb5287", "a74388e2cd935c8ac1301e1bd5474876c15c94027df5c01e1d9085b02ba233da"),
+        "b4494e5f68b55b78", "8c1b929bdcb951bd4654f113c528889dc5a105dd4e76f27a02d0943f377cf4ce"),
     ("distances", "all_triples"): (
         "63ef0e0264369621", "0aaa275bf57002dab1bcb244bcb6ef0f1f900785775e49fa2f1a5962b6cc0990"),
     ("angles", "all_triples"): (
-        "e9abb9aa31a77a3f", "27b904bd89b77dd88f590a081ad9ea135c101cd179509dd12e5537a846c4d235"),
+        "c54c325b46911342", "7f7a40912880508208ff068c4c0b32d231073d51ec2cf34af964046629a4b660"),
     ("combined", "all_triples"): (
-        "dcb0ca5fb4ff0fdb", "d941d5c73186862f02c9c8a0af53f0905e7aaebbbd78ac487d2b59bdfcbfb6fe"),
+        "18920567490ed0c3", "3d7648cf5b9da466496f3b1b3438486984c733683a56e74a475b2d05ccc6eabd"),
 }
 
 
@@ -184,13 +204,19 @@ print(json.dumps(code_decided_hashes(pathlib.Path(sys.argv[2]))))
 
 
 # OPENBLAS_CORETYPE names x86 kernels; NUM_THREADS=1 changes the BLAS's split.
+# NPY_DISABLE_CPU_FEATURES runs numpy's loops as on a CPU without AVX-512; on
+# such a CPU, or a numpy build that does not dispatch them, numpy at most
+# warns about the names.
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="OpenBLAS core types are x86-64 kernel names")
-@pytest.mark.parametrize("blas", [{"OPENBLAS_CORETYPE": "Prescott"},
-                                  {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}])
+@pytest.mark.parametrize("blas", [
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"},
+    {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+])
 def test_code_decided_outputs_match_under_other_blas_kernels(tmp_path, blas):
-    """A child process under another OpenBLAS kernel writes the same bytes as
-    this one, whatever kernel this host picks."""
+    """A child process under another OpenBLAS kernel, or other numpy SIMD
+    loops, writes the same bytes as this one, whatever this host picks."""
     here = code_decided_hashes(tmp_path)
     child_dir = tmp_path / "child"
     child_dir.mkdir()

@@ -8,7 +8,7 @@ import pytest
 
 from posturelab.classifiers import Knn1Model, LdaModel, QdaModel, Standardizer
 from posturelab.dataset import LabeledDataset
-from posturelab.errors import DimensionMismatch, NonFiniteCoordinate, UnknownLabel
+from posturelab.errors import DataError, DimensionMismatch, NonFiniteCoordinate, UnknownLabel
 from posturelab.evaluation import ConfusionMatrix
 from posturelab.features import FeatureVector
 from posturelab.kernels import linear_kernel
@@ -184,6 +184,19 @@ class TestLabeledDatasetColumns:
         with pytest.raises(NonFiniteCoordinate,
                            match="^record 1: non-finite y coordinate for joint 'Neck'$"):
             LabeledDataset(**self.columns(positions=positions))
+
+    @pytest.mark.parametrize("column", ["orientations_deg", "distances_m"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_metadata_is_rejected_by_record(self, column, value):
+        values = self.columns()[column].copy()
+        values[1] = value
+        with pytest.raises(DataError, match=f"^record 1: {column} must be finite, got {value}$"):
+            LabeledDataset(**self.columns(**{column: values}))
+
+    def test_a_dataset_its_file_could_not_load_is_not_built(self):
+        # such a dataset saved, and its file then failed to load at line 2
+        with pytest.raises(DataError, match="^record 0: orientations_deg must be finite"):
+            LabeledDataset(np.zeros((1, NUM_JOINTS, 3)), [0], ["p"], [np.nan], [1.0])
 
     def test_plain_lists_build_typed_columns(self):
         ds = LabeledDataset(**{k: v.tolist() for k, v in self.columns().items()})
