@@ -6,10 +6,12 @@ scale-invariant by dividing by the spine segment length (SpineShoulder to
 SpineMid), a proxy for the person's height. An angle feature is the angle's
 cosine, clipped to [-1, 1].
 
-Every product of 3-vectors is the elementwise _dots, and every length is its
-square root, so neither a BLAS kernel nor numpy's SIMD dispatch decides a
-feature bit, and the normalized (SpineMid, SpineShoulder) distance is exactly
-1.0 for every record, from extract and from extract_matrix alike.
+Every feature reads one table of joint-pair differences pos[i] - pos[j]
+(i < j) and their lengths: a distance is a column's length over the spine
+column's, and an angle's two rays are two columns. Every product of
+3-vectors is the elementwise _dots and every length its square root, so no
+BLAS kernel or SIMD dispatch decides a feature bit, and the normalized spine
+distance is exactly 1.0 for every record, in extract and extract_matrix alike.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ _PAIR_I, _PAIR_J = np.triu_indices(NUM_JOINTS, k=1)
 # _PAIR_OF[i, j]: the distance feature of joints i and j, in either order.
 _PAIR_OF = np.zeros((NUM_JOINTS, NUM_JOINTS), dtype=np.int64)
 _PAIR_OF[_PAIR_I, _PAIR_J] = _PAIR_OF[_PAIR_J, _PAIR_I] = np.arange(NUM_DISTANCE_FEATURES)
+_SPINE = _PAIR_OF[JointId.SpineMid, JointId.SpineShoulder]
 
 
 class AngleMode(str, Enum):
@@ -61,12 +64,6 @@ _ANGLE_TRIPLES = {
     AngleMode.ADJACENT: np.array(ADJACENT_ANGLE_TRIPLES).T,
     AngleMode.ALL_TRIPLES: np.array(list(combinations(range(NUM_JOINTS), 3))).T,
 }
-# The distance features of each mode's two rays (endpoint a to vertex, endpoint
-# b to vertex): |a - v| and |v - a| have the same bits, so a ray's norm is the
-# norm of its pair's difference.
-_RAY_PAIRS = {mode: (_PAIR_OF[ia, iv], _PAIR_OF[ib, iv])
-              for mode, (ia, iv, ib) in _ANGLE_TRIPLES.items()}
-
 # Feature set name -> (use_distances, use_angles)
 FEATURE_SETS = {"distances": (True, False), "angles": (False, True), "combined": (True, True)}
 
@@ -137,89 +134,96 @@ class FeatureVector:
 
 
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot products of 3-vectors u and v (..., 3): (u₀v₀ + u₁v₁) + u₂v₂,
-    elementwise."""
-    p = u * v  # keeps the memory order: for a swapped planes view, three rows
-    return (p[..., 0] + p[..., 1]) + p[..., 2]
+    """Dot products (u₀v₀ + u₁v₁) + u₂v₂ of 3-vectors u and v (k, 3, ...)."""
+    p = u * v
+    return (p[:, 0] + p[:, 1]) + p[:, 2]
 
 
-def _lengths(d: np.ndarray) -> np.ndarray:
-    """Lengths of 3-vectors d (..., 3): sqrt((x² + y²) + z²)."""
-    return np.sqrt(_dots(d, d))
+def _layout(distances: bool, triples=None):
+    """(i, j, distances, rays): the table's pair columns, all 300 with
+    distances, else only the rays; and each (endpoint a, vertex v, endpoint b)
+    triple's two ray columns and sign. The column of pair {a, v} is
+    pos[a] - pos[v] or its negation, so the sign is +1 iff (a < v) == (b < v)."""
+    if triples is None:
+        return _PAIR_I, _PAIR_J, distances, None
+    ia, iv, ib = triples
+    rays = _PAIR_OF[ia, iv], _PAIR_OF[ib, iv]
+    columns = np.arange(NUM_DISTANCE_FEATURES) if distances else np.unique(rays)
+    sign = np.where((ia < iv) == (ib < iv), 1.0, -1.0)
+    return _PAIR_I[columns], _PAIR_J[columns], distances, (*np.searchsorted(columns, rays), sign)
 
 
-def _spine_lengths(pos: np.ndarray) -> np.ndarray:
-    """SpineShoulder-SpineMid lengths of positions (..., 25, 3), the bits of that
-    pair's distance; below 1e-6 m a DegenerateNormalizer, which names a stack's
-    first degenerate record."""
-    length = _lengths(pos[..., JointId.SpineShoulder, :] - pos[..., JointId.SpineMid, :])
-    short = length < NORMALIZER_FLOOR_M
-    if not short.any():
-        return length
-    bad = np.flatnonzero(short)
-    record = f"record {bad[0]}: " if length.ndim else ""
-    raise DegenerateNormalizer(
-        f"{record}spine segment length {length.flat[bad[0]]:.3e} m "
-        f"is below {NORMALIZER_FLOOR_M} m"
-    )
+# Each config's layout; joint_angle's is its one triple (a, b, c), rows 0-2.
+_LAYOUTS = {FeatureConfig(d, a, mode): _layout(d, _ANGLE_TRIPLES[mode] if a else None)
+            for d, a in FEATURE_SETS.values() for mode in AngleMode}
+_ONE_ANGLE = _layout(False, np.array([[0], [1], [2]]))
 
 
-def _cosines_at(pos: np.ndarray, ia, iv, ib, norms=None) -> tuple[np.ndarray, np.ndarray]:
-    """Cosines of the angles at vertex joints iv toward endpoint joints ia and
-    ib, clipped to [-1, 1], and the mask of the entries that are not degenerate.
+def _check(ok: np.ndarray, first: int, error, message) -> None:
+    """Nothing if ok holds, one bool or one per record of a stack counted from
+    first; else error(message(k)), naming a stack's first failing record k."""
+    if not ok.all():
+        k = np.flatnonzero(~ok)[0]
+        raise error(f"record {first + k}: {message(k)}" if ok.ndim else message(k))
 
-    norms, when given, are the rays' lengths with the bits _lengths gives them.
-    Degenerate entries (a ray at or below the segment floor) yield 0, the
-    cosine of a right angle, instead of raising, so one bad joint cannot
-    discard a whole vector.
-    """
-    vertex = pos.take(iv, axis=-2)  # take gathers what [..., iv, :] does, faster
-    u = pos.take(ia, axis=-2) - vertex
-    v = pos.take(ib, axis=-2) - vertex
-    nu, nv = (_lengths(u), _lengths(v)) if norms is None else norms
-    ok = (nu > SEGMENT_FLOOR) & (nv > SEGMENT_FLOOR)
-    denom = np.where(ok, nu * nv, 1.0)
-    cosine = _dots(u, v) / denom
+
+def _table(joints: np.ndarray, i, j, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The differences joints[i] - joints[j] (k, 3, ...) of positions (25, 3,
+    ...) and their lengths (k, ...); NumericError for a non-finite length. A
+    finite length is at most sqrt(DBL_MAX), so a product of two is finite."""
+    diffs = joints.take(i, axis=0) - joints.take(j, axis=0)
+    lengths = np.sqrt(_dots(diffs, diffs))
+    if not lengths.max() < np.inf:  # NaN fails too
+        _check(np.isfinite(lengths).all(axis=0), first, NumericError,
+               lambda k: "feature values overflow; the coordinates are too large")
+    return diffs, lengths
+
+
+def _spine(lengths: np.ndarray, first: int = 0) -> np.ndarray:
+    """The spine column of 300-pair lengths; below 1e-6 m a DegenerateNormalizer."""
+    spine = lengths[_SPINE]
+    _check(spine >= NORMALIZER_FLOOR_M, first, DegenerateNormalizer, lambda k:
+           f"spine segment length {spine.flat[k]:.3e} m is below {NORMALIZER_FLOOR_M} m")
+    return spine
+
+
+def _cosines(diffs, lengths, rays, out) -> np.ndarray:
+    """Writes the signed cosines of table columns ra and rb, clipped to [-1, 1],
+    to out; returns the mask of the entries not degenerate. A degenerate entry
+    (a ray at or below the segment floor) reads +0.0, a right angle's cosine, so
+    one bad joint cannot discard a whole vector; so does every exact zero."""
+    ra, rb, sign = rays
+    divisors = np.where(lengths > SEGMENT_FLOOR, lengths, np.inf)  # a degenerate ray: ±0
+    denom = divisors.take(ra, axis=0) * divisors.take(rb, axis=0)
+    np.multiply(denom.T, sign, out=denom.T)  # the triples' axis is last in .T
+    cosine = _dots(diffs.take(ra, axis=0), diffs.take(rb, axis=0)) / denom
     np.minimum(np.maximum(cosine, -1.0, out=cosine), 1.0, out=cosine)  # clip, undispatched
-    return np.where(ok, cosine, 0.0), ok
+    np.add(cosine, 0.0, out=out)  # -0.0 + 0.0 is +0.0; every other value keeps its bits
+    return np.isfinite(denom)
 
 
-def _values(pos: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
-    """Feature values of positions (..., 25, 3), one skeleton or a stack, with
-    the same bits for a record either way: distances, then angles.
-
-    The pair differences are taken on the x, y and z planes (..., 3, 300).
-    With distances, the angle rays' norms are these lengths."""
-    parts, norms = [], None
-    if cfg.use_distances:
-        planes = pos.swapaxes(-1, -2)
-        diffs = planes.take(_PAIR_I, axis=-1) - planes.take(_PAIR_J, axis=-1)
-        lengths = _lengths(diffs.swapaxes(-1, -2))
-        parts.append(lengths / _spine_lengths(pos)[..., None])
-        if cfg.use_angles:
-            norms = [lengths.take(rays, axis=-1) for rays in _RAY_PAIRS[cfg.angle_mode]]
-    if cfg.use_angles:
-        parts.append(_cosines_at(pos, *_ANGLE_TRIPLES[cfg.angle_mode], norms)[0])
-    return np.concatenate(parts, axis=-1)
+@np.errstate(over="ignore", invalid="ignore")  # _table reports an overflow
+def _values(pos: np.ndarray, layout, out: np.ndarray, first: int = 0) -> np.ndarray | None:
+    """Writes the features of positions (25, 3), or of a stack (n, 25, 3) made
+    joint-major so that a pair's gather copies one block, to out (d) or (n, d)
+    with the same bits either way: distances, then angles. Returns the angles'
+    non-degenerate mask; a stack's errors count its records from first."""
+    i, j, distances, rays = layout
+    joints = np.ascontiguousarray(np.moveaxis(pos, 0, -1)) if pos.ndim == 3 else pos
+    diffs, lengths = _table(joints, i, j, first)
+    if distances:
+        np.divide(lengths, _spine(lengths, first), out=out.T[:NUM_DISTANCE_FEATURES])
+    if rays is not None:
+        return _cosines(diffs, lengths, rays, out.T[NUM_DISTANCE_FEATURES * distances :])
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    """values, or NumericError naming the first record (row) with a non-finite
-    entry: finite coordinates so large that the geometry overflows."""
-    finite = np.isfinite(values)
-    if finite.all():
-        return values
-    bad = np.flatnonzero(~finite.all(axis=-1))
-    record = f"record {bad[0]}: " if values.ndim > 1 else ""
-    raise NumericError(f"{record}feature values overflow; the coordinates are too large")
-
-
+@np.errstate(over="ignore", invalid="ignore")  # _table reports an overflow
 def normalizer(skel: Skeleton) -> float:
     """Length of the SpineShoulder-SpineMid segment (the scale reference).
 
     Raises DegenerateNormalizer when shorter than 1e-6 m.
     """
-    return float(_spine_lengths(skel.positions))
+    return float(_spine(_table(skel.positions, _PAIR_I, _PAIR_J)[1]))
 
 
 def pairwise_distances(skel: Skeleton) -> np.ndarray:
@@ -227,21 +231,28 @@ def pairwise_distances(skel: Skeleton) -> np.ndarray:
 
     Entry order is the lexicographic order of index pairs (i, j), i < j.
     """
-    return _values(skel.positions, FeatureConfig(True, False))
+    values = np.empty(NUM_DISTANCE_FEATURES)
+    _values(skel.positions, _LAYOUTS[FeatureConfig(True, False)], values)
+    return values
 
 
 def joint_angle(a, b, c) -> float:
     """Angle at vertex ``b`` between rays b->a and b->c, in [0, pi]: the
     arccos of the cosine that the angle features hold.
 
-    Raises ZeroLengthSegment if either ray is shorter than 1e-9.
+    Raises ZeroLengthSegment if either ray is shorter than 1e-9, and
+    DimensionMismatch unless each point is three numbers.
     """
-    pos = np.array([a, b, c], dtype=np.float64)
-    cosines, ok = _cosines_at(pos, [0], [1], [2])
-    if not ok.all():
-        raise ZeroLengthSegment(
-            f"a ray at the angle vertex is not longer than {SEGMENT_FLOOR}"
-        )
+    try:
+        pos = np.array([a, b, c], dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        pos = np.empty(0)
+    if pos.shape != (3, 3):
+        raise DimensionMismatch(f"points must be three numbers each, got {a!r}, {b!r}, {c!r}")
+    check_finite(pos, "abc")
+    cosines = np.empty(1)
+    if not _values(pos, _ONE_ANGLE, cosines).all():
+        raise ZeroLengthSegment(f"a ray at the angle vertex is not longer than {SEGMENT_FLOOR}")
     return float(np.arccos(cosines[0]))
 
 
@@ -255,35 +266,33 @@ def angle_features(
     ALL_TRIPLES: one angle per joint triple {i < j < k}, vertex at j; 2300
     entries in lexicographic triple order.
     """
-    cosines, ok = _cosines_at(skel.positions, *_ANGLE_TRIPLES[AngleMode(mode)])
-    return cosines, int(np.count_nonzero(~ok))
+    cfg = FeatureConfig(False, True, mode)
+    cosines = np.empty(cfg.length)
+    degenerate = ~_values(skel.positions, _LAYOUTS[cfg], cosines)
+    return cosines, int(np.count_nonzero(degenerate))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
 def extract(skel: Skeleton, cfg: FeatureConfig) -> FeatureVector:
     """Feature vector for one skeleton under ``cfg``: distances, then angles."""
-    values = _finite(_values(skel.positions, cfg))
+    values = np.empty(cfg.length)
+    _values(skel.positions, _LAYOUTS[cfg], values)
     values.setflags(write=False)  # a fresh array: FeatureVector holds it uncopied
     return FeatureVector(values, config_fingerprint(cfg))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _finite reports an overflow
 def extract_matrix(skeletons, cfg: FeatureConfig) -> tuple[np.ndarray, str]:
     """(n, d) matrix whose row i equals extract(skeletons[i], cfg).values, of
     an (n, 25, 3) positions stack or a sequence of Skeletons. A non-finite
-    coordinate of the stack is a NonFiniteCoordinate naming its record.
+    coordinate, a degenerate spine or an overflow names its record.
 
     The matrix is C-ordered: the standardizer's column sums depend on it.
     """
-    fingerprint = config_fingerprint(cfg)
     pos = np.asarray(skeletons, dtype=np.float64)
     if pos.shape != (0,) and pos.shape[1:] != (NUM_JOINTS, 3):  # (0,): no records
         raise DimensionMismatch(f"expected an (n, {NUM_JOINTS}, 3) stack, got {pos.shape}")
     pos = pos.reshape(-1, NUM_JOINTS, 3)
     check_finite(pos)
-    if cfg.use_distances:
-        _spine_lengths(pos)  # names a degenerate record by its stack index
     X = np.empty((len(pos), cfg.length))
     for lo in range(0, len(pos), _BLOCK):
-        X[lo : lo + _BLOCK] = _values(pos[lo : lo + _BLOCK], cfg)
-    return _finite(X), fingerprint
+        _values(pos[lo : lo + _BLOCK], _LAYOUTS[cfg], X[lo : lo + _BLOCK], lo)
+    return X, config_fingerprint(cfg)

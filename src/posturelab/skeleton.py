@@ -135,13 +135,14 @@ ADJACENT_ANGLE_TRIPLES: tuple[tuple[JointId, JointId, JointId], ...] = tuple(
 )
 
 
-def check_finite(positions: np.ndarray) -> None:
+def check_finite(positions: np.ndarray, names: Sequence[str] = JOINT_NAMES) -> None:
     """NonFiniteCoordinate naming the first non-finite coordinate (C order)
-    of positions (25, 3), or of an (n, 25, 3) stack and then its record too."""
+    of positions (25, 3), or of an (n, 25, 3) stack and then its record too;
+    names are the rows' names."""
     finite = np.isfinite(positions)
     if not finite.all():
         *record, joint, axis = map(int, np.unravel_index(np.argmin(finite), finite.shape))
-        raise NonFiniteCoordinate(JointId(joint).name, "xyz"[axis],
+        raise NonFiniteCoordinate(names[joint], "xyz"[axis],
                                   record=record[0] if record else None)
 
 

@@ -33,6 +33,23 @@ from posturelab.skeleton import (
 )
 
 
+def reference_cosines(pos: np.ndarray, triples) -> tuple[np.ndarray, np.ndarray]:
+    """The angle features of positions (..., 25, 3) by vertex-ray arithmetic,
+    apart from the pair table: u = pos[a] - pos[v], w = pos[b] - pos[v], then
+    ((u₀w₀ + u₁w₁) + u₂w₂) / (|u|·|w|), clipped, and 0 where a ray is at most
+    1e-9 long; and the mask of the entries that are not."""
+    a, v, b = np.array(list(triples)).T
+    u, w = pos[..., a, :] - pos[..., v, :], pos[..., b, :] - pos[..., v, :]
+
+    def dot(x, y):
+        return (x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]) + x[..., 2] * y[..., 2]
+
+    nu, nw = np.sqrt(dot(u, u)), np.sqrt(dot(w, w))
+    ok = (nu > 1e-9) & (nw > 1e-9)
+    cosine = np.clip(dot(u, w) / np.where(ok, nu * nw, 1.0), -1.0, 1.0)
+    return np.where(ok, cosine, 0.0), ok
+
+
 def skeleton_with(**overrides) -> Skeleton:
     pos = np.zeros((NUM_JOINTS, 3))
     # default spine segment keeps the normalizer valid
@@ -124,6 +141,25 @@ class TestJointAngle:
     def test_zero_length_segment(self):
         with pytest.raises(ZeroLengthSegment):
             joint_angle([0, 0, 0], [0, 0, 0], [1, 0, 0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_names_point_and_axis(self, value):
+        with pytest.raises(NonFiniteCoordinate) as exc:
+            joint_angle([1, 0, 0], [0, 0, value], [0, 1, value])
+        assert (exc.value.joint, exc.value.axis) == ("b", "z")
+        assert str(exc.value) == "non-finite z coordinate for joint 'b'"
+
+    @pytest.mark.parametrize("points", [
+        ([1, 0, 0], [0, 0, 0], [0, 1]),
+        ([1, 0, 0], [0, 0, 0, 0], [0, 1, 0]),
+        ([[1, 0, 0]], [[0, 0, 0]], [[0, 1, 0]]),
+        (1.0, 0.0, 2.0),
+        ("abc", [0, 0, 0], [0, 1, 0]),
+        (None, [0, 0, 0], [0, 1, 0]),
+    ])
+    def test_point_that_is_not_three_numbers(self, points):
+        with pytest.raises(DimensionMismatch, match="three numbers"):
+            joint_angle(*points)
 
     def test_clamped_at_collinear(self, rng):
         # normalized dot products can exceed 1 by float error: nearly-parallel
@@ -245,8 +281,9 @@ class TestExtract:
 
     @pytest.mark.parametrize("mode", ["adjacent", "all_triples"])
     def test_combined_is_distances_then_angles_bit_for_bit(self, rng, mode):
-        # combined takes the rays' norms and the spine from the pair
-        # differences; angles alone computes its own. Row 3 has Head on Neck.
+        # combined reads all 300 pair columns of the table, angles alone only
+        # the rays' columns; both read a ray's norm and sign from its column.
+        # Row 3 has Head on Neck.
         skeletons = [random_skeleton(rng) for _ in range(20)]
         pos = skeletons[3].positions.copy()
         pos[JointId.Head] = pos[JointId.Neck]
@@ -267,6 +304,32 @@ class TestExtract:
         _, degenerate = angle_features(skeletons[3], mode)
         assert degenerate == expected > 0
         assert np.count_nonzero(X[3, 300:] == 0.0) == degenerate
+
+    @pytest.mark.parametrize("mode", ["adjacent", "all_triples"])
+    def test_cosines_match_vertex_ray_reference_bit_for_bit(self, rng, mode):
+        # an oracle apart from the pair table: rays gathered at each vertex
+        triples = {"adjacent": ADJACENT_ANGLE_TRIPLES,
+                   "all_triples": list(combinations(range(NUM_JOINTS), 3))}[mode]
+        pos = np.stack([random_skeleton(rng).positions for _ in range(70)])
+        pos[3, JointId.Head] = pos[3, JointId.Neck]  # rays of length 0
+        pos[4, JointId.Neck, 0] = 0.0  # a ray exactly 1e-9 long
+        pos[4, JointId.Head] = pos[4, JointId.Neck] + [1e-9, 0.0, 0.0]
+        # exact right angles at SpineMid, between a column and a negated
+        # column whose dot product cancels to zero: it reads +0.0
+        pos[5, [JointId.SpineMid, JointId.SpineBase, JointId.SpineShoulder, JointId.Neck]] = [
+            [0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, -0.5, 0.0], [1.0, -1.0, 0.0]]
+        expected, ok = reference_cosines(pos, triples)
+        assert np.sqrt(np.sum((pos[4, JointId.Head] - pos[4, JointId.Neck]) ** 2)) == 1e-9
+        assert not ok[3].all() and not ok[4].all() and ok[5].all()
+        assert np.count_nonzero(expected[5] == 0.0) >= 1
+        angles = FeatureConfig.from_name("angles", mode)
+        combined = FeatureConfig.from_name("combined", mode)
+        assert extract_matrix(pos, angles)[0].tobytes() == expected.tobytes()
+        assert extract_matrix(pos, combined)[0][:, 300:].tobytes() == expected.tobytes()
+        for row in range(8):
+            cosines, degenerate = angle_features(Skeleton(pos[row]), mode)
+            assert cosines.tobytes() == expected[row].tobytes()
+            assert degenerate == np.count_nonzero(~ok[row])
 
     @pytest.mark.parametrize("features_set", ["distances", "angles", "combined"])
     @pytest.mark.parametrize("mode", ["adjacent", "all_triples"])
@@ -311,14 +374,30 @@ class TestExtract:
     @pytest.mark.parametrize("features_set", ["distances", "angles", "combined"])
     @pytest.mark.parametrize("mode", ["adjacent", "all_triples"])
     def test_overflow_in_stack_names_record(self, rng, features_set, mode):
+        # every joint far out, or one: a ray of length 1e160 whose norm
+        # squared overflows, which must not read as a cosine of 0
         cfg = FeatureConfig.from_name(features_set, mode)
         skeletons = [random_skeleton(rng) for _ in range(80)]
-        skeletons[70] = Skeleton(skeletons[70].positions * 1e308)
+        one_joint = skeletons[70].positions.copy()
+        one_joint[JointId.Head] = [1e160, 0.5, 0.5]
+        for bad in (skeletons[70].positions * 1e308, one_joint):
+            skeletons[70] = Skeleton(bad)
+            with np.errstate(all="raise"):  # no overflow may escape as a warning
+                with pytest.raises(NumericError, match=r"^record 70: feature values overflow"):
+                    extract_matrix(skeletons, cfg)
+                with pytest.raises(NumericError, match=r"^feature values overflow"):
+                    extract(skeletons[70], cfg)
+
+    def test_overflow_in_one_skeleton_helpers(self):
+        s = Skeleton(np.random.default_rng(0).normal(size=(NUM_JOINTS, 3)) * 1e160)
+        helpers = [normalizer, pairwise_distances, angle_features,
+                   lambda s: angle_features(s, AngleMode.ALL_TRIPLES)]
         with np.errstate(all="raise"):  # no overflow may escape as a warning
-            with pytest.raises(NumericError, match=r"^record 70: feature values overflow"):
-                extract_matrix(skeletons, cfg)
+            for helper in helpers:
+                with pytest.raises(NumericError, match=r"^feature values overflow"):
+                    helper(s)
             with pytest.raises(NumericError, match=r"^feature values overflow"):
-                extract(skeletons[70], cfg)
+                joint_angle([1e200, 1e200, 0], [0, 0, 0], [1e200, 0, 0])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_coordinate_in_stack_names_record_joint_and_axis(self, rng, value):
